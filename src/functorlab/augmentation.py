@@ -3,27 +3,34 @@
 B(rank, degree) is spanned by classes [x] of module elements subject to the
 degree-n relations; the deviation classes of basis vectors, indexed by
 multisets of size <= degree, form an integral basis.  class_of writes any [x]
-in that basis with multiset-binomial coefficients.
+in that basis with multiset-binomial coefficients, read off per-coordinate
+rows C(x_i, 0..degree).
 
 Two multiplications matter: the sum product [x][y] = [x + y] (always), and,
 when the module is a matrix algebra, the composition product [s][t] = [st].
-Left-multiplication matrices are memoized per algebra.
+The sum product has a closed form on the basis: the classes of X and Y
+multiply to the class of their union X + Y, or to zero when |X| + |Y| >
+degree, so it needs no table.  The composition tables for
+a x b by b x c matrices are built once per process for each (a, b, c,
+degree) and shared by every algebra and caller.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from itertools import product
+from math import comb, isqrt, prod
 
 from .combinatorics import (
     Multiset,
     binomial,
     format_multiset,
     format_rational,
-    multiset_binomial,
     multisets_up_to,
     parse_multiset,
     parse_rational,
+    signed_subset_sums,
 )
 from .intlinalg import Matrix
 from .modules import Element, FreeModule, Hom
@@ -34,21 +41,71 @@ def aug_dimension(rank: int, degree: int) -> int:
     return sum(binomial(rank + m - 1, m) for m in range(degree + 1))
 
 
-def _signed_subset_sums(vectors: list[tuple[int, ...]], width: int):
-    """All (sign, subset-sum) pairs with sign (-1)^(m - |I|)."""
-    m = len(vectors)
+def _class_vector(coords, basis, degree: int) -> list[int]:
+    """Coefficients of [x] on the basis: the product of C(x_i, m) over the
+    (i, m) pairs of each X, read off per-coordinate rows C(x_i, 0..degree)."""
+    rows = [[binomial(x, m) for m in range(degree + 1)] for x in coords]
+    return [prod(rows[i][m] for i, m in X.pairs) for X in basis]
+
+
+def _sub_multisets(X: Multiset):
+    """(A, w) over sub-multisets A of X, with the basis class of X equal to
+    the sum of w [A]: w = (-1)^(|X| - |A|) prod C(m_i, a_i)."""
     out = []
-    for mask in range(1 << m):
-        coords = [0] * width
-        bits = 0
-        for i in range(m):
-            if mask >> i & 1:
-                bits += 1
-                vi = vectors[i]
-                for t in range(width):
-                    coords[t] += vi[t]
-        out.append(((-1) ** (m - bits), tuple(coords)))
+    for sub in product(*(range(m + 1) for _, m in X.pairs)):
+        w = (-1) ** (X.size - sum(sub)) * prod(comb(m, a) for (_, m), a in zip(X.pairs, sub))
+        out.append((Multiset(tuple((i, a) for (i, _), a in zip(X.pairs, sub) if a)), w))
     return out
+
+
+@lru_cache(maxsize=None)
+def composition_tables(a: int, b: int, c: int, degree: int):
+    """Tables of [s][t] = [st] for a x b matrices s and b x c matrices t
+    (flattened row-major), truncated at degree, as (left, right): left[i]
+    is the basis class of the i-th multiset of B(ab) acting from the left on
+    B(bc), right[j] that of the j-th multiset of B(bc) acting from the right
+    on B(ab); both land in B(ac).  Expanding both classes over sub-multisets
+    leaves classes [AB] of integer matrix products, each normalised once."""
+    left_basis = multisets_up_to(a * b, degree)
+    right_basis = multisets_up_to(b * c, degree)
+    out_basis = multisets_up_to(a * c, degree)
+    left_index = {X: i for i, X in enumerate(left_basis)}
+    right_subs = [_sub_multisets(Y) for Y in right_basis]
+    classes: dict = {}
+
+    def class_of_product(A: Multiset, B: Multiset) -> list[int]:
+        coords = [0] * (a * c)
+        for u, m in A.pairs:
+            for v, p in B.pairs:
+                if u % b == v // c:
+                    coords[u // b * c + v % c] += m * p
+        key = tuple(coords)
+        if key not in classes:
+            classes[key] = _class_vector(key, out_basis, degree)
+        return classes[key]
+
+    dim = len(out_basis)
+
+    def combine(terms, vector_of) -> list[int]:
+        acc = [0] * dim
+        for A, w in terms:
+            for t, v in enumerate(vector_of(A)):
+                if v:
+                    acc[t] += w * v
+        return acc
+
+    # half[i][y]: the class of left_basis[i] times the basis class of right_basis[y]
+    half = [
+        [combine(subs, lambda B: class_of_product(A, B)) for subs in right_subs]
+        for A in left_basis
+    ]
+    products = [
+        [combine(subs, lambda A: half[left_index[A]][y]) for y in range(len(right_basis))]
+        for subs in map(_sub_multisets, left_basis)
+    ]
+    left = tuple(Matrix.from_cols(row, dim) for row in products)
+    right = tuple(Matrix.from_cols(col, dim) for col in zip(*products))
+    return left, right
 
 
 class AugAlgebra:
@@ -62,9 +119,6 @@ class AugAlgebra:
         self.module = FreeModule(rank)
         self.basis: tuple[Multiset, ...] = multisets_up_to(rank, degree)
         self.basis_index = {X: i for i, X in enumerate(self.basis)}
-        self._sum_tables: dict[Multiset, Matrix] = {}
-        self._prod_tables: dict[Multiset, Matrix] = {}
-        self._signed_sums: dict[Multiset, list] = {}
 
     def __eq__(self, other):
         return (
@@ -122,47 +176,19 @@ class AugAlgebra:
 
     def class_of(self, x) -> "AugElement":
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
-        coords = self._coords_of(x)
-        out = {}
-        for X in self.basis:
-            c = multiset_binomial(coords, X)
-            if c:
-                out[X] = c
-        return AugElement(self, out)
+        vec = _class_vector(self._coords_of(x), self.basis, self.degree)
+        return AugElement(self, {X: c for X, c in zip(self.basis, vec) if c})
 
     def class_of_deviation(self, xs) -> "AugElement":
         """Normal form of the deviation class at the given module elements."""
         vectors = [self._coords_of(x) for x in xs]
         total = self.zero()
-        for sign, coords in _signed_subset_sums(vectors, self.rank):
+        for sign, coords in signed_subset_sums(vectors, self.rank):
             term = self.class_of(coords)
             total = total + (term if sign > 0 else -term)
         return total
 
     # -- multiplication -------------------------------------------------------
-
-    def _basis_signed_sums(self, X: Multiset):
-        if X not in self._signed_sums:
-            vectors = [
-                tuple(int(t == i) for t in range(self.rank)) for i in X.indices()
-            ]
-            self._signed_sums[X] = _signed_subset_sums(vectors, self.rank)
-        return self._signed_sums[X]
-
-    def _sum_table(self, X: Multiset) -> Matrix:
-        """Matrix of left sum-multiplication by the basis class of X."""
-        if X not in self._sum_tables:
-            terms_x = self._basis_signed_sums(X)
-            cols = []
-            for Y in self.basis:
-                acc = self.zero()
-                for sx, vx in terms_x:
-                    for sy, vy in self._basis_signed_sums(Y):
-                        term = self.class_of(tuple(a + b for a, b in zip(vx, vy)))
-                        acc = acc + (term if sx * sy > 0 else -term)
-                cols.append(acc.to_vector())
-            self._sum_tables[X] = Matrix.from_cols(cols, len(self.basis))
-        return self._sum_tables[X]
 
     @property
     def matrix_side(self) -> int:
@@ -173,62 +199,36 @@ class AugAlgebra:
             )
         return side
 
-    def _unit_matrix(self, flat_index: int, side: int) -> list[list[int]]:
-        i, j = divmod(flat_index, side)
-        m = [[0] * side for _ in range(side)]
-        m[i][j] = 1
-        return m
-
     def _prod_table(self, X: Multiset) -> Matrix:
         """Matrix of left composition-multiplication by the basis class of X."""
-        if X not in self._prod_tables:
-            side = self.matrix_side
-            terms_x = self._matrix_signed_sums(X, side)
-            cols = []
-            for Y in self.basis:
-                acc = self.zero()
-                for sx, mx in terms_x:
-                    for sy, my in self._matrix_signed_sums(Y, side):
-                        prod = [
-                            [
-                                sum(mx[i][t] * my[t][j] for t in range(side))
-                                for j in range(side)
-                            ]
-                            for i in range(side)
-                        ]
-                        flat = tuple(v for row in prod for v in row)
-                        term = self.class_of(flat)
-                        acc = acc + (term if sx * sy > 0 else -term)
-                cols.append(acc.to_vector())
-            self._prod_tables[X] = Matrix.from_cols(cols, len(self.basis))
-        return self._prod_tables[X]
-
-    def _matrix_signed_sums(self, X: Multiset, side: int):
-        out = []
-        for sign, flat in self._basis_signed_sums(X):
-            out.append((sign, [list(flat[i * side : (i + 1) * side]) for i in range(side)]))
-        return out
+        side = self.matrix_side
+        left, _ = composition_tables(side, side, side, self.degree)
+        return left[self.basis_index[X]]
 
     def sum_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
-        """Bilinear extension of [x][y] = [x + y]."""
+        """Bilinear extension of [x][y] = [x + y]: the basis classes of X and
+        Y multiply to that of X + Y, or to zero past the degree."""
         self._check_pair(u, v)
-        vec = v.to_vector()
-        out = [0] * len(self.basis)
+        out: dict = {}
         for X, c in u.coeffs.items():
-            col = self._sum_table(X).matvec(vec)
-            for i, w in enumerate(col):
-                out[i] += c * w
-        return self.from_vector(out)
+            for Y, d in v.coeffs.items():
+                if X.size + Y.size <= self.degree:
+                    XY = Multiset.from_pairs(X.pairs + Y.pairs)
+                    out[XY] = out.get(XY, 0) + c * d
+        return self.element(out)
 
     def product_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
         """Bilinear extension of [s][t] = [s composed with t] (square rank only)."""
+        # the tables are sparse: skip zero entries before touching coefficients,
+        # which may be Fractions
         self._check_pair(u, v)
         vec = v.to_vector()
         out = [0] * len(self.basis)
         for X, c in u.coeffs.items():
-            col = self._prod_table(X).matvec(vec)
-            for i, w in enumerate(col):
-                out[i] += c * w
+            for i, row in enumerate(self._prod_table(X).rows):
+                w = sum(a * vec[j] for j, a in enumerate(row) if a)
+                if w:
+                    out[i] += c * w
         return self.from_vector(out)
 
     def _check_pair(self, u: "AugElement", v: "AugElement"):

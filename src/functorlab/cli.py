@@ -62,6 +62,10 @@ from .intlinalg import Matrix
 from .modules import FreeModule, SetMap
 
 
+class UsageError(Exception):
+    pass
+
+
 def _jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
@@ -175,6 +179,12 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
             ok = True
             for _ in range(5):
                 u, v, w = rand_elem(), rand_elem(), rand_elem()
+                x = tuple(rng.randint(-2, 2) for _ in range(k))
+                y = tuple(rng.randint(-2, 2) for _ in range(k))
+                if alg.class_of(x).sum_mul(alg.class_of(y)) != alg.class_of(
+                    tuple(a + b for a, b in zip(x, y))
+                ):
+                    ok = False
                 if u.sum_mul(v) != v.sum_mul(u):
                     ok = False
                 if u.sum_mul(v).sum_mul(w) != u.sum_mul(v.sum_mul(w)):
@@ -217,7 +227,9 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
     return cells
 
 
-def suite_gamma_epsilon(grid) -> list:
+def suite_gamma_epsilon(grid, summaries: dict) -> list:
+    """Cells of each (k, n) in the grid; summaries[(k, n)] gets the cell's
+    summary line from the same computations."""
     cells = []
     for k, n in grid:
         params = {"k": k, "n": n}
@@ -251,22 +263,13 @@ def suite_gamma_epsilon(grid) -> list:
                 rep.injective and rep.index is not None,
             )
         )
+        summaries[(k, n)] = {
+            "section": section_ok,
+            "kernel_match": ker.match,
+            "coker_invariants": list(rep.invariants.torsion),
+            "index": rep.index,
+        }
     return cells
-
-
-def _gamma_epsilon_summary(k: int, n: int) -> dict:
-    try:
-        section_ok = verify_section(gamma_epsilon_pair(k, n))
-    except VerificationError:
-        section_ok = False
-    ker = kernel_of_gamma(k, n)
-    rep = cokernel_of_pi_gamma(k, n)
-    return {
-        "section": section_ok,
-        "kernel_match": ker.match,
-        "coker_invariants": list(rep.invariants.torsion),
-        "index": rep.index,
-    }
 
 
 def suite_schur(max_n: int, seed: int) -> list:
@@ -384,10 +387,14 @@ def _run_suite(args) -> tuple[dict, bool]:
     seed = args.seed
     max_k = args.max_k
     max_n = args.max_n
-    if args.suite == "gamma-epsilon" and args.k is not None and args.n is not None:
+    single = args.suite == "gamma-epsilon" and args.k is not None and args.n is not None
+    if single:
+        if args.n < 1:
+            raise UsageError("a gamma-epsilon cell needs --n >= 1")
         grid = [(args.k, args.n)]
     else:
         grid = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
+    summaries: dict = {}
 
     def cells_for(name: str) -> list:
         if name == "deviations":
@@ -395,7 +402,7 @@ def _run_suite(args) -> tuple[dict, bool]:
         if name == "aug-algebra":
             return suite_aug_algebra(max_k, max_n, seed)
         if name == "gamma-epsilon":
-            return suite_gamma_epsilon(grid)
+            return suite_gamma_epsilon(grid, summaries)
         if name == "schur":
             return suite_schur(max_n, seed)
         if name == "morita":
@@ -413,8 +420,8 @@ def _run_suite(args) -> tuple[dict, bool]:
 
     cells.sort(key=lambda c: (c["anchor"], json.dumps(c["params"], sort_keys=True)))
     report = {"suite": args.suite, "seed": seed, "cells": cells}
-    if args.suite == "gamma-epsilon" and args.k is not None and args.n is not None:
-        report["summary"] = _gamma_epsilon_summary(args.k, args.n)
+    if single:
+        report["summary"] = summaries[(args.k, args.n)]
     ok = all(c["verdict"] == "pass" for c in cells)
     return report, ok
 
@@ -501,10 +508,6 @@ def cmd_table(args) -> int:
 
 
 # ---------------------------------------------------------------- functor
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_spec(text: str):
@@ -640,10 +643,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args):
+    for name in ("k", "n", "q", "max_k", "max_n"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Everything here is integer arithmetic: binomial coefficients with arbitrary
 integer upper index, Stirling numbers of the second kind, and the finite
-multisets that index the deviation and divided-power bases used elsewhere.
+multisets that index the deviation and divided-power bases used elsewhere, and
+the signed subset sums behind every deviation.
 """
 from __future__ import annotations
 
@@ -39,6 +40,24 @@ def multiset_binomial(coords, X: "Multiset") -> int:
             raise IndexError(f"multiset index {i} out of range for {len(coords)} coordinates")
         result *= binomial(coords[i], m)
     return result
+
+
+def signed_subset_sums(vectors, width: int) -> list:
+    """(sign, sum of vectors over I) for every subset I of the m integer
+    vectors, sign (-1)^(m - |I|): the terms of an inclusion-exclusion."""
+    m = len(vectors)
+    out = []
+    for mask in range(1 << m):
+        coords = [0] * width
+        bits = 0
+        for i in range(m):
+            if mask >> i & 1:
+                bits += 1
+                vi = vectors[i]
+                for t in range(width):
+                    coords[t] += vi[t]
+        out.append(((-1) ** (m - bits), tuple(coords)))
+    return out
 
 
 def stirling2(n: int, m: int) -> int:

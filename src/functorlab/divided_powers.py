@@ -22,6 +22,7 @@ from .combinatorics import (
     multisets_exactly,
     parse_multiset,
     parse_rational,
+    signed_subset_sums,
 )
 from .intlinalg import Matrix
 from .modules import Element, FreeModule, Hom
@@ -120,18 +121,9 @@ class GammaModule:
         if len(vectors) != self.degree:
             raise ValueError(f"need exactly {self.degree} factors")
         total = self.zero()
-        for mask in range(1 << len(vectors)):
-            coords = [0] * self.rank
-            bits = 0
-            for i, v in enumerate(vectors):
-                if mask >> i & 1:
-                    bits += 1
-                    for t in range(self.rank):
-                        coords[t] += v[t]
+        for sign, coords in signed_subset_sums(vectors, self.rank):
             term = self.divided_power(coords)
-            if (len(vectors) - bits) % 2:
-                term = -term
-            total = total + term
+            total = total + (term if sign > 0 else -term)
         return total
 
     @property

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .augmentation import AugAlgebra, AugElement
+from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
 from .combinatorics import Multiset, binomial, multisets_exactly
 from .deviations import DeviationReport, alternating_sum, cross_check_conditions
 from .divided_powers import GammaElement, GammaModule, schur_product
@@ -40,7 +40,7 @@ class FunctorSpec:
 
 
 def _check_power(n: int):
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"power must be a nonnegative integer, got {n!r}")
 
 
@@ -121,7 +121,7 @@ def spec_from_json(data) -> FunctorSpec:
     key, value = next(iter(data.items()))
     makers = {"tensor": Tensor, "sym": Sym, "ext": Ext, "div": Div, "const": Const}
     if key in makers:
-        return makers[key](int(value))
+        return makers[key](value)
     if key == "sum":
         return DirectSum(tuple(spec_from_json(p) for p in value))
     raise ValueError(f"unknown functor kind {key!r}")
@@ -409,21 +409,6 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
     return MoritaModule(n, algebra, Matrix.zeros(gens, 0), action)
 
 
-def _signed_matrix_sums(X: Multiset, nrows: int, ncols: int):
-    """(sign, subset-sum matrix) pairs over subsets of X's matrix-unit word."""
-    units = [_unit_matrix(u, nrows, ncols) for u in X.indices()]
-    out = []
-    for mask in range(1 << len(units)):
-        s = Matrix.zeros(nrows, ncols)
-        bits = 0
-        for i, u in enumerate(units):
-            if mask >> i & 1:
-                s = s + u
-                bits += 1
-        out.append(((-1) ** (len(units) - bits), s))
-    return out
-
-
 def _tensor_relation_rows(
     left_dim: int,
     gens: int,
@@ -473,22 +458,8 @@ def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
         raise ValueError("rank must be nonnegative")
     n = module.n
     R = module.algebra
-    P = AugAlgebra(n * q, n)
-    dimP = P.dimension()
-
-    p_sums = {X: _signed_matrix_sums(X, q, n) for X in P.basis}
-    right_tables = {}
-    for Y in R.basis:
-        terms_y = _signed_matrix_sums(Y, n, n)
-        cols = []
-        for X in P.basis:
-            acc = P.zero()
-            for sx, mx in p_sums[X]:
-                for sy, my in terms_y:
-                    term = P.class_of(_flat(mx @ my))
-                    acc = acc + (term if sx * sy > 0 else -term)
-            cols.append(acc.to_vector())
-        right_tables[Y] = Matrix.from_cols(cols, dimP)
+    dimP = aug_dimension(n * q, n)
+    right_tables = dict(zip(R.basis, composition_tables(q, n, n, n)[1]))
 
     rows = _tensor_relation_rows(
         dimP, module.generators, right_tables, module.action, R.basis, module.presentation

@@ -18,6 +18,7 @@ from math import factorial
 from typing import Optional
 
 from .augmentation import AugAlgebra, AugElement
+from .combinatorics import signed_subset_sums
 from .divided_powers import GammaElement, GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
@@ -52,20 +53,11 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
     space = GammaModule(rank, degree)
     cols = []
     for X in alg.basis:
-        vectors = [space.module.basis_vector(i) for i in X.indices()]
+        vectors = [space.module.basis_vector(i).coords for i in X.indices()]
         total = space.zero()
-        for mask in range(1 << len(vectors)):
-            coords = [0] * rank
-            bits = 0
-            for i, v in enumerate(vectors):
-                if mask >> i & 1:
-                    bits += 1
-                    for t in range(rank):
-                        coords[t] += v.coords[t]
+        for sign, coords in signed_subset_sums(vectors, rank):
             term = space.divided_power(coords)
-            if (len(vectors) - bits) % 2:
-                term = -term
-            total = total + term
+            total = total + (term if sign > 0 else -term)
         cols.append(total.to_vector())
     return Matrix.from_cols(cols, space.dimension())
 

@@ -1,10 +1,18 @@
 """Truncated augmentation algebras: bases, normal forms, both products,
 and induced maps."""
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from functorlab.augmentation import AugAlgebra, AugElement, aug_dimension, pushforward
-from functorlab.combinatorics import Multiset, binomial
+from functorlab.augmentation import (
+    AugAlgebra,
+    AugElement,
+    aug_dimension,
+    composition_tables,
+    pushforward,
+)
+from functorlab.combinatorics import Multiset, binomial, multiset_binomial, multisets_up_to
 from functorlab.deviations import SampleSpec, is_numerical_degree
 from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule, SetMap, compose, hom, identity_hom
@@ -128,6 +136,87 @@ class TestCompositionProduct:
         alg = AugAlgebra(3, 2)
         with pytest.raises(ValueError):
             alg.product_mul(alg.one(), alg.one())
+
+
+# Oracles: the inclusion-exclusion definitions of both products, expanded
+# over subsets of the basis words and normalised one multiset-binomial at a
+# time, independently of the closed forms and binomial rows under test.
+
+
+@lru_cache(maxsize=None)
+def _oracle_class(coords: tuple, rank: int, degree: int) -> tuple:
+    return tuple(multiset_binomial(coords, X) for X in multisets_up_to(rank, degree))
+
+
+def _signed_words(X: Multiset, width: int):
+    """(sign, coordinate sum) over the subsets of X's word of unit vectors."""
+    word = X.indices()
+    out = []
+    for mask in range(1 << len(word)):
+        coords = [0] * width
+        for bit, i in enumerate(word):
+            if mask >> bit & 1:
+                coords[i] += 1
+        out.append(((-1) ** (len(word) - bin(mask).count("1")), coords))
+    return out
+
+
+def _signed_class_sum(terms, rank: int, degree: int) -> tuple:
+    acc = [0] * aug_dimension(rank, degree)
+    for sign, coords in terms:
+        for t, c in enumerate(_oracle_class(tuple(coords), rank, degree)):
+            acc[t] += sign * c
+    return tuple(acc)
+
+
+def _oracle_sum_column(X: Multiset, Y: Multiset, rank: int, degree: int) -> tuple:
+    terms = [
+        (sx * sy, [p + q for p, q in zip(vx, vy)])
+        for sx, vx in _signed_words(X, rank)
+        for sy, vy in _signed_words(Y, rank)
+    ]
+    return _signed_class_sum(terms, rank, degree)
+
+
+def _oracle_product_column(X, Y, a: int, b: int, c: int, degree: int) -> tuple:
+    """Basis class of X (a x b) composed with that of Y (b x c), in B(ac)."""
+    terms = []
+    for sx, vx in _signed_words(X, a * b):
+        s = Matrix([vx[i * b : (i + 1) * b] for i in range(a)], b)
+        for sy, vy in _signed_words(Y, b * c):
+            t = Matrix([vy[j * c : (j + 1) * c] for j in range(b)], c)
+            terms.append((sx * sy, [v for row in (s @ t).rows for v in row]))
+    return _signed_class_sum(terms, a * c, degree)
+
+
+class TestTablesAgainstOracles:
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 2), (4, 3), (2, 4)])
+    def test_sum_tables(self, k, n):
+        alg = AugAlgebra(k, n)
+        for X in alg.basis:
+            for Y in alg.basis:
+                product = alg.basis_element(X).sum_mul(alg.basis_element(Y))
+                assert product.to_vector() == _oracle_sum_column(X, Y, k, n), (X, Y)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_square_composition_tables(self, n):
+        alg = AugAlgebra(4, n)
+        for X in alg.basis:
+            table = alg._prod_table(X)
+            for j, Y in enumerate(alg.basis):
+                assert table.col(j) == _oracle_product_column(X, Y, 2, 2, 2, n), (X, Y)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_rectangular_tables_used_by_reconstruct(self, q):
+        n = 2
+        left, right = composition_tables(q, n, n, n)
+        left_basis = multisets_up_to(q * n, n)
+        right_basis = multisets_up_to(n * n, n)
+        for y, Y in enumerate(right_basis):
+            for x, X in enumerate(left_basis):
+                col = _oracle_product_column(X, Y, q, n, n, n)
+                assert right[y].col(x) == col, (X, Y)
+                assert left[x].col(y) == col, (X, Y)
 
 
 class TestPushforward:

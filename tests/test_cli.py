@@ -6,6 +6,61 @@ import pytest
 from functorlab.cli import main
 
 
+# stdout of `verify gamma-epsilon --k 2 --n 3`, recorded while the summary
+# line still recomputed the cell instead of reusing the suite's results.
+GAMMA_EPSILON_2_3 = """\
+{
+  "cells": [
+    {
+      "anchor": "cokernel-invariants-match",
+      "params": {
+        "k": 2,
+        "n": 3
+      },
+      "verdict": "pass"
+    },
+    {
+      "anchor": "finite-index-injection",
+      "params": {
+        "k": 2,
+        "n": 3
+      },
+      "verdict": "pass"
+    },
+    {
+      "anchor": "kernel-lattice-match",
+      "params": {
+        "k": 2,
+        "n": 3
+      },
+      "verdict": "pass"
+    },
+    {
+      "anchor": "section-identity",
+      "params": {
+        "k": 2,
+        "n": 3
+      },
+      "verdict": "pass"
+    }
+  ],
+  "seed": 0,
+  "suite": "gamma-epsilon",
+  "summary": {
+    "coker_invariants": [
+      2,
+      2,
+      6,
+      6
+    ],
+    "index": 144,
+    "kernel_match": true,
+    "section": true
+  }
+}
+"""
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -65,6 +120,25 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["cells"] == []
+
+    def test_gamma_epsilon_cell_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "3"])
+        assert code == 0
+        assert out == GAMMA_EPSILON_2_3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "gamma-epsilon", "--k", "-1", "--n", "2"],
+            ["verify", "gamma-epsilon", "--k", "2", "--n", "0"],
+            ["verify", "all", "--max-k", "-1"],
+        ],
+    )
+    def test_bad_sizes_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
 
     def test_unknown_suite_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -159,6 +233,23 @@ class TestFunctor:
         data = json.loads(out)
         assert data["matches"] is True
         assert data["free_rank"] == data["expected_rank"] == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["functor", "dims", "--spec", '{"sym": 2}', "--q", "-1"],
+            ["functor", "extract", "--spec", '{"sym": 2}', "--n", "-1"],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--q", "-2"],
+            ["functor", "dims", "--spec", '{"sym": true}', "--q", "2"],
+            ["functor", "dims", "--spec", '{"sym": "2"}', "--q", "2"],
+        ],
+    )
+    def test_bad_sizes_and_powers_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_q_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["functor", "dims", "--spec", '{"sym": 2}'])

@@ -83,6 +83,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             spec_from_json({"sym": 1, "ext": 2})
 
+    @pytest.mark.parametrize("power", [True, False, "2", 2.0, None, -1])
+    def test_json_powers_must_be_integers(self, power):
+        with pytest.raises(ValueError):
+            spec_from_json({"sym": power})
+        with pytest.raises(ValueError):
+            spec_from_json({"sum": [{"const": power}]})
+
     def test_labels(self):
         assert spec_label(Tensor(2)) == "tensor^2"
         assert spec_label(Const(1)) == "const(1)"
