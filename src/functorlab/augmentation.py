@@ -13,27 +13,20 @@ multiply to the class of their union X + Y, or to zero when |X| + |Y| >
 degree, so it needs no table.  The composition tables for
 a x b by b x c matrices are built once per process for each (a, b, c,
 degree) and shared by every algebra and caller.
+
+The basis, the sparse elements and their additive structure come from
+modules.MultisetSpace and modules.MultisetVector; this module adds the
+normal form and the two products.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, isqrt, prod
+from math import comb, prod
 
-from .combinatorics import (
-    Multiset,
-    binomial,
-    format_multiset,
-    format_rational,
-    multisets_up_to,
-    parse_multiset,
-    parse_rational,
-    signed_subset_sums,
-)
+from .combinatorics import Multiset, binomial, multisets_up_to
 from .intlinalg import Matrix
-from .modules import Element, FreeModule, Hom
+from .modules import Hom, MultisetSpace, MultisetVector
 
 
 def aug_dimension(rank: int, degree: int) -> int:
@@ -108,71 +101,27 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     return left, right
 
 
-class AugAlgebra:
+class AugElement(MultisetVector):
+    """Sparse element of an AugAlgebra, with its two products."""
+
+    def sum_mul(self, other: "AugElement") -> "AugElement":
+        return self.space.sum_mul(self, other)
+
+    def product_mul(self, other: "AugElement") -> "AugElement":
+        return self.space.product_mul(self, other)
+
+
+class AugAlgebra(MultisetSpace):
     """Degree-truncated augmentation algebra of Z^rank."""
 
+    element_type = AugElement
+
     def __init__(self, rank: int, degree: int):
-        if rank < 0 or degree < 0:
-            raise ValueError("rank and degree must be nonnegative")
-        self.rank = rank
-        self.degree = degree
-        self.module = FreeModule(rank)
-        self.basis: tuple[Multiset, ...] = multisets_up_to(rank, degree)
-        self.basis_index = {X: i for i, X in enumerate(self.basis)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AugAlgebra)
-            and (self.rank, self.degree) == (other.rank, other.degree)
-        )
-
-    def __hash__(self):
-        return hash((self.rank, self.degree))
-
-    def __repr__(self):
-        return f"AugAlgebra(rank={self.rank}, degree={self.degree})"
-
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    # -- elements ------------------------------------------------------------
-
-    def element(self, coeffs: dict) -> "AugElement":
-        clean = {}
-        for X, c in coeffs.items():
-            if X not in self.basis_index:
-                raise ValueError(f"{X} is not a basis multiset of {self!r}")
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            if c:
-                clean[X] = c
-        return AugElement(self, clean)
-
-    def zero(self) -> "AugElement":
-        return AugElement(self, {})
-
-    def basis_element(self, X: Multiset) -> "AugElement":
-        return self.element({X: 1})
+        super().__init__(rank, degree, multisets_up_to)
 
     def one(self) -> "AugElement":
         """Unit of the sum product: the class of the zero element."""
         return self.basis_element(Multiset())
-
-    def from_vector(self, vec) -> "AugElement":
-        vec = tuple(vec)
-        if len(vec) != len(self.basis):
-            raise ValueError("vector length differs from dimension")
-        return self.element({X: v for X, v in zip(self.basis, vec)})
-
-    def _coords_of(self, x) -> tuple[int, ...]:
-        if isinstance(x, Element):
-            if x.module != self.module:
-                raise ValueError("element lives in the wrong module")
-            return x.coords
-        coords = tuple(int(c) for c in x)
-        if len(coords) != self.rank:
-            raise ValueError("coordinate count differs from rank")
-        return coords
 
     def class_of(self, x) -> "AugElement":
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
@@ -181,23 +130,9 @@ class AugAlgebra:
 
     def class_of_deviation(self, xs) -> "AugElement":
         """Normal form of the deviation class at the given module elements."""
-        vectors = [self._coords_of(x) for x in xs]
-        total = self.zero()
-        for sign, coords in signed_subset_sums(vectors, self.rank):
-            term = self.class_of(coords)
-            total = total + (term if sign > 0 else -term)
-        return total
+        return self.deviation(self.class_of, xs)
 
     # -- multiplication -------------------------------------------------------
-
-    @property
-    def matrix_side(self) -> int:
-        side = isqrt(self.rank)
-        if side * side != self.rank:
-            raise ValueError(
-                f"rank {self.rank} is not a square; no composition product here"
-            )
-        return side
 
     def _prod_table(self, X: Multiset) -> Matrix:
         """Matrix of left composition-multiplication by the basis class of X."""
@@ -232,70 +167,8 @@ class AugAlgebra:
         return self.from_vector(out)
 
     def _check_pair(self, u: "AugElement", v: "AugElement"):
-        if u.algebra != self or v.algebra != self:
+        if u.space != self or v.space != self:
             raise ValueError("factors live in a different algebra")
-
-
-@dataclass(frozen=True)
-class AugElement:
-    """Sparse element: coefficients (int or Fraction) on basis multisets."""
-
-    algebra: AugAlgebra
-    coeffs: dict
-
-    def _check(self, other: "AugElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements live in different algebras")
-
-    def __add__(self, other: "AugElement") -> "AugElement":
-        self._check(other)
-        out = dict(self.coeffs)
-        for X, c in other.coeffs.items():
-            out[X] = out.get(X, 0) + c
-        return self.algebra.element(out)
-
-    def __sub__(self, other: "AugElement") -> "AugElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AugElement":
-        return AugElement(self.algebra, {X: -c for X, c in self.coeffs.items()})
-
-    def scale(self, c) -> "AugElement":
-        return self.algebra.element({X: c * v for X, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, AugElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.algebra, tuple(sorted(self.coeffs.items(), key=lambda p: p[0].sort_key()))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs.values())
-
-    def to_vector(self) -> tuple:
-        return tuple(self.coeffs.get(X, 0) for X in self.algebra.basis)
-
-    def sum_mul(self, other: "AugElement") -> "AugElement":
-        return self.algebra.sum_mul(self, other)
-
-    def product_mul(self, other: "AugElement") -> "AugElement":
-        return self.algebra.product_mul(self, other)
-
-    def to_json(self) -> dict:
-        return {format_multiset(X): format_rational(c) for X, c in sorted(
-            self.coeffs.items(), key=lambda p: p[0].sort_key()
-        )}
-
-    @classmethod
-    def from_json(cls, algebra: AugAlgebra, data: dict) -> "AugElement":
-        return algebra.element({parse_multiset(k): parse_rational(v) for k, v in data.items()})
 
 
 def pushforward(chi: Hom, source_alg: AugAlgebra, target_alg: AugAlgebra) -> Matrix:

@@ -538,10 +538,13 @@ def cmd_functor(args) -> int:
         if args.q is None:
             raise UsageError("dims needs --q")
         out = {"spec": spec_to_json(spec), "q": args.q, "dim": object_dim(spec, args.q)}
-        if args.format == "plain":
-            print(out["dim"])
-        else:
-            print(json.dumps(out, sort_keys=True))
+        try:
+            text = str(out["dim"]) if args.format == "plain" else json.dumps(out, sort_keys=True)
+        except ValueError as exc:  # Python's limit on digits in int-to-str conversion
+            raise UsageError(
+                f"dimension of {spec_label(spec)} at q={args.q} has too many digits to print"
+            ) from exc
+        print(text)
         return 0
 
     if args.action == "arrow":

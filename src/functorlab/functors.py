@@ -7,6 +7,10 @@ n x n matrix module: the basis class of a multiset X acts by the deviation
 of the arrow map at X's word of matrix units.  Reconstruction goes back
 through a balanced tensor product, and restriction/extension of scalars
 moves between that algebra and the divided power algebra of matrices.
+
+Both kinds of module are a PresentedModule, a cokernel with one action
+matrix per basis multiset; MoritaModule and GammaModuleStruct differ only in
+the algebra, its product and its unit.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from itertools import combinations, product
 from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
 from .combinatorics import Multiset, binomial, multisets_exactly
 from .deviations import DeviationReport, alternating_sum, cross_check_conditions
-from .divided_powers import GammaElement, GammaModule, schur_product
+from .divided_powers import GammaModule, schur_product
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
     CokernelInvariants,
@@ -316,18 +320,13 @@ def _linear_combo(pairs, nrows: int, ncols: int) -> Matrix:
     return total
 
 
-class MoritaModule:
-    """Module over the degree-n augmentation algebra of n x n matrices.
+class PresentedModule:
+    """Module coker(presentation) over a multiset-indexed algebra: each basis
+    multiset of the algebra acts by a square matrix on the generators.
+    Construction checks that the actions descend to the cokernel and that
+    `unit`, the unit of the algebra's product, acts as the identity."""
 
-    Presented as coker(presentation); each basis multiset of the algebra acts
-    by a square matrix on the generators.  Construction checks that the
-    actions descend to the cokernel and that the class of the identity matrix
-    acts as the identity.
-    """
-
-    def __init__(self, n: int, algebra: AugAlgebra, presentation: Matrix, action: dict):
-        if algebra.rank != n * n or algebra.degree != n:
-            raise ValueError("algebra does not match the stated degree")
+    def __init__(self, n: int, algebra, presentation: Matrix, action: dict, unit):
         self.n = n
         self.algebra = algebra
         self.presentation = presentation
@@ -348,13 +347,13 @@ class MoritaModule:
                     raise VerificationError(
                         f"action of {X} does not preserve the relations"
                     )
-        if not self.identity_action(self.act(self.algebra.class_of(_flat(Matrix.identity(n))))):
+        if not self.identity_action(self.act(unit)):
             raise VerificationError(
-                "class of the identity matrix does not act as the identity"
+                "the unit of the algebra does not act as the identity"
             )
 
-    def act(self, elem: AugElement) -> Matrix:
-        if elem.algebra != self.algebra:
+    def act(self, elem) -> Matrix:
+        if elem.space != self.algebra:
             raise ValueError("element lives in the wrong algebra")
         return _linear_combo(
             ((c, self.action[X]) for X, c in elem.coeffs.items()),
@@ -373,20 +372,35 @@ class MoritaModule:
     def identity_action(self, mat: Matrix) -> bool:
         return self.zero_action(mat - Matrix.identity(self.generators))
 
-    def check_multiplicativity(self, pairs: int = 20, seed: int = 0) -> bool:
-        """act(u * v) == act(u) act(v) on seeded random basis pairs."""
+    def _multiplicative(self, product, pairs: int, seed: int) -> bool:
+        """act(product(u, v)) == act(u) act(v) on seeded random basis pairs."""
         rng = random.Random(seed)
         basis = self.algebra.basis
         for _ in range(pairs):
             X = basis[rng.randrange(len(basis))]
             Y = basis[rng.randrange(len(basis))]
-            prod = self.algebra.basis_element(X).product_mul(self.algebra.basis_element(Y))
-            if not self.zero_action(self.act(prod) - self.action[X] @ self.action[Y]):
+            uv = product(self.algebra.basis_element(X), self.algebra.basis_element(Y))
+            if not self.zero_action(self.act(uv) - self.action[X] @ self.action[Y]):
                 return False
         return True
 
     def group_invariants(self) -> CokernelInvariants:
         return cokernel_invariants(self.presentation)
+
+
+class MoritaModule(PresentedModule):
+    """Module over the degree-n augmentation algebra of n x n matrices, with
+    the composition product; its unit is the class of the identity matrix."""
+
+    def __init__(self, n: int, algebra: AugAlgebra, presentation: Matrix, action: dict):
+        if algebra.rank != n * n or algebra.degree != n:
+            raise ValueError("algebra does not match the stated degree")
+        unit = algebra.class_of(_flat(Matrix.identity(n)))
+        super().__init__(n, algebra, presentation, action, unit)
+
+    def check_multiplicativity(self, pairs: int = 20, seed: int = 0) -> bool:
+        """act(u v) == act(u) act(v) for the composition product."""
+        return self._multiplicative(AugElement.product_mul, pairs, seed)
 
 
 def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaModule:
@@ -469,71 +483,18 @@ def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
     return cokernel_invariants(reduced.transpose())
 
 
-class GammaModuleStruct:
-    """Module over the divided power algebra of n x n matrices (Schur product)."""
+class GammaModuleStruct(PresentedModule):
+    """Module over the divided power algebra of n x n matrices, with the
+    Schur product; its unit is the divided power of the identity matrix."""
 
     def __init__(self, n: int, presentation: Matrix, action: dict):
-        self.n = n
-        self.space = GammaModule(n * n, n)
-        self.presentation = presentation
-        self.generators = presentation.nrows
-        self.action = dict(action)
-        if set(self.action) != set(self.space.basis):
-            raise ValueError("action must cover exactly the divided basis")
-        for A, m in self.action.items():
-            if m.shape != (self.generators, self.generators):
-                raise ValueError(f"action matrix for {A} has shape {m.shape}")
-        self._relations = Lattice.from_rows(
-            self.generators, presentation.transpose().rows
-        )
-        rel_cols = presentation.cols()
-        for A, m in self.action.items():
-            for v in rel_cols:
-                if not self._relations.contains(m.matvec(v)):
-                    raise VerificationError(
-                        f"action of {A} does not preserve the relations"
-                    )
-        unit = self.space.divided_power(_flat(Matrix.identity(n)))
-        if not self.identity_action(self.act(unit)):
-            raise VerificationError(
-                "divided power of the identity does not act as the identity"
-            )
-
-    def act(self, elem: GammaElement) -> Matrix:
-        if elem.space != self.space:
-            raise ValueError("element lives in the wrong space")
-        return _linear_combo(
-            ((c, self.action[A]) for A, c in elem.coeffs.items()),
-            self.generators,
-            self.generators,
-        )
-
-    def zero_action(self, mat: Matrix) -> bool:
-        if mat.is_zero:
-            return True
-        if not mat.is_integral:
-            return False
-        return all(self._relations.contains(col) for col in mat.cols())
-
-    def identity_action(self, mat: Matrix) -> bool:
-        return self.zero_action(mat - Matrix.identity(self.generators))
+        algebra = GammaModule(n * n, n)
+        unit = algebra.divided_power(_flat(Matrix.identity(n)))
+        super().__init__(n, algebra, presentation, action, unit)
 
     def check_multiplicativity(self, pairs: int = 20, seed: int = 0) -> bool:
-        """act(schur(u, v)) == act(u) act(v) on seeded random basis pairs."""
-        rng = random.Random(seed)
-        basis = self.space.basis
-        for _ in range(pairs):
-            A = basis[rng.randrange(len(basis))]
-            B = basis[rng.randrange(len(basis))]
-            prod = schur_product(
-                self.space.basis_element(A), self.space.basis_element(B)
-            )
-            if not self.zero_action(self.act(prod) - self.action[A] @ self.action[B]):
-                return False
-        return True
-
-    def group_invariants(self) -> CokernelInvariants:
-        return cokernel_invariants(self.presentation)
+        """act(schur(u, v)) == act(u) act(v)."""
+        return self._multiplicative(schur_product, pairs, seed)
 
 
 def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
@@ -596,7 +557,7 @@ def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
     n = struct.n
     algebra = AugAlgebra(n * n, n)
     gmat = gamma_matrix(n * n, n)
-    space = struct.space
+    space = struct.algebra
     action = {}
     for xi, X in enumerate(algebra.basis):
         col = gmat.col(xi)

@@ -2,23 +2,25 @@
 
 gamma sends the class of x in the degree-n augmentation algebra to the n-th
 divided power x^[n]; epsilon sends a divided basis class e^[A] back to the
-deviation class of A's expanded word divided by prod(a_i!).  All statements
-verified here are exact integer or rational identities: the section identity
-gamma @ epsilon == 1, the kernel description by scaling classes, the finite
-cokernel of the truncation-plus-gamma stack, multiplicativity with respect to
-the composition products, and the projector decomposition of epsilon's image.
+basis class of A divided by prod(a_i!), a closed form: the deviation class
+of A's expanded word is that basis class.  All statements verified here are
+exact integer or rational identities: the section identity gamma @ epsilon
+== 1, the kernel description by scaling classes, the finite cokernel of the
+truncation-plus-gamma stack, multiplicativity with respect to the
+composition products, and the projector decomposition of epsilon's image.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
-from .augmentation import AugAlgebra, AugElement
-from .combinatorics import signed_subset_sums
+from .augmentation import AugAlgebra, AugElement, aug_dimension
+from .combinatorics import multisets_exactly, multisets_up_to
 from .divided_powers import GammaElement, GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
@@ -46,36 +48,33 @@ class GammaEpsilonPair:
     epsilon: Matrix
 
 
+@lru_cache(maxsize=None)
 def gamma_matrix(rank: int, degree: int) -> Matrix:
     """Integer matrix of gamma on the deviation basis: the basis class of X
-    goes to the deviation of the divided power map at X's expanded word."""
-    alg = AugAlgebra(rank, degree)
+    goes to the deviation of the divided power map at X's expanded word.
+    Built once per (rank, degree); Matrix is immutable, so callers share it."""
     space = GammaModule(rank, degree)
     cols = []
-    for X in alg.basis:
-        vectors = [space.module.basis_vector(i).coords for i in X.indices()]
-        total = space.zero()
-        for sign, coords in signed_subset_sums(vectors, rank):
-            term = space.divided_power(coords)
-            total = total + (term if sign > 0 else -term)
-        cols.append(total.to_vector())
+    for X in multisets_up_to(rank, degree):
+        vectors = [space.module.basis_vector(i) for i in X.indices()]
+        cols.append(space.deviation(space.divided_power, vectors).to_vector())
     return Matrix.from_cols(cols, space.dimension())
 
 
 def epsilon_matrix(rank: int, degree: int) -> Matrix:
-    """Rational matrix of the section: e^[A] -> (deviation class of A's
-    expanded word) / prod(a_i!).  Fails loudly if gamma @ epsilon != 1."""
-    alg = AugAlgebra(rank, degree)
-    space = GammaModule(rank, degree)
+    """Rational matrix of the section, in closed form: e^[A] -> delta_A / a!,
+    where delta_A, the deviation class of A's expanded word, is the basis
+    class of A and a! = prod(a_i!).  Fails loudly if gamma @ epsilon != 1."""
+    basis = multisets_exactly(rank, degree)
+    dim = aug_dimension(rank, degree)
+    # the size-degree multisets come last in the basis of B(rank, degree)
+    offset = dim - len(basis)
     cols = []
-    for A in space.basis:
-        args = [alg.module.basis_vector(i) for i in A.indices()]
-        elem = alg.class_of_deviation(args)
-        denom = 1
-        for _, m in A.pairs:
-            denom *= factorial(m)
-        cols.append(tuple(Fraction(c, denom) for c in elem.to_vector()))
-    eps = Matrix.from_cols(cols, alg.dimension())
+    for j, A in enumerate(basis):
+        col = [0] * dim
+        col[offset + j] = Fraction(1, prod(factorial(m) for _, m in A.pairs))
+        cols.append(col)
+    eps = Matrix.from_cols(cols, dim)
     gam = gamma_matrix(rank, degree)
     if not _is_section(gam, eps):
         raise VerificationError(

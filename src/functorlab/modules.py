@@ -3,12 +3,28 @@
 A Hom is a matrix whose columns are the images of the source basis vectors.
 A SetMap is an arbitrary (not necessarily additive) function between free
 modules; the deviation calculus consumes those.
+
+MultisetSpace is a free module whose basis is indexed by multisets over the
+coordinates of Z^rank, and MultisetVector a sparse element of one.  Both
+the truncated augmentation algebra (augmentation.AugAlgebra, AugElement) and
+the divided powers (divided_powers.GammaModule, GammaElement) are built on
+them and add only their own products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
+from .combinatorics import (
+    Multiset,
+    format_multiset,
+    format_rational,
+    parse_multiset,
+    parse_rational,
+    signed_subset_sums,
+)
 from .intlinalg import Matrix
 
 
@@ -152,3 +168,145 @@ def hom_from_json(data: dict) -> Hom:
     if matrix.nrows != data["target_rank"]:
         raise ValueError("row count differs from declared target rank")
     return Hom(FreeModule(data["source_rank"]), FreeModule(data["target_rank"]), matrix)
+
+
+class MultisetSpace:
+    """Free module on the multisets over range(rank) that `basis_of(rank,
+    degree)` lists; subclasses set `element_type` to their element class."""
+
+    element_type: type
+
+    def __init__(self, rank: int, degree: int, basis_of):
+        if rank < 0 or degree < 0:
+            raise ValueError("rank and degree must be nonnegative")
+        self.rank = rank
+        self.degree = degree
+        self.module = FreeModule(rank)
+        self.basis: tuple[Multiset, ...] = basis_of(rank, degree)
+        self.basis_index = {X: i for i, X in enumerate(self.basis)}
+
+    def __eq__(self, other):
+        # spaces of different kinds never compare equal, whatever their size
+        return (
+            type(other) is type(self)
+            and (self.rank, self.degree) == (other.rank, other.degree)
+        )
+
+    def __hash__(self):
+        return hash((self.rank, self.degree))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(rank={self.rank}, degree={self.degree})"
+
+    def dimension(self) -> int:
+        return len(self.basis)
+
+    def element(self, coeffs: dict) -> "MultisetVector":
+        clean = {}
+        for X, c in coeffs.items():
+            if X not in self.basis_index:
+                raise ValueError(f"{X} is not a basis multiset of {self!r}")
+            if isinstance(c, Fraction) and c.denominator == 1:
+                c = int(c)
+            if c:
+                clean[X] = c
+        return self.element_type(self, clean)
+
+    def zero(self) -> "MultisetVector":
+        return self.element_type(self, {})
+
+    def basis_element(self, X: Multiset) -> "MultisetVector":
+        return self.element({X: 1})
+
+    def from_vector(self, vec) -> "MultisetVector":
+        vec = tuple(vec)
+        if len(vec) != len(self.basis):
+            raise ValueError("vector length differs from dimension")
+        return self.element({X: v for X, v in zip(self.basis, vec)})
+
+    def _coords_of(self, x) -> tuple[int, ...]:
+        if isinstance(x, Element):
+            if x.module != self.module:
+                raise ValueError("element lives in the wrong module")
+            return x.coords
+        coords = tuple(int(c) for c in x)
+        if len(coords) != self.rank:
+            raise ValueError("coordinate count differs from rank")
+        return coords
+
+    def deviation(self, value_of, xs) -> "MultisetVector":
+        """Inclusion-exclusion of value_of over the subset sums of the given
+        module elements: the deviation of the map value_of at xs."""
+        vectors = [self._coords_of(x) for x in xs]
+        total = self.zero()
+        for sign, coords in signed_subset_sums(vectors, self.rank):
+            term = value_of(coords)
+            total = total + (term if sign > 0 else -term)
+        return total
+
+    @property
+    def matrix_side(self) -> int:
+        """Side m when rank = m * m, so that Z^rank is a matrix algebra."""
+        side = isqrt(self.rank)
+        if side * side != self.rank:
+            raise ValueError(
+                f"rank {self.rank} is not a square; no composition product here"
+            )
+        return side
+
+
+@dataclass(frozen=True)
+class MultisetVector:
+    """Sparse element of a MultisetSpace: nonzero coefficients (int or
+    Fraction) on basis multisets."""
+
+    space: MultisetSpace
+    coeffs: dict
+
+    def _check(self, other: "MultisetVector"):
+        if self.space != other.space:
+            raise ValueError("elements live in different spaces")
+
+    def __add__(self, other: "MultisetVector") -> "MultisetVector":
+        self._check(other)
+        out = dict(self.coeffs)
+        for X, c in other.coeffs.items():
+            out[X] = out.get(X, 0) + c
+        return self.space.element(out)
+
+    def __sub__(self, other: "MultisetVector") -> "MultisetVector":
+        return self + (-other)
+
+    def __neg__(self) -> "MultisetVector":
+        return type(self)(self.space, {X: -c for X, c in self.coeffs.items()})
+
+    def scale(self, c) -> "MultisetVector":
+        return self.space.element({X: c * v for X, v in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, MultisetVector):
+            return NotImplemented
+        return self.space == other.space and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.space, tuple(sorted(self.coeffs.items(), key=lambda p: p[0].sort_key()))))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_integral(self) -> bool:
+        return all(isinstance(c, int) for c in self.coeffs.values())
+
+    def to_vector(self) -> tuple:
+        return tuple(self.coeffs.get(X, 0) for X in self.space.basis)
+
+    def to_json(self) -> dict:
+        return {format_multiset(X): format_rational(c) for X, c in sorted(
+            self.coeffs.items(), key=lambda p: p[0].sort_key()
+        )}
+
+    @classmethod
+    def from_json(cls, space: MultisetSpace, data: dict) -> "MultisetVector":
+        return space.element({parse_multiset(k): parse_rational(v) for k, v in data.items()})

@@ -1,4 +1,5 @@
 """End-to-end command line checks, run in process through main()."""
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,11 @@ GAMMA_EPSILON_2_3 = """\
 """
 
 
+# sha256 of the stdout of `verify all --max-k 2 --max-n 2 --seed 7`, recorded
+# before the augmentation and divided-power classes shared one base.
+VERIFY_ALL_2_2_SEED_7 = "b191c2abf959ca84fdd061bcded1b0ecb8c77a4856d341ba15c66dc75b8c4e36"
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -89,6 +95,7 @@ class TestVerify:
         report = json.loads(out)
         suites = {c["params"]["suite"] for c in report["cells"]}
         assert suites == {"deviations", "aug-algebra", "gamma-epsilon", "schur", "morita"}
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_2_2_SEED_7
 
     def test_identical_invocations_print_identical_bytes(self, capsys):
         argv = ["verify", "schur", "--max-n", "2", "--seed", "5"]
@@ -242,6 +249,9 @@ class TestFunctor:
             ["functor", "reconstruct", "--spec", '{"sym": 2}', "--q", "-2"],
             ["functor", "dims", "--spec", '{"sym": true}', "--q", "2"],
             ["functor", "dims", "--spec", '{"sym": "2"}', "--q", "2"],
+            # 10^5000 has more digits than Python converts to a string
+            ["functor", "dims", "--spec", '{"tensor": 5000}', "--q", "10", "--format", "plain"],
+            ["functor", "dims", "--spec", '{"tensor": 5000}', "--q", "10"],
         ],
     )
     def test_bad_sizes_and_powers_are_usage_errors(self, capsys, argv):

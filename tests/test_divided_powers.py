@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from functorlab.augmentation import AugAlgebra
 from functorlab.combinatorics import Multiset
 from functorlab.divided_powers import (
     GammaElement,
@@ -192,6 +193,10 @@ class TestSchurProduct:
     def test_cross_space_rejected(self):
         with pytest.raises(ValueError):
             schur_product(GammaModule(4, 2).zero(), GammaModule(4, 1).zero())
+        # the augmentation algebra of the same size is another space
+        assert AugAlgebra(2, 2) != GammaModule(2, 2)
+        with pytest.raises(ValueError):
+            AugAlgebra(2, 2).one() + GammaModule(2, 2).divided_power((1, 1))
 
 
 def test_element_json_round_trip():

@@ -213,6 +213,8 @@ class TestModuleExtraction:
         other = AugAlgebra(4, 1)
         with pytest.raises(ValueError):
             mod.act(other.one())
+        with pytest.raises(ValueError):
+            mod.act(GammaModule(4, 2).divided_power(flat(Matrix.identity(2))))
 
     def test_identity_check_catches_tampering(self):
         mod = morita(Ext(2))
@@ -288,6 +290,8 @@ class TestDividedStructure:
     def test_wrong_space_rejected(self):
         with pytest.raises(ValueError):
             gamma_struct(Sym(2)).act(GammaModule(4, 1).zero())
+        with pytest.raises(ValueError):
+            gamma_struct(Sym(2)).act(AugAlgebra(4, 2).one())
 
     def test_cubic_extraction(self):
         rng = random.Random(18)

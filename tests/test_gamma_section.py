@@ -69,6 +69,22 @@ class TestSection:
         for k, n in GRID:
             assert factorial(n) % epsilon_matrix(k, n).denominator_lcm() == 0
 
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4)])
+    def test_closed_form_against_deviation_route(self, k, n):
+        # the route epsilon_matrix took before its closed form: the deviation
+        # class of A's word, divided by prod(a_i!), is the basis class of A
+        # divided by prod(a_i!)
+        alg = AugAlgebra(k, n)
+        cols = []
+        for A in GammaModule(k, n).basis:
+            delta = alg.class_of_deviation([alg.module.basis_vector(i) for i in A.indices()])
+            assert delta == alg.basis_element(A)
+            denom = 1
+            for _, m in A.pairs:
+                denom *= factorial(m)
+            cols.append(tuple(Fraction(c, denom) for c in delta.to_vector()))
+        assert epsilon_matrix(k, n) == Matrix.from_cols(cols, alg.dimension())
+
     def test_pointwise_round_trip(self):
         rng = random.Random(4)
         for k, n in [(2, 2), (3, 2), (2, 3)]:
