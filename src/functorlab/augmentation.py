@@ -10,13 +10,15 @@ Two multiplications matter: the sum product [x][y] = [x + y] (always), and,
 when the module is a matrix algebra, the composition product [s][t] = [st].
 The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
-degree, so it needs no table.  The composition tables for
-a x b by b x c matrices are built once per process for each (a, b, c,
-degree) and shared by every algebra and caller.
+degree, so it needs no table.  The composition product has one table per
+(a, b, c, degree), for a x b by b x c matrices: entry [i][j] lists the
+nonzero coefficients of the product of two basis classes.  It is built once
+per process and shared by every algebra and by functors.reconstruct.
 
-The basis, the sparse elements and their additive structure come from
-modules.MultisetSpace and modules.MultisetVector; this module adds the
-normal form and the two products.
+The basis, the elements (coefficient tuples in basis order) and their
+additive structure come from modules.MultisetSpace and
+modules.MultisetVector; this module adds the normal form and the two
+products.
 """
 from __future__ import annotations
 
@@ -53,12 +55,12 @@ def _sub_multisets(X: Multiset):
 
 @lru_cache(maxsize=None)
 def composition_tables(a: int, b: int, c: int, degree: int):
-    """Tables of [s][t] = [st] for a x b matrices s and b x c matrices t
-    (flattened row-major), truncated at degree, as (left, right): left[i]
-    is the basis class of the i-th multiset of B(ab) acting from the left on
-    B(bc), right[j] that of the j-th multiset of B(bc) acting from the right
-    on B(ab); both land in B(ac).  Expanding both classes over sub-multisets
-    leaves classes [AB] of integer matrix products, each normalised once."""
+    """Table of [s][t] = [st] for a x b matrices s and b x c matrices t
+    (flattened row-major), truncated at degree: table[i][j] holds the nonzero
+    (index, coefficient) pairs, on the basis of B(ac), of the product of the
+    basis classes of the i-th multiset of B(ab) and the j-th of B(bc).
+    Expanding both classes over sub-multisets leaves classes [AB] of integer
+    matrix products, each normalised once."""
     left_basis = multisets_up_to(a * b, degree)
     right_basis = multisets_up_to(b * c, degree)
     out_basis = multisets_up_to(a * c, degree)
@@ -92,17 +94,18 @@ def composition_tables(a: int, b: int, c: int, degree: int):
         [combine(subs, lambda B: class_of_product(A, B)) for subs in right_subs]
         for A in left_basis
     ]
-    products = [
+    products = (
         [combine(subs, lambda A: half[left_index[A]][y]) for y in range(len(right_basis))]
         for subs in map(_sub_multisets, left_basis)
-    ]
-    left = tuple(Matrix.from_cols(row, dim) for row in products)
-    right = tuple(Matrix.from_cols(col, dim) for col in zip(*products))
-    return left, right
+    )
+    return tuple(
+        tuple(tuple((t, v) for t, v in enumerate(col) if v) for col in row)
+        for row in products
+    )
 
 
 class AugElement(MultisetVector):
-    """Sparse element of an AugAlgebra, with its two products."""
+    """Element of an AugAlgebra, with its two products."""
 
     def sum_mul(self, other: "AugElement") -> "AugElement":
         return self.space.sum_mul(self, other)
@@ -126,7 +129,7 @@ class AugAlgebra(MultisetSpace):
     def class_of(self, x) -> "AugElement":
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
         vec = _class_vector(self._coords_of(x), self.basis, self.degree)
-        return AugElement(self, {X: c for X, c in zip(self.basis, vec) if c})
+        return AugElement(self, tuple(vec))
 
     def class_of_deviation(self, xs) -> "AugElement":
         """Normal form of the deviation class at the given module elements."""
@@ -134,36 +137,37 @@ class AugAlgebra(MultisetSpace):
 
     # -- multiplication -------------------------------------------------------
 
-    def _prod_table(self, X: Multiset) -> Matrix:
-        """Matrix of left composition-multiplication by the basis class of X."""
-        side = self.matrix_side
-        left, _ = composition_tables(side, side, side, self.degree)
-        return left[self.basis_index[X]]
-
     def sum_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
         """Bilinear extension of [x][y] = [x + y]: the basis classes of X and
         Y multiply to that of X + Y, or to zero past the degree."""
         self._check_pair(u, v)
-        out: dict = {}
-        for X, c in u.coeffs.items():
-            for Y, d in v.coeffs.items():
+        basis = self.basis
+        terms = v.nonzero()
+        out = [0] * len(basis)
+        for i, c in u.nonzero():
+            X = basis[i]
+            for j, d in terms:
+                Y = basis[j]
                 if X.size + Y.size <= self.degree:
-                    XY = Multiset.from_pairs(X.pairs + Y.pairs)
-                    out[XY] = out.get(XY, 0) + c * d
-        return self.element(out)
+                    out[self.basis_index[Multiset.from_pairs(X.pairs + Y.pairs)]] += c * d
+        return self.from_vector(out)
 
     def product_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
         """Bilinear extension of [s][t] = [s composed with t] (square rank only)."""
-        # the tables are sparse: skip zero entries before touching coefficients,
+        # the table is sparse: skip empty entries before touching coefficients,
         # which may be Fractions
         self._check_pair(u, v)
-        vec = v.to_vector()
+        side = self.matrix_side
+        table = composition_tables(side, side, side, self.degree)
+        terms = v.nonzero()
         out = [0] * len(self.basis)
-        for X, c in u.coeffs.items():
-            for i, row in enumerate(self._prod_table(X).rows):
-                w = sum(a * vec[j] for j, a in enumerate(row) if a)
-                if w:
-                    out[i] += c * w
+        for i, c in u.nonzero():
+            row = table[i]
+            for j, d in terms:
+                if row[j]:
+                    cd = c * d
+                    for t, w in row[j]:
+                        out[t] += cd * w
         return self.from_vector(out)
 
     def _check_pair(self, u: "AugElement", v: "AugElement"):

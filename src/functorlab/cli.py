@@ -387,7 +387,9 @@ def _run_suite(args) -> tuple[dict, bool]:
     seed = args.seed
     max_k = args.max_k
     max_n = args.max_n
-    single = args.suite == "gamma-epsilon" and args.k is not None and args.n is not None
+    single = args.k is not None or args.n is not None
+    if single and (args.suite != "gamma-epsilon" or args.k is None or args.n is None):
+        raise UsageError("--k and --n go together, and only with the gamma-epsilon suite")
     if single:
         if args.n < 1:
             raise UsageError("a gamma-epsilon cell needs --n >= 1")

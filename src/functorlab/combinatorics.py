@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -152,14 +153,17 @@ class Multiset:
 EMPTY_MULTISET = Multiset()
 
 
+@lru_cache(maxsize=None)
 def multisets_exactly(rank: int, size: int) -> tuple[Multiset, ...]:
     """All multisets over range(rank) of exactly the given size, in canonical
-    (lex on expanded word) order."""
+    (lex on expanded word) order.  Built once per (rank, size); the tuple
+    and its multisets are immutable, so callers share it."""
     return tuple(
         Multiset.from_indices(word) for word in combinations_with_replacement(range(rank), size)
     )
 
 
+@lru_cache(maxsize=None)
 def multisets_up_to(rank: int, degree: int) -> tuple[Multiset, ...]:
     """All multisets over range(rank) of size <= degree, ordered by size then
     lex on the expanded word."""

@@ -7,9 +7,10 @@ algebra go through the symmetric-tensor embedding that sends a basis class to
 the orbit sum of its expanded word, with no multinomial prefactor; embedding
 and read-off are mutually inverse on basis classes.
 
-The basis, the sparse elements and their additive structure come from
-modules.MultisetSpace and modules.MultisetVector; this module adds the
-divided powers and the Schur product.
+The basis, the elements (coefficient tuples in basis order) and their
+additive structure come from modules.MultisetSpace and
+modules.MultisetVector; this module adds the divided powers and the Schur
+product.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ def distinct_permutations(word):
 
 
 class GammaElement(MultisetVector):
-    """Sparse element of a GammaModule, with the Schur product."""
+    """Element of a GammaModule, with the Schur product."""
 
     def schur_product(self, other: "GammaElement") -> "GammaElement":
         return schur_product(self, other)
@@ -47,16 +48,15 @@ class GammaModule(MultisetSpace):
     def divided_power(self, x) -> "GammaElement":
         """The degree-th divided power of a module element."""
         coords = self._coords_of(x)
-        out = {}
+        out = []
         for A in self.basis:
             c = 1
             for i, m in A.pairs:
                 c *= coords[i] ** m
                 if not c:
                     break
-            if c:
-                out[A] = c
-        return GammaElement(self, out)
+            out.append(c)
+        return GammaElement(self, tuple(out))
 
     def product_of_elements(self, xs) -> "GammaElement":
         """Deviation of the divided power map at exactly `degree` elements.
@@ -127,15 +127,13 @@ def tensor_readoff(space: GammaModule, tensor: Matrix) -> GammaElement:
     """Inverse of the embedding on its image: read each basis coefficient at
     the matrix position of the sorted unit word."""
     side = space.matrix_side
-    coeffs = {}
+    out = []
     for A in space.basis:
         word = A.indices()
         rows = tuple(u // side for u in word)
         colw = tuple(u % side for u in word)
-        c = tensor[_word_index(rows, side), _word_index(colw, side)]
-        if c:
-            coeffs[A] = c
-    return space.element(coeffs)
+        out.append(tensor[_word_index(rows, side), _word_index(colw, side)])
+    return space.from_vector(out)
 
 
 def schur_product(u: GammaElement, v: GammaElement) -> GammaElement:

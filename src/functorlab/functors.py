@@ -5,8 +5,12 @@ powers, constants, or finite direct sums.  Degree-certified functors are
 traded for modules over the degree-truncated augmentation algebra of the
 n x n matrix module: the basis class of a multiset X acts by the deviation
 of the arrow map at X's word of matrix units.  Reconstruction goes back
-through a balanced tensor product, and restriction/extension of scalars
-moves between that algebra and the divided power algebra of matrices.
+through a balanced tensor product, read off the one composition table of
+augmentation.composition_tables, and restriction/extension of scalars
+moves between that algebra and the divided power algebra of matrices.  A
+homogeneous functor's divided-power structure is in closed form: the basis
+class of A acts by the same deviation at A's word, divided by a! =
+prod(a_i!).
 
 Both kinds of module are a PresentedModule, a cokernel with one action
 matrix per basis multiset; MoritaModule and GammaModuleStruct differ only in
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
+from math import factorial, prod
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
 from .combinatorics import Multiset, binomial, multisets_exactly
@@ -31,7 +35,6 @@ from .intlinalg import (
     block_diag,
     cokernel_invariants,
     hermite_normal_form,
-    rational_inverse,
     solve_rational,
 )
 from .modules import Hom
@@ -403,6 +406,12 @@ class MoritaModule(PresentedModule):
         return self._multiplicative(AugElement.product_mul, pairs, seed)
 
 
+def _unit_word_deviation(spec: FunctorSpec, n: int, X: Multiset) -> Matrix:
+    """Deviation of the arrow map at X's word of n x n matrix units."""
+    units = [_unit_matrix(u, n, n) for u in X.indices()]
+    return alternating_sum(lambda a: arrow_map(spec, a), units, Matrix.zeros(n, n))
+
+
 def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaModule:
     """Degree-certify the functor, then read off its module structure: the
     basis class of X acts by the deviation of the arrow map at X's word of
@@ -413,40 +422,34 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
             f"functor {spec_label(spec)} fails the degree-{n} certificate: {cert.witness}"
         )
     algebra = AugAlgebra(n * n, n)
-    gens = object_dim(spec, n)
-    action = {}
-    for X in algebra.basis:
-        units = [_unit_matrix(u, n, n) for u in X.indices()]
-        action[X] = alternating_sum(
-            lambda a: arrow_map(spec, a), units, Matrix.zeros(n, n)
-        )
-    return MoritaModule(n, algebra, Matrix.zeros(gens, 0), action)
+    action = {X: _unit_word_deviation(spec, n, X) for X in algebra.basis}
+    return MoritaModule(n, algebra, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
 def _tensor_relation_rows(
     left_dim: int,
     gens: int,
-    right_tables: dict,
+    products,
     action: dict,
     basis,
     presentation: Matrix,
 ):
     """Rows spanning the balanced-product relations inside Z^(left_dim*gens).
 
-    Generator (xi, j) sits at flat index xi*gens + j.  For each algebra basis
-    class b and each generator: (p.b) (x) m_j - p (x) (b.m_j).
+    Generator (xi, j) sits at flat index xi*gens + j.  products[xi][y] holds
+    the nonzero (index, coefficient) pairs of the xi-th left basis element
+    times the y-th algebra basis class.  For each algebra basis class b and
+    each generator: (p.b) (x) m_j - p (x) (b.m_j).
     """
     rows = []
-    for Y in basis:
-        table = right_tables[Y]
+    for y, Y in enumerate(basis):
         act = action[Y]
         for xi in range(left_dim):
-            moved = table.col(xi)
+            moved = products[xi][y]
             for j in range(gens):
                 row = [0] * (left_dim * gens)
-                for pi, c in enumerate(moved):
-                    if c:
-                        row[pi * gens + j] += c
+                for pi, c in moved:
+                    row[pi * gens + j] += c
                 for g in range(gens):
                     v = act[g, j]
                     if v:
@@ -473,10 +476,9 @@ def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
     n = module.n
     R = module.algebra
     dimP = aug_dimension(n * q, n)
-    right_tables = dict(zip(R.basis, composition_tables(q, n, n, n)[1]))
-
+    table = composition_tables(q, n, n, n)
     rows = _tensor_relation_rows(
-        dimP, module.generators, right_tables, module.action, R.basis, module.presentation
+        dimP, module.generators, table, module.action, R.basis, module.presentation
     )
     total = dimP * module.generators
     reduced = hermite_normal_form(Matrix(rows, total))
@@ -500,10 +502,11 @@ class GammaModuleStruct(PresentedModule):
 def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
     """Divided-power module structure of a homogeneous catalog functor.
 
-    The action of the basis class of A, with support units U_1..U_r and
-    multiplicities a_1..a_r, is the coefficient of t^a in the matrix
-    polynomial arrow_map(spec, t_1 U_1 + ... + t_r U_r), read off by exact
-    interpolation on the integer grid {0..n}^r.
+    The basis class of A, with support units U_1..U_r and multiplicities
+    a_1..a_r, acts by the coefficient of t^a in the matrix polynomial
+    arrow_map(spec, t_1 U_1 + ... + t_r U_r).  For a functor homogeneous of
+    degree n = |A|, that coefficient is the deviation of the arrow map at A's
+    word of units divided by a! = prod(a_i!), a division that must be exact.
     """
     for r in (2, 3):
         if arrow_map(spec, Matrix.identity(n).scale(r)) != arrow_map(
@@ -513,42 +516,14 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
                 f"functor {spec_label(spec)} is not homogeneous of degree {n}"
             )
     space = GammaModule(n * n, n)
-    pts = list(range(n + 1))
-    vinv = rational_inverse(
-        Matrix([[Fraction(p) ** j for j in range(n + 1)] for p in pts])
-    )
-    gens = object_dim(spec, n)
     action = {}
     for A in space.basis:
-        units = [_unit_matrix(u, n, n) for u in A.support]
-        mults = tuple(m for _, m in A.pairs)
-        r = len(units)
-        grid = {}
-        for key in product(pts, repeat=r):
-            s = Matrix.zeros(n, n)
-            for t, u in zip(key, units):
-                if t:
-                    s = s + u.scale(t)
-            grid[key] = arrow_map(spec, s)
-        for axis in range(r):
-            grid = {
-                key: _linear_combo(
-                    (
-                        (vinv[key[axis], p], grid[key[:axis] + (p,) + key[axis + 1 :]])
-                        for p in pts
-                    ),
-                    gens,
-                    gens,
-                )
-                for key in grid
-            }
-        coeff = grid[mults]
-        if not coeff.is_integral:
-            raise VerificationError(
-                f"divided structure coefficient at {A} is not integral"
-            )
-        action[A] = coeff
-    return GammaModuleStruct(n, Matrix.zeros(gens, 0), action)
+        dev = _unit_word_deviation(spec, n, A)
+        a_fact = prod(factorial(m) for _, m in A.pairs)
+        if any(v % a_fact for row in dev.rows for v in row):
+            raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
+        action[A] = Matrix([[v // a_fact for v in row] for row in dev.rows], dev.ncols)
+    return GammaModuleStruct(n, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
 def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
@@ -574,46 +549,30 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     right module over the augmentation algebra through the divided power map;
     the divided basis acts through left Schur multiplication."""
     n = module.n
-    R = module.algebra
+    gens = module.generators
     space = GammaModule(n * n, n)
     dimG = space.dimension()
-    gmat = gamma_matrix(n * n, n)
-
-    right_tables = {}
-    for yi, Y in enumerate(R.basis):
-        img = space.from_vector(gmat.col(yi))
-        cols = [
-            schur_product(space.basis_element(A), img).to_vector()
-            for A in space.basis
-        ]
-        right_tables[Y] = Matrix.from_cols(cols, dimG)
-
+    gens_total = dimG * gens
+    images = [space.from_vector(col) for col in gamma_matrix(n * n, n).cols()]
+    products = [
+        [schur_product(space.basis_element(A), img).nonzero() for img in images]
+        for A in space.basis
+    ]
     rows = _tensor_relation_rows(
-        dimG, module.generators, right_tables, module.action, R.basis, module.presentation
+        dimG, gens, products, module.action, module.algebra.basis, module.presentation
     )
-    gens_total = dimG * module.generators
-    reduced = hermite_normal_form(Matrix(rows, gens_total))
-    presentation = reduced.transpose()
+    presentation = hermite_normal_form(Matrix(rows, gens_total)).transpose()
 
     action = {}
     for D in space.basis:
-        left = Matrix.from_cols(
-            [
-                schur_product(space.basis_element(D), space.basis_element(A)).to_vector()
-                for A in space.basis
-            ],
-            dimG,
-        )
-        # Kronecker with the identity on the original generators
-        rows_out = []
-        for ci in range(dimG):
-            for g in range(module.generators):
-                row = [0] * gens_total
-                for ai in range(dimG):
-                    v = left[ci, ai]
-                    if v:
-                        row[ai * module.generators + g] = v
-                rows_out.append(row)
+        # left Schur multiplication by D, Kronecker with the identity on the
+        # original generators
+        rows_out = [[0] * gens_total for _ in range(gens_total)]
+        for ai, A in enumerate(space.basis):
+            left = schur_product(space.basis_element(D), space.basis_element(A))
+            for ci, v in left.nonzero():
+                for g in range(gens):
+                    rows_out[ci * gens + g][ai * gens + g] = v
         action[D] = Matrix(rows_out, gens_total)
     return GammaModuleStruct(n, presentation, action)
 

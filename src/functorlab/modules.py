@@ -5,7 +5,9 @@ A SetMap is an arbitrary (not necessarily additive) function between free
 modules; the deviation calculus consumes those.
 
 MultisetSpace is a free module whose basis is indexed by multisets over the
-coordinates of Z^rank, and MultisetVector a sparse element of one.  Both
+coordinates of Z^rank, and MultisetVector an element of one, stored as the
+tuple of its coefficients in basis order; every identity checked on these
+spaces is a matrix identity on such coordinate vectors.  Both
 the truncated augmentation algebra (augmentation.AugAlgebra, AugElement) and
 the divided powers (divided_powers.GammaModule, GammaElement) are built on
 them and add only their own products.
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from types import MappingProxyType
 from typing import Callable
 
 from .combinatorics import (
@@ -201,28 +204,29 @@ class MultisetSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
+    def from_vector(self, vec) -> "MultisetVector":
+        """The element with these coefficients (int or Fraction) in basis
+        order; integral Fractions become ints."""
+        vec = tuple(
+            int(c) if type(c) is Fraction and c.denominator == 1 else c for c in vec
+        )
+        if len(vec) != len(self.basis):
+            raise ValueError("vector length differs from dimension")
+        return self.element_type(self, vec)
+
     def element(self, coeffs: dict) -> "MultisetVector":
-        clean = {}
+        vec = [0] * len(self.basis)
         for X, c in coeffs.items():
             if X not in self.basis_index:
                 raise ValueError(f"{X} is not a basis multiset of {self!r}")
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            if c:
-                clean[X] = c
-        return self.element_type(self, clean)
+            vec[self.basis_index[X]] = c
+        return self.from_vector(vec)
 
     def zero(self) -> "MultisetVector":
-        return self.element_type(self, {})
+        return self.from_vector((0,) * len(self.basis))
 
     def basis_element(self, X: Multiset) -> "MultisetVector":
         return self.element({X: 1})
-
-    def from_vector(self, vec) -> "MultisetVector":
-        vec = tuple(vec)
-        if len(vec) != len(self.basis):
-            raise ValueError("vector length differs from dimension")
-        return self.element({X: v for X, v in zip(self.basis, vec)})
 
     def _coords_of(self, x) -> tuple[int, ...]:
         if isinstance(x, Element):
@@ -238,11 +242,10 @@ class MultisetSpace:
         """Inclusion-exclusion of value_of over the subset sums of the given
         module elements: the deviation of the map value_of at xs."""
         vectors = [self._coords_of(x) for x in xs]
-        total = self.zero()
+        total = [0] * len(self.basis)
         for sign, coords in signed_subset_sums(vectors, self.rank):
-            term = value_of(coords)
-            total = total + (term if sign > 0 else -term)
-        return total
+            total = [a + sign * b for a, b in zip(total, value_of(coords).vector)]
+        return self.from_vector(total)
 
     @property
     def matrix_side(self) -> int:
@@ -257,55 +260,63 @@ class MultisetSpace:
 
 @dataclass(frozen=True)
 class MultisetVector:
-    """Sparse element of a MultisetSpace: nonzero coefficients (int or
-    Fraction) on basis multisets."""
+    """Element of a MultisetSpace: its coefficients (int or Fraction, an
+    integral Fraction stored as int) as a tuple in the order of space.basis.
+    Build elements through the space (from_vector, element, zero,
+    basis_element); the constructor trusts its tuple."""
 
     space: MultisetSpace
-    coeffs: dict
+    vector: tuple
 
     def _check(self, other: "MultisetVector"):
         if self.space != other.space:
             raise ValueError("elements live in different spaces")
 
+    def nonzero(self) -> list:
+        """(basis index, coefficient) for each nonzero coefficient."""
+        return [(i, c) for i, c in enumerate(self.vector) if c]
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only view of the nonzero coefficients, keyed by basis multiset."""
+        basis = self.space.basis
+        return MappingProxyType({basis[i]: c for i, c in self.nonzero()})
+
     def __add__(self, other: "MultisetVector") -> "MultisetVector":
         self._check(other)
-        out = dict(self.coeffs)
-        for X, c in other.coeffs.items():
-            out[X] = out.get(X, 0) + c
-        return self.space.element(out)
+        return self.space.from_vector(a + b for a, b in zip(self.vector, other.vector))
 
     def __sub__(self, other: "MultisetVector") -> "MultisetVector":
         return self + (-other)
 
     def __neg__(self) -> "MultisetVector":
-        return type(self)(self.space, {X: -c for X, c in self.coeffs.items()})
+        return type(self)(self.space, tuple(-c for c in self.vector))
 
     def scale(self, c) -> "MultisetVector":
-        return self.space.element({X: c * v for X, v in self.coeffs.items()})
+        return self.space.from_vector(c * v for v in self.vector)
 
     def __eq__(self, other):
         if not isinstance(other, MultisetVector):
             return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
+        return self.space == other.space and self.vector == other.vector
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.coeffs.items(), key=lambda p: p[0].sort_key()))))
+        return hash((self.space, self.vector))
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.vector)
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs.values())
+        return all(isinstance(c, int) for c in self.vector)
 
     def to_vector(self) -> tuple:
-        return tuple(self.coeffs.get(X, 0) for X in self.space.basis)
+        return self.vector
 
     def to_json(self) -> dict:
-        return {format_multiset(X): format_rational(c) for X, c in sorted(
-            self.coeffs.items(), key=lambda p: p[0].sort_key()
-        )}
+        # basis order is size first, then lex on the expanded word
+        return {format_multiset(X): format_rational(c) for X, c in self.coeffs.items()}
 
     @classmethod
     def from_json(cls, space: MultisetSpace, data: dict) -> "MultisetVector":

@@ -66,6 +66,10 @@ GAMMA_EPSILON_2_3 = """\
 # before the augmentation and divided-power classes shared one base.
 VERIFY_ALL_2_2_SEED_7 = "b191c2abf959ca84fdd061bcded1b0ecb8c77a4856d341ba15c66dc75b8c4e36"
 
+# sha256 of `verify all --max-k 4 --max-n 3 --seed 3`, the grid that reaches
+# the rank-4 composition tables; the same digest is in perfbench/expected.json.
+VERIFY_ALL_4_3_SEED_3 = "09519caf221d49a88cbdeddb7d157e3b3be8bb73ee1bc53eb8f39e18f9d01320"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -87,15 +91,22 @@ class TestVerify:
         assert report["cells"]
         assert all(c["verdict"] == "pass" for c in report["cells"])
 
-    def test_all_suites_pass(self, capsys):
+    def _check_verify_all(self, capsys, max_k, max_n, seed, digest):
         code, out, _ = run(
-            capsys, ["verify", "all", "--max-k", "2", "--max-n", "2", "--seed", "7"]
+            capsys,
+            ["verify", "all", "--max-k", str(max_k), "--max-n", str(max_n), "--seed", str(seed)],
         )
         assert code == 0
         report = json.loads(out)
         suites = {c["params"]["suite"] for c in report["cells"]}
         assert suites == {"deviations", "aug-algebra", "gamma-epsilon", "schur", "morita"}
-        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_2_2_SEED_7
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_all_suites_pass(self, capsys):
+        self._check_verify_all(capsys, 2, 2, 7, VERIFY_ALL_2_2_SEED_7)
+
+    def test_all_suites_pass_up_to_rank_four(self, capsys):
+        self._check_verify_all(capsys, 4, 3, 3, VERIFY_ALL_4_3_SEED_3)
 
     def test_identical_invocations_print_identical_bytes(self, capsys):
         argv = ["verify", "schur", "--max-n", "2", "--seed", "5"]
@@ -139,6 +150,11 @@ class TestVerify:
             ["verify", "gamma-epsilon", "--k", "-1", "--n", "2"],
             ["verify", "gamma-epsilon", "--k", "2", "--n", "0"],
             ["verify", "all", "--max-k", "-1"],
+            # --k and --n only name a gamma-epsilon cell together
+            ["verify", "gamma-epsilon", "--k", "2"],
+            ["verify", "gamma-epsilon", "--n", "2"],
+            ["verify", "all", "--k", "1", "--n", "1"],
+            ["verify", "schur", "--k", "1", "--n", "1"],
         ],
     )
     def test_bad_sizes_are_usage_errors(self, capsys, argv):

@@ -3,6 +3,7 @@ functors and modules over the truncated algebras."""
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -33,7 +34,7 @@ from functorlab.functors import (
     spec_to_json,
 )
 from functorlab.gamma_section import VerificationError
-from functorlab.intlinalg import Matrix, block_diag
+from functorlab.intlinalg import Matrix, block_diag, rational_inverse
 
 CATALOG2 = [Tensor(2), Sym(2), Ext(2), Div(2)]
 
@@ -52,8 +53,38 @@ def morita(spec):
 
 
 @lru_cache(maxsize=None)
-def gamma_struct(spec):
-    return extract_gamma_structure(spec, 2)
+def gamma_struct(spec, n=2):
+    return extract_gamma_structure(spec, n)
+
+
+def _interpolated_action(spec, n: int, A: Multiset) -> Matrix:
+    """Oracle for the divided-power structure: the coefficient of t^a in the
+    matrix polynomial arrow_map(spec, t_1 U_1 + ... + t_r U_r), U_i the
+    support units of A and a its multiplicities, read off by exact
+    interpolation on the integer grid {0..n}^r."""
+    pts = range(n + 1)
+    vinv = rational_inverse(Matrix([[Fraction(p) ** j for j in pts] for p in pts]))
+    units = [
+        Matrix([[int(divmod(u, n) == (i, j)) for j in range(n)] for i in range(n)])
+        for u in A.support
+    ]
+    grid = {}
+    for key in product(pts, repeat=len(units)):
+        s = Matrix.zeros(n, n)
+        for t, u in zip(key, units):
+            s = s + u.scale(t)
+        grid[key] = arrow_map(spec, s)
+    gens = object_dim(spec, n)
+    for axis in range(len(units)):
+        new = {}
+        for key in grid:
+            total = Matrix.zeros(gens, gens)
+            for p in pts:
+                value = grid[key[:axis] + (p,) + key[axis + 1 :]]
+                total = total + value.scale(vinv[key[axis], p])
+            new[key] = total
+        grid = new
+    return grid[tuple(m for _, m in A.pairs)]
 
 
 class TestSpecs:
@@ -293,9 +324,36 @@ class TestDividedStructure:
         with pytest.raises(ValueError):
             gamma_struct(Sym(2)).act(AugAlgebra(4, 2).one())
 
+    @pytest.mark.parametrize("spec", CATALOG2)
+    def test_closed_form_matches_interpolation(self, spec):
+        struct = gamma_struct(spec)
+        for A in struct.algebra.basis:
+            assert struct.action[A] == _interpolated_action(spec, 2, A), A
+
+    def test_cubic_closed_form_matches_interpolation(self):
+        struct = gamma_struct(Sym(3), 3)
+        classes = [A for A in struct.algebra.basis if len(A.pairs) <= 2]
+        assert len(classes) == 81
+        for A in classes:
+            assert struct.action[A] == _interpolated_action(Sym(3), 3, A), A
+
+    def test_indivisible_deviation_is_rejected(self, monkeypatch):
+        # a deviation at a repeated unit that a! does not divide cannot come
+        # from a homogeneous functor
+        import functorlab.functors as functors
+
+        real = functors._unit_word_deviation
+        monkeypatch.setattr(
+            functors,
+            "_unit_word_deviation",
+            lambda spec, n, X: real(spec, n, X) + Matrix.identity(object_dim(spec, n)),
+        )
+        with pytest.raises(VerificationError, match="not divisible"):
+            extract_gamma_structure(Sym(2), 2)
+
     def test_cubic_extraction(self):
         rng = random.Random(18)
-        struct = extract_gamma_structure(Sym(3), 3)
+        struct = gamma_struct(Sym(3), 3)
         space = GammaModule(9, 3)
         for _ in range(3):
             sigma = rand_matrix(rng, 3, 3, -2, 2)

@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+
+from functorlab.augmentation import AugAlgebra
+from functorlab.divided_powers import GammaModule
 from functorlab.intlinalg import Matrix
 from functorlab.modules import (
     Element,
@@ -89,3 +94,43 @@ def test_hom_json_round_trip():
     g = hom_from_json(data)
     assert g.matrix == f.matrix
     assert g.source.rank == 3 and g.target.rank == 2
+
+
+MULTISET_SPACES = [AugAlgebra(2, 2), AugAlgebra(3, 1), GammaModule(2, 3), GammaModule(3, 2)]
+
+# ints and Fractions, integral ones such as Fraction(4, 2) included
+COEFFICIENTS = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-8, 8), st.integers(1, 4)),
+)
+
+
+@st.composite
+def sparse_coefficients(draw):
+    space = draw(st.sampled_from(MULTISET_SPACES))
+    keys = draw(st.lists(st.sampled_from(space.basis), unique=True))
+    return space, {X: draw(COEFFICIENTS) for X in keys}
+
+
+@given(sparse_coefficients())
+def test_one_normal_form_per_element(drawn):
+    space, coeffs = drawn
+    u = space.element(coeffs)
+    raw = [0] * space.dimension()
+    for X, c in coeffs.items():
+        raw[space.basis_index[X]] = c
+    routes = [
+        space.from_vector(u.to_vector()),
+        space.from_vector(raw),
+        type(u).from_json(space, u.to_json()),
+        u + space.zero(),
+        u.scale(2).scale(Fraction(1, 2)),
+        -(-u),
+    ]
+    for v in routes:
+        assert v == u and hash(v) == hash(u)
+        assert [type(c) for c in v.to_vector()] == [type(c) for c in u.to_vector()]
+    assert u.is_integral == all(Fraction(c).denominator == 1 for c in coeffs.values())
+    assert all(isinstance(c, int) or c.denominator > 1 for c in u.to_vector())
+    assert all(u.coeffs.values())
+    assert dict(u.coeffs) == {X: c for X, c in coeffs.items() if c}
