@@ -4,17 +4,18 @@ Matrices are immutable and carry int or Fraction entries (never floats).
 The integer normal forms drive everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
-  * smith_normal_form    - A = U*S*V with U, V unimodular and a divisibility chain
+  * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
   * kernel_lattice, cokernel_invariants, lattice_intersection, saturation
 
-Pivot policy for the Smith form: smallest nonzero absolute value in the
-remaining block, ties broken by row-major scan order, so runs are repeatable.
+The integer forms share one elimination, `_echelon`: the Smith form alternates
+row Hermite forms of the matrix and of its transpose (Kannan-Bachem), and
+saturation is the kernel of the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def _norm(v):
@@ -238,42 +239,21 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(rows, total_c)
 
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (x, y, g) with a*x + b*y == g == gcd(a, b) >= 0."""
-    x0, y0, r0 = 1, 0, a
-    x1, y1, r1 = 0, 1, b
-    while r1:
-        q = r0 // r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-        r0, r1 = r1, r0 - q * r1
-    if r0 < 0:
-        x0, y0, r0 = -x0, -y0, -r0
-    return x0, y0, r0
-
-
 def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | None = None):
     """In-place integer row echelon with back-reduction (canonical HNF layout).
 
-    Forward pass: per column, pick the surviving pivot candidate of smallest
-    absolute value (first on ties), zero the rest of the column below via xgcd
-    combinations, make the pivot positive.  Back pass: reduce entries above
-    each pivot into [0, pivot).  `transform` rows receive the same row
-    operations.  Returns the list of pivot columns; rows beyond len(pivots)
-    end up zero.
+    Forward pass: per column, Euclid down the rows below the last pivot: the
+    entry of smallest absolute value (first on ties) becomes the pivot and
+    the others are reduced modulo it, until only the pivot is left; then it
+    is made positive.  Reducing by remainders rather than by Bezout
+    combinations keeps intermediate entries small on dense matrices.  Back
+    pass: reduce entries above each pivot into [0, pivot).
+    `transform` rows receive the same row operations.  Returns the list of
+    pivot columns; rows beyond len(pivots) end up zero.
     """
     m = len(rows)
     pivots: list[int] = []
     r = 0
-
-    def row_op_combine(i, k, x, y, u, v):
-        # (row_i, row_k) <- (x*row_i + y*row_k, u*row_i + v*row_k)
-        for store in (rows, transform) if transform is not None else (rows,):
-            ri, rk = store[i], store[k]
-            for t in range(len(ri)):
-                a, b = ri[t], rk[t]
-                ri[t] = x * a + y * b
-                rk[t] = u * a + v * b
 
     def row_sub(i, k, q):
         for store in (rows, transform) if transform is not None else (rows,):
@@ -292,25 +272,21 @@ def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | Non
     for j in range(width):
         if r == m:
             break
-        best = None
-        for i in range(r, m):
-            v = rows[i][j]
-            if v and (best is None or abs(v) < abs(rows[best][j])):
-                best = i
-        if best is None:
-            continue
-        if best != r:
-            row_swap(r, best)
-        for i in range(r + 1, m):
-            b = rows[i][j]
-            if not b:
-                continue
+        while True:
+            live = [i for i in range(r, m) if rows[i][j]]
+            if not live:
+                break
+            best = min(live, key=lambda i: abs(rows[i][j]))
+            if best != r:
+                row_swap(r, best)
+            if len(live) == 1:
+                break
             a = rows[r][j]
-            if b % a == 0:
-                row_sub(i, r, b // a)
-            else:
-                x, y, g = xgcd(a, b)
-                row_op_combine(r, i, x, y, -(b // g), a // g)
+            for i in range(r + 1, m):
+                if rows[i][j]:
+                    row_sub(i, r, rows[i][j] // a)
+        if not live:
+            continue
         if rows[r][j] < 0:
             row_neg(r)
         pivots.append(j)
@@ -409,9 +385,6 @@ class Lattice:
                 vec[t] -= q * self.basis.rows[i][t]
         return True
 
-    def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.contains(row) for row in other.basis.rows)
-
 
 def kernel_lattice(mat: Matrix) -> Lattice:
     """Integer solutions of mat @ x == 0, as a (saturated) lattice in Z^ncols."""
@@ -433,123 +406,40 @@ class CokernelInvariants:
 
 def cokernel_invariants(mat: Matrix) -> CokernelInvariants:
     """Invariants of Z^nrows / (column span of mat)."""
-    diag = smith_normal_form(mat).diagonal
+    s = smith_normal_form(mat)
+    diag = tuple(s.rows[i][i] for i in range(min(s.shape)))
     torsion = tuple(d for d in diag if d > 1)
     free = mat.nrows - sum(1 for d in diag if d)
     return CokernelInvariants(torsion, free)
 
 
-@dataclass(frozen=True)
-class SNFDecomposition:
-    """Smith normal form A = U @ S @ V, U and V unimodular, S diagonal with
-    d_1 | d_2 | ... | d_r, all nonnegative."""
+def smith_normal_form(mat: Matrix) -> Matrix:
+    """Smith form S of mat: same shape, nonnegative diagonal d_1 | d_2 | ...,
+    zero past the rank, every other entry zero.
 
-    U: Matrix
-    S: Matrix
-    V: Matrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.S.rows[i][i] for i in range(min(self.S.nrows, self.S.ncols)))
-
-
-def smith_normal_form(mat: Matrix) -> SNFDecomposition:
+    Row Hermite forms of the rows and of the transpose alternate until each
+    row keeps one nonzero entry.  Each pass's first pivot divides the last
+    one's, and an equal pivot leaves its row and column cleared for good, so
+    the loop ends.  gcd/lcm swaps then order the diagonal into a chain.
+    """
     if not mat.is_integral:
         raise ValueError("Smith form needs integer entries")
-    m, n = mat.shape
-    s = mat.to_lists()
-    u = Matrix.identity(m).to_lists()
-    v = Matrix.identity(n).to_lists()
-
-    # Row ops on s are mirrored by inverse column ops on u, column ops on s by
-    # inverse row ops on v, so mat == u @ s @ v stays true throughout.
-
-    def row_sub(i, k, q):  # s: row_i -= q*row_k;  u: col_k += q*col_i
-        si, sk = s[i], s[k]
-        for t in range(n):
-            si[t] -= q * sk[t]
-        for urow in u:
-            urow[k] += q * urow[i]
-
-    def row_swap(i, k):
-        s[i], s[k] = s[k], s[i]
-        for urow in u:
-            urow[i], urow[k] = urow[k], urow[i]
-
-    def row_neg(i):
-        s[i] = [-x for x in s[i]]
-        for urow in u:
-            urow[i] = -urow[i]
-
-    def col_sub(j, l, q):  # s: col_j -= q*col_l;  v: row_l += q*row_j
-        for srow in s:
-            srow[j] -= q * srow[l]
-        vl, vj = v[l], v[j]
-        for t in range(n):
-            vl[t] += q * vj[t]
-
-    def col_swap(j, l):
-        for srow in s:
-            srow[j], srow[l] = srow[l], srow[j]
-        v[j], v[l] = v[l], v[j]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest |entry| in the remaining block, row-major scan
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = s[i][j]
-                if val and (pivot is None or abs(val) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    rows, width = mat.to_lists(), mat.ncols
+    while True:
+        rank = len(_echelon(rows, width))
+        rows = rows[:rank]
+        if sum(1 for r in rows for v in r if v) == rank:
             break
-        if pivot[0] != t:
-            row_swap(t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            if s[t][t] < 0:
-                row_neg(t)
-            p = s[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    q = s[i][t] // p
-                    if q:
-                        row_sub(i, t, q)
-                    if s[i][t]:  # remainder became the smaller pivot candidate
-                        row_swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = s[t][j] // p
-                    if q:
-                        col_sub(j, t, q)
-                    if s[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # row and column are clear; enforce that p divides the rest
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if s[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)  # fold the offending row in and restart
-        t += 1
-
-    return SNFDecomposition(Matrix(u, m), Matrix(s, n), Matrix(v, n))
+        rows, width = [list(c) for c in zip(*rows)], rank
+    diag = [v for r in rows for v in r if v]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] // g * diag[j]
+    s = [[0] * mat.ncols for _ in range(mat.nrows)]
+    for i, d in enumerate(diag):
+        s[i][i] = d
+    return Matrix(s, mat.ncols)
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
@@ -568,11 +458,7 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
 
 def saturation(lat: Lattice) -> Lattice:
     """Smallest sublattice containing lat whose quotient is torsion-free."""
-    if lat.rank == 0:
-        return lat
-    dec = smith_normal_form(lat.basis)
-    rank = sum(1 for d in dec.diagonal if d)
-    return Lattice.from_rows(lat.ambient_rank, dec.V.rows[:rank])
+    return kernel_lattice(left_kernel(lat.basis.transpose()))
 
 
 def lattice_index(lat: Lattice) -> int | None:

@@ -133,10 +133,6 @@ def compose(g: Hom, f: Hom) -> Hom:
     return Hom(f.source, g.target, g.matrix @ f.matrix)
 
 
-def apply(f: Hom, x: Element) -> Element:
-    return f(x)
-
-
 @dataclass(frozen=True)
 class SetMap:
     """Arbitrary function between free modules, no additivity assumed."""

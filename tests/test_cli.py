@@ -70,6 +70,11 @@ VERIFY_ALL_2_2_SEED_7 = "b191c2abf959ca84fdd061bcded1b0ecb8c77a4856d341ba15c66dc
 # the rank-4 composition tables; the same digest is in perfbench/expected.json.
 VERIFY_ALL_4_3_SEED_3 = "09519caf221d49a88cbdeddb7d157e3b3be8bb73ee1bc53eb8f39e18f9d01320"
 
+# sha256 of `table invariants|index --max-k 4 --max-n 3 --format json`, the
+# rank-4 Smith forms, recorded while the Smith form still built U and V.
+TABLE_INVARIANTS_4_3 = "04a26fc170ba5eebb9e005f5edaae961985c33ab6a2594d648f8a2934e0cc195"
+TABLE_INDEX_4_3 = "3e7fc99042f903d56d1eedcb24c03b2cac7bef5e8117dd81e2d9d27deaa5a2da"
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -197,6 +202,16 @@ class TestTable:
         lines = out.splitlines()
         assert lines[0] == "k,n,torsion,free_rank"
         assert lines[2] == "1,2,2,0"
+
+    @pytest.mark.parametrize(
+        "table, digest", [("invariants", TABLE_INVARIANTS_4_3), ("index", TABLE_INDEX_4_3)]
+    )
+    def test_rank_four_digest(self, capsys, table, digest):
+        code, out, _ = run(
+            capsys, ["table", table, "--max-k", "4", "--max-n", "3", "--format", "json"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_plain_is_aligned(self, capsys):
         code, out, _ = run(capsys, ["table", "dims", "--max-k", "1", "--max-n", "1"])

@@ -4,7 +4,9 @@ Frozen expectations were computed by hand (cofactor expansions, row
 reductions) or follow from uniqueness of the canonical forms.
 """
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +29,6 @@ from functorlab.intlinalg import (
     solve_int,
     solve_rational,
     vstack,
-    xgcd,
 )
 
 small_matrix = st.integers(1, 4).flatmap(
@@ -39,6 +40,17 @@ small_matrix = st.integers(1, 4).flatmap(
         )
     )
 )
+
+small_row_set = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4),
+    )
+)
+
+
+def diagonal(mat):
+    return tuple(mat.rows[i][i] for i in range(min(mat.shape)))
 
 
 def permutation_det(mat):
@@ -115,16 +127,6 @@ class TestMatrixBasics:
         assert Matrix.zeros(2, 5).rank() == 0
 
 
-def test_xgcd():
-    for a in range(-8, 9):
-        for b in range(-8, 9):
-            x, y, g = xgcd(a, b)
-            assert g >= 0
-            assert a * x + b * y == g
-            if a or b:
-                assert a % g == 0 and b % g == 0
-
-
 class TestHermite:
     def test_frozen_example(self):
         h = hermite_normal_form(Matrix([[2, 4], [1, 3]], 2))
@@ -185,25 +187,74 @@ class TestKernels:
 class TestSmith:
     def test_frozen_diagonals(self):
         s = smith_normal_form(Matrix([[2, 0], [0, 3]], 2))
-        assert s.diagonal == (1, 6)
+        assert diagonal(s) == (1, 6)
         s = smith_normal_form(Matrix([[4, 0], [0, 6]], 2))
-        assert s.diagonal == (2, 12)
+        assert diagonal(s) == (2, 12)
 
     @settings(max_examples=80)
     @given(small_matrix)
     def test_decomposition_properties(self, rows):
+        """S against its determinantal divisors: d_1 ... d_i is the gcd of
+        all i x i minors (Bareiss determinants), and d_i = 0 past the rank."""
         m = Matrix(rows, len(rows[0]))
-        d = smith_normal_form(m)
-        assert d.U @ d.S @ d.V == m
-        assert abs(d.U.det()) == 1
-        assert abs(d.V.det()) == 1
-        diag = d.diagonal
+        s = smith_normal_form(m)
+        assert s.shape == m.shape
+        assert all(
+            s[i, j] == 0 for i in range(s.nrows) for j in range(s.ncols) if i != j
+        )
+        diag = diagonal(s)
         assert all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             if a:
                 assert b % a == 0
             else:
                 assert b == 0
+        assert sum(1 for d in diag if d) == m.rank()
+        prefix = 1
+        for i, d in enumerate(diag, 1):
+            prefix *= d
+            assert prefix == gcd(
+                *(
+                    m.submatrix(r, c).det()
+                    for r in itertools.combinations(range(m.nrows), i)
+                    for c in itertools.combinations(range(m.ncols), i)
+                )
+            )
+
+
+def random_rows(rng, nrows, ncols, rank=None):
+    """Entries in [-9, 9]; with `rank`, a product through Z^rank."""
+    def draw(a, b):
+        return [[rng.randint(-9, 9) for _ in range(b)] for _ in range(a)]
+
+    if rank is None:
+        return draw(nrows, ncols)
+    left, right = draw(nrows, rank), draw(rank, ncols)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, rank",
+    [
+        (10, 10, None),
+        (8, 12, None),
+        (15, 10, 6),
+        (20, 20, None),
+        (25, 25, 17),
+        (12, 30, 9),
+        (30, 18, None),
+        (30, 30, 20),
+    ],
+)
+def test_smith_matches_sympy_invariant_factors(nrows, ncols, rank):
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix as SympyMatrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rows = random_rows(random.Random(nrows * 100 + ncols), nrows, ncols, rank)
+    expected = invariant_factors(SympyMatrix(rows), domain=ZZ)
+    s = smith_normal_form(Matrix(rows, ncols))
+    assert diagonal(s) == tuple(int(d) for d in expected)
 
 
 class TestCokernel:
@@ -237,6 +288,22 @@ class TestLattices:
     def test_saturation(self):
         assert saturation(Lattice.from_rows(2, [(2, 0)])).basis.rows == ((1, 0),)
         assert saturation(Lattice.from_rows(2, [(2, 4)])).basis.rows == ((1, 2),)
+
+    @settings(max_examples=80)
+    @given(small_row_set)
+    def test_saturation_by_definition(self, case):
+        """Containing lat, of the same rank and with torsion-free quotient
+        pins the saturation down uniquely."""
+        n, rows = case
+        lat = Lattice.from_rows(n, rows)
+        sat = saturation(lat)
+        assert all(sat.contains(row) for row in lat.basis.rows)
+        assert sat.rank == lat.rank
+        assert cokernel_invariants(sat.basis.transpose()).torsion == ()
+
+    def test_saturation_edge_cases(self):
+        assert saturation(Lattice.zero(3)) == Lattice.zero(3)
+        assert saturation(Lattice.from_rows(2, [(2, 1), (1, 3)])) == Lattice.full(2)
 
     def test_index(self):
         assert lattice_index(Lattice.from_rows(2, [(2, 0), (0, 3)])) == 6
