@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -145,9 +146,7 @@ def suite_deviations(max_n: int, seed: int) -> list:
             for X in multisets_up_to(nargs, 3):
                 if X.support != tuple(range(nargs)):
                     continue
-                coeff = 1
-                for i, m in X.pairs:
-                    coeff *= binomial(scalars[i], m)
+                coeff = math.prod(binomial(scalars[i], m) for i, m in X.pairs)
                 if coeff:
                     rhs = rhs + multiset_deviation(cube, points, X).scale(coeff)
             if lhs != rhs:
@@ -242,7 +241,7 @@ def suite_gamma_epsilon(grid, summaries: dict) -> list:
         cells.append(_cell("section-identity", params, section_ok, section_witness))
 
         ker = kernel_of_gamma(k, n)
-        cells.append(_cell("kernel-lattice-match", params, ker.match))
+        cells.append(_cell("kernel-lattice-match", params, ker.match, ker.witness))
 
         rep = cokernel_of_pi_gamma(k, n)
         cells.append(
@@ -661,10 +660,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_sizes(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # reader gone: stdout to devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial, prod
 
 
 def binomial(r: int, k: int) -> int:
@@ -130,6 +130,11 @@ class Multiset:
         return sum(m for _, m in self.pairs)
 
     @property
+    def factorial(self) -> int:
+        """a! = prod(a_i!) over the multiplicities a_i."""
+        return prod(factorial(m) for _, m in self.pairs)
+
+    @property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.pairs)
 
@@ -142,9 +147,6 @@ class Multiset:
             if j == i:
                 return m
         return 0
-
-    def sort_key(self):
-        return (self.size, self.indices())
 
     def __str__(self):
         return format_multiset(self)
@@ -167,10 +169,7 @@ def multisets_exactly(rank: int, size: int) -> tuple[Multiset, ...]:
 def multisets_up_to(rank: int, degree: int) -> tuple[Multiset, ...]:
     """All multisets over range(rank) of size <= degree, ordered by size then
     lex on the expanded word."""
-    out = []
-    for size in range(degree + 1):
-        out.extend(multisets_exactly(rank, size))
-    return tuple(out)
+    return tuple(X for size in range(degree + 1) for X in multisets_exactly(rank, size))
 
 
 def format_multiset(X: Multiset) -> str:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import factorial, prod
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
 from .combinatorics import Multiset, binomial, multisets_exactly
@@ -519,7 +518,7 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
     action = {}
     for A in space.basis:
         dev = _unit_word_deviation(spec, n, A)
-        a_fact = prod(factorial(m) for _, m in A.pairs)
+        a_fact = A.factorial
         if any(v % a_fact for row in dev.rows for v in row):
             raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
         action[A] = Matrix([[v // a_fact for v in row] for row in dev.rows], dev.ncols)

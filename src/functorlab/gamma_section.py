@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from itertools import product
+from math import factorial
 from typing import Optional
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension
@@ -69,11 +69,10 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
     dim = aug_dimension(rank, degree)
     # the size-degree multisets come last in the basis of B(rank, degree)
     offset = dim - len(basis)
-    cols = []
-    for j, A in enumerate(basis):
-        col = [0] * dim
-        col[offset + j] = Fraction(1, prod(factorial(m) for _, m in A.pairs))
-        cols.append(col)
+    cols = [
+        [0] * (offset + j) + [Fraction(1, A.factorial)] + [0] * (len(basis) - j - 1)
+        for j, A in enumerate(basis)
+    ]
     eps = Matrix.from_cols(cols, dim)
     gam = gamma_matrix(rank, degree)
     if not _is_section(gam, eps):
@@ -87,8 +86,7 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
 def _is_section(gam: Matrix, eps: Matrix) -> bool:
     # compare via a cleared denominator so the product stays integral
     d = eps.denominator_lcm()
-    scaled = (gam @ eps.scale(d)) if d > 1 else (gam @ eps)
-    return scaled == Matrix.identity(gam.nrows).scale(d if d > 1 else 1)
+    return gam @ eps.scale(d) == Matrix.identity(gam.nrows).scale(d)
 
 
 def gamma_epsilon_pair(rank: int, degree: int) -> GammaEpsilonPair:
@@ -114,6 +112,7 @@ class KernelReport:
     kernel: Lattice
     generated: Lattice
     match: bool
+    witness: Optional[tuple] = None  # a kernel basis row outside `generated`
 
 
 def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
@@ -131,7 +130,8 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
                 tuple(a - r**degree * b for a, b in zip(scaled, base))
             )
     generated = saturation(Lattice.from_rows(alg.dimension(), rows))
-    return KernelReport(kernel, generated, kernel == generated)
+    witness = next((row for row in kernel.basis.rows if not generated.contains(row)), None)
+    return KernelReport(kernel, generated, kernel == generated, witness)
 
 
 def truncation_matrix(rank: int, degree: int) -> Matrix:
@@ -155,19 +155,24 @@ def stacked_pi_gamma(rank: int, degree: int) -> Matrix:
 
 
 def products_sublattice(rank: int, degree: int) -> Lattice:
-    """Lattice in Gamma^degree spanned by products x_1 ... x_n of 0/1 vectors."""
-    space = GammaModule(rank, degree)
-    vectors = list(product((0, 1), repeat=rank))
-    rows = []
-    for combo in combinations_with_replacement(vectors, degree):
-        rows.append(space.product_of_elements(combo).to_vector())
-    return Lattice.from_rows(space.dimension(), rows)
+    """Lattice in Gamma^degree spanned by the products x_1 ... x_n of 0/1
+    vectors, in closed form: the direct sum of a! Z e^[A], a! = prod(a_i!).
+
+    The product is multilinear and e^[A] e^[B] = prod C(a_i + b_i, a_i)
+    e^[A+B] (Roby 1963), so e_{i_1} ... e_{i_n} = a! e^[A], A = {i_1..i_n}.
+    Expanding the 0/1 factors into unit vectors makes every such product an
+    integer sum of these monomials, and each monomial is a product of unit
+    vectors; so the two lattices agree, and the quotient is the sum of Z/a!.
+    """
+    basis = GammaModule(rank, degree).basis
+    dim = len(basis)
+    rows = [(0,) * j + (A.factorial,) + (0,) * (dim - j - 1) for j, A in enumerate(basis)]
+    return Lattice.from_rows(dim, rows)
 
 
 def products_quotient_invariants(rank: int, degree: int) -> CokernelInvariants:
     """Invariant factors of Gamma^degree modulo the products sublattice."""
-    lat = products_sublattice(rank, degree)
-    return cokernel_invariants(lat.basis.transpose())
+    return cokernel_invariants(products_sublattice(rank, degree).basis.transpose())
 
 
 @dataclass(frozen=True)
@@ -181,7 +186,8 @@ class CokernelReport:
 
 def cokernel_of_pi_gamma(rank: int, degree: int) -> CokernelReport:
     """Check the stacked map is injective with finite cokernel isomorphic to
-    Gamma^degree modulo the sublattice of products."""
+    Gamma^degree modulo the products sublattice: the stacked map's Smith form
+    against the closed-form quotient, the sum of Z/a! (products_sublattice)."""
     stacked = stacked_pi_gamma(rank, degree)
     injective = kernel_lattice(stacked).rank == 0
     invariants = cokernel_invariants(stacked)

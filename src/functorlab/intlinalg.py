@@ -163,24 +163,12 @@ class Matrix:
     # -- exact numerics -------------------------------------------------------
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for r in self.rows:
-            for v in r:
-                if isinstance(v, Fraction):
-                    d = lcm(d, v.denominator)
-        return d
+        return lcm(1, *(v.denominator for r in self.rows for v in r if isinstance(v, Fraction)))
 
     def rank(self) -> int:
-        """Rank over the rationals (row-scale to integers, then echelon)."""
-        rows = []
-        for r in self.rows:
-            d = 1
-            for v in r:
-                if isinstance(v, Fraction):
-                    d = lcm(d, v.denominator)
-            rows.append([int(v * d) for v in r])
-        pivots = _echelon(rows, self.ncols)
-        return len(pivots)
+        """Rank over the rationals (scale to integers, then echelon)."""
+        d = self.denominator_lcm()
+        return len(_echelon([[int(v * d) for v in r] for r in self.rows], self.ncols))
 
     def det(self) -> int:
         """Exact determinant of a square integer matrix (fraction-free Bareiss)."""

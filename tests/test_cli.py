@@ -1,10 +1,18 @@
-"""End-to-end command line checks, run in process through main()."""
+"""End-to-end command line checks, run in process through main(); the
+closed-pipe check runs the module in a child process."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from functorlab.cli import main
+from functorlab.gamma_section import kernel_of_gamma
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # stdout of `verify gamma-epsilon --k 2 --n 3`, recorded while the summary
@@ -148,6 +156,55 @@ class TestVerify:
         code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "3"])
         assert code == 0
         assert out == GAMMA_EPSILON_2_3
+
+    def test_failing_kernel_cell_carries_witness(self, capsys):
+        # (2, 4) shows the kernel-generator defect; its cell names a kernel
+        # basis vector that the scaling classes miss
+        code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])
+        assert code == 1
+        cells = {c["anchor"]: c for c in json.loads(out)["cells"]}
+        ker = cells.pop("kernel-lattice-match")
+        assert ker["verdict"] == "fail"
+        assert ker["witness"] == list(kernel_of_gamma(2, 4).witness)
+        assert all(c["verdict"] == "pass" and "witness" not in c for c in cells.values())
+
+    def test_rank_nine_degree_two_cell(self, capsys):
+        # values from the Smith form of the stacked map, recorded while the
+        # products sublattice was still built product by product
+        code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "9", "--n", "2"])
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["coker_invariants"] == [2] * 9
+        assert summary["index"] == 512
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # more output than the stdout buffer holds: a write fails
+            ["verify", "all"],
+            # a few lines: only the final flush fails
+            ["verify", "gamma-epsilon", "--k", "1", "--n", "1"],
+        ],
+    )
+    def test_closed_pipe_exits_without_traceback(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "functorlab.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+        assert proc.returncode in (0, 1, 2)
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,11 +2,13 @@
 cokernel structure, multiplicativity, and the degree-two splitting."""
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
-from functorlab.augmentation import AugAlgebra
+from functorlab.augmentation import AugAlgebra, aug_dimension
+from functorlab.combinatorics import multisets_up_to, stirling2
 from functorlab.divided_powers import GammaModule
 from functorlab.gamma_section import (
     GammaEpsilonPair,
@@ -20,15 +22,25 @@ from functorlab.gamma_section import (
     image_epsilon_decomposition,
     kernel_of_gamma,
     products_quotient_invariants,
+    products_sublattice,
     quadratic_split,
     ring_hom_checks,
     stacked_pi_gamma,
     truncation_matrix,
     verify_section,
 )
-from functorlab.intlinalg import Matrix
+from functorlab.intlinalg import Lattice, Matrix, cokernel_invariants
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+
+
+def brute_products_sublattice(rank, degree):
+    """The span of every product x_1 ... x_n of 0/1 vectors, one divided
+    power product per multiset of factors, then a Hermite form."""
+    space = GammaModule(rank, degree)
+    combos = combinations_with_replacement(list(product((0, 1), repeat=rank)), degree)
+    rows = [space.product_of_elements(combo).to_vector() for combo in combos]
+    return Lattice.from_rows(space.dimension(), rows)
 
 
 class TestGammaMatrix:
@@ -48,6 +60,21 @@ class TestGammaMatrix:
     def test_integral(self):
         for k, n in GRID:
             assert gamma_matrix(k, n).is_integral
+
+    @pytest.mark.parametrize(
+        "k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (2, 5)]
+    )
+    def test_stirling_closed_form(self, k, n):
+        # row A, column X holds prod_i x_i! S(a_i, x_i): the deviation of
+        # x -> x^[n] at X's word, with S the Stirling numbers of the second kind
+        rows = [
+            [
+                prod(factorial(X.count(i)) * stirling2(A.count(i), X.count(i)) for i in range(k))
+                for X in multisets_up_to(k, n)
+            ]
+            for A in GammaModule(k, n).basis
+        ]
+        assert gamma_matrix(k, n) == Matrix(rows, aug_dimension(k, n))
 
 
 class TestSection:
@@ -114,6 +141,18 @@ class TestKernel:
                 ).to_vector()
                 assert rep.kernel.contains(vec)
 
+    def test_no_witness_on_a_match(self):
+        assert kernel_of_gamma(2, 3).witness is None
+
+    def test_witness_on_the_failing_cell(self):
+        # (2, 4) shows the kernel-generator defect: the scaling classes span
+        # too little, and the witness is a kernel vector they miss
+        rep = kernel_of_gamma(2, 4)
+        assert not rep.match
+        assert rep.witness in rep.kernel.basis.rows
+        assert not rep.generated.contains(rep.witness)
+        assert all(v == 0 for v in gamma_matrix(2, 4).matvec(rep.witness))
+
     def test_kernel_annihilated_by_gamma(self):
         for k, n in GRID:
             gam = gamma_matrix(k, n)
@@ -160,6 +199,12 @@ class TestCokernel:
     def test_products_quotient_rank_one_cubes(self):
         inv = products_quotient_invariants(1, 3)
         assert inv.torsion == (6,) and inv.free_rank == 0
+
+    @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (2, 5)])
+    def test_products_closed_form_against_brute_force(self, k, n):
+        brute = brute_products_sublattice(k, n)
+        assert products_sublattice(k, n) == brute
+        assert products_quotient_invariants(k, n) == cokernel_invariants(brute.basis.transpose())
 
 
 class TestRingHoms:

@@ -125,6 +125,9 @@ class TestMatrixBasics:
         assert Matrix([[1, 2], [2, 4]], 2).rank() == 1
         assert Matrix.identity(3).rank() == 3
         assert Matrix.zeros(2, 5).rank() == 0
+        # rational entries, rows with different denominators
+        assert Matrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], 2).rank() == 1
+        assert Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], 2).rank() == 2
 
 
 class TestHermite:
