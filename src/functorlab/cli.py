@@ -316,8 +316,19 @@ def suite_schur(max_n: int, seed: int) -> list:
     return cells
 
 
+def _morita_module(spec, seed: int, cells: list):
+    """The spec's degree-2 Morita module; when extraction fails, a failing
+    module-ring-axioms cell carrying the error instead, and None."""
+    try:
+        return extract_morita_module(spec, 2, seed=seed)
+    except (VerificationError, ValueError) as exc:
+        cells.append(_cell("module-ring-axioms", {"functor": spec_label(spec), "n": 2}, False, str(exc)))
+        return None
+
+
 def suite_morita(seed: int, max_q: int) -> list:
     cells = []
+    modules = {}
     for spec in _catalog(2):
         label = spec_label(spec)
         cert = degree_certificate(spec, 2, seed=seed)
@@ -325,7 +336,9 @@ def suite_morita(seed: int, max_q: int) -> list:
         sharp = degree_certificate(spec, 1, seed=seed)
         cells.append(_cell("degree-certificate-sharp", {"functor": label, "n": 1}, not sharp.passed))
 
-        module = extract_morita_module(spec, 2, seed=seed)
+        module = modules[spec] = _morita_module(spec, seed, cells)
+        if module is None:
+            continue
         cells.append(
             _cell(
                 "module-ring-axioms",
@@ -353,18 +366,16 @@ def suite_morita(seed: int, max_q: int) -> list:
         )
 
     mixed = DirectSum(Const(1), Sym(2))
-    mixed_module = extract_morita_module(mixed, 2, seed=seed)
-    cells.append(
-        _cell(
-            "kernel-annihilation-mixed",
-            {"functor": spec_label(mixed), "n": 2},
-            not quasi_homogeneity_test(mixed_module, 2),
-        )
-    )
+    mixed_module = _morita_module(mixed, seed, cells)
+    if mixed_module is not None:
+        ok = not quasi_homogeneity_test(mixed_module, 2)
+        cells.append(_cell("kernel-annihilation-mixed", {"functor": spec_label(mixed), "n": 2}, ok))
 
     for spec in (Sym(2), Ext(2)):
+        direct = modules[spec]
+        if direct is None:
+            continue
         restricted = restrict_scalars(extract_gamma_structure(spec, 2))
-        direct = extract_morita_module(spec, 2, seed=seed)
         same = (
             restricted.presentation == direct.presentation
             and restricted.action == direct.action

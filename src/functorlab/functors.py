@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, repeat
+from operator import add, mul
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
 from .combinatorics import Multiset, binomial, multisets_exactly
@@ -191,27 +192,22 @@ def arrow_map(spec: FunctorSpec, alpha) -> Matrix:
     p, q = mat.ncols, mat.nrows
 
     if isinstance(spec, Tensor):
-        nn = spec.power
-        src = tuple(product(range(p), repeat=nn))
-        tgt = tuple(product(range(q), repeat=nn))
-        rows = []
-        for jj in tgt:
-            row = []
-            for ii in src:
-                v = 1
-                for jt, it in zip(jj, ii):
-                    v *= mat[jt, it]
-                    if not v:
-                        break
-                row.append(v)
-            rows.append(row)
-        return Matrix(rows, len(src))
+        # iterated Kronecker product, built over the nonzero entries of mat
+        nonzero = [(j, i, v) for j, row in enumerate(mat.rows) for i, v in enumerate(row) if v]
+        terms = [(0, 0, 1)]
+        for _ in range(spec.power):
+            terms = [(a * q + j, b * p + i, c * v) for a, b, c in terms for j, i, v in nonzero]
+        rows = [[0] * p**spec.power for _ in range(q**spec.power)]
+        for a, b, c in terms:
+            rows[a][b] = c
+        return Matrix(rows, p**spec.power)
 
     if isinstance(spec, Sym):
         nn = spec.power
         src = multisets_exactly(p, nn)
         tgt = multisets_exactly(q, nn)
         tgt_index = {A: i for i, A in enumerate(tgt)}
+        support = [[(j, v) for j, v in enumerate(c) if v] for c in mat.cols()]
         cols = []
         for A in src:
             # expand the product of the image linear forms monomial by monomial
@@ -219,11 +215,9 @@ def arrow_map(spec: FunctorSpec, alpha) -> Matrix:
             for t in A.indices():
                 nxt: dict = {}
                 for word, c in acc.items():
-                    for j in range(q):
-                        v = mat[j, t]
-                        if v:
-                            key = tuple(sorted(word + (j,)))
-                            nxt[key] = nxt.get(key, 0) + c * v
+                    for j, v in support[t]:
+                        key = tuple(sorted(word + (j,)))
+                        nxt[key] = nxt.get(key, 0) + c * v
                 acc = nxt
             col = [0] * len(tgt)
             for word, c in acc.items():
@@ -315,11 +309,11 @@ def _flat(mat: Matrix) -> tuple:
 
 
 def _linear_combo(pairs, nrows: int, ncols: int) -> Matrix:
-    total = Matrix.zeros(nrows, ncols)
+    total = [(0,) * ncols] * nrows
     for c, m in pairs:
         if c:
-            total = total + m.scale(c)
-    return total
+            total = [tuple(map(add, t, map(mul, repeat(c), r))) for t, r in zip(total, m.rows)]
+    return Matrix(total, ncols)
 
 
 class PresentedModule:

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over the integers, with rational spillover.
 
-Matrices are immutable and carry int or Fraction entries (never floats).
-The integer normal forms drive everything downstream:
+Matrices are immutable and carry int or Fraction entries (never floats): a
+row of plain ints is stored as given, any other row is normalized entry by
+entry.  Products skip zero entries.  The integer normal forms drive
+everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
   * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
@@ -9,13 +11,18 @@ The integer normal forms drive everything downstream:
 
 The integer forms share one elimination, `_echelon`: the Smith form alternates
 row Hermite forms of the matrix and of its transpose (Kannan-Bachem), and
-saturation is the kernel of the kernel.
+saturation is the kernel of the kernel.  `_echelon` buckets rows by leading
+column, so tall, sparse relation matrices cost about their nonzero rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, islice, repeat
 from math import gcd, lcm
+from operator import add, mul, neg, sub
+
+_INT = frozenset((int,))
 
 
 def _norm(v):
@@ -33,7 +40,10 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        data = tuple(tuple(_norm(v) for v in row) for row in rows)
+        data = tuple(
+            row if _INT.issuperset(map(type, row)) else tuple(map(_norm, row))
+            for row in map(tuple, rows)
+        )
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -58,7 +68,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+        return cls(((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def from_cols(cls, cols, nrows: int | None = None) -> "Matrix":
@@ -106,7 +116,10 @@ class Matrix:
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(v, int) for r in self.rows for v in r)
+        return all(
+            _INT.issuperset(map(type, r)) or all(isinstance(v, int) for v in r)
+            for r in self.rows
+        )
 
     @property
     def is_zero(self) -> bool:
@@ -122,38 +135,45 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _zip_with(self, other: "Matrix", op) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return Matrix(
-            (tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
-            self.ncols,
+            (tuple(map(op, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
         )
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._zip_with(other, add)
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        return self._zip_with(other, sub)
 
     def __neg__(self) -> "Matrix":
-        return Matrix((tuple(-v for v in r) for r in self.rows), self.ncols)
+        return Matrix((tuple(map(neg, r)) for r in self.rows), self.ncols)
 
     def scale(self, c) -> "Matrix":
         c = _norm(c)
-        return Matrix((tuple(c * v for v in r) for r in self.rows), self.ncols)
+        return Matrix((tuple(map(mul, repeat(c), r)) for r in self.rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"inner dimensions differ: {self.shape} @ {other.shape}")
-        bt = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
-        return Matrix(
-            (tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.rows),
-            other.ncols,
-        )
+        out = []
+        for row in self.rows:
+            acc = (0,) * other.ncols
+            for a, orow in zip(row, other.rows):
+                if a:
+                    acc = tuple(map(add, acc, map(mul, repeat(a), orow)))
+            out.append(acc)
+        return Matrix(out, other.ncols)
 
     def matvec(self, vec) -> tuple:
         vec = tuple(vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
+        support = [t for t, v in enumerate(vec) if v]
+        values = [vec[t] for t in support]
+        return tuple(sum(map(mul, map(row.__getitem__, support), values)) for row in self.rows)
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -227,69 +247,84 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(rows, total_c)
 
 
+def _lead(row, start: int = 0):
+    """Column of the first nonzero entry at or after `start`, or None."""
+    return next(compress(count(start), islice(row, start, None)), None)
+
+
 def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | None = None):
     """In-place integer row echelon with back-reduction (canonical HNF layout).
 
-    Forward pass: per column, Euclid down the rows below the last pivot: the
-    entry of smallest absolute value (first on ties) becomes the pivot and
-    the others are reduced modulo it, until only the pivot is left; then it
-    is made positive.  Reducing by remainders rather than by Bezout
-    combinations keeps intermediate entries small on dense matrices.  Back
-    pass: reduce entries above each pivot into [0, pivot).
-    `transform` rows receive the same row operations.  Returns the list of
-    pivot columns; rows beyond len(pivots) end up zero.
+    Rows are bucketed by leading column, so column j touches only the rows
+    that start there, and a row reduced to zero drops out.  Forward pass: per
+    column, Euclid within the bucket: the entry of smallest absolute value
+    (the topmost row on ties) becomes the pivot and the others are reduced
+    modulo it, moving to the bucket of their new leading column, until only
+    the pivot is left; then it is made positive.  Reducing by remainders
+    rather than by Bezout combinations keeps entries small on dense matrices.
+    Positions follow the row swaps of an in-place elimination; rows are put
+    in that order at the end.  Back pass: reduce entries above each pivot
+    into [0, pivot).  `transform` rows receive the same row operations.
+    Returns the list of pivot columns; rows beyond len(pivots) end up zero.
     """
-    m = len(rows)
+    stores = (rows, transform) if transform is not None else (rows,)
+    at = list(range(len(rows)))  # at[p]: the row standing at position p
+    pos = list(range(len(rows)))  # pos[i]: the position of row i
+    buckets: list[list[int]] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        j = _lead(row)
+        if j is not None:
+            buckets[j].append(i)
     pivots: list[int] = []
-    r = 0
 
-    def row_sub(i, k, q):
-        for store in (rows, transform) if transform is not None else (rows,):
-            ri, rk = store[i], store[k]
-            for t in range(len(ri)):
-                ri[t] -= q * rk[t]
-
-    def row_swap(i, k):
-        for store in (rows, transform) if transform is not None else (rows,):
-            store[i], store[k] = store[k], store[i]
-
-    def row_neg(i):
-        for store in (rows, transform) if transform is not None else (rows,):
-            store[i] = [-v for v in store[i]]
+    def row_sub(i, k, q, j):
+        # entries left of column j are zero in row k
+        ri, rk = rows[i], rows[k]
+        ri[j:] = map(sub, ri[j:], map(mul, repeat(q), rk[j:]))
+        if transform is not None:
+            ti, tk = transform[i], transform[k]
+            ti[:] = map(sub, ti, map(mul, repeat(q), tk))
 
     for j in range(width):
-        if r == m:
-            break
-        while True:
-            live = [i for i in range(r, m) if rows[i][j]]
-            if not live:
-                break
-            best = min(live, key=lambda i: abs(rows[i][j]))
-            if best != r:
-                row_swap(r, best)
-            if len(live) == 1:
-                break
-            a = rows[r][j]
-            for i in range(r + 1, m):
-                if rows[i][j]:
-                    row_sub(i, r, rows[i][j] // a)
+        live = buckets[j]
         if not live:
             continue
-        if rows[r][j] < 0:
-            row_neg(r)
+        r = len(pivots)
+        while True:
+            best = min(live, key=lambda i: (abs(rows[i][j]), pos[i]))
+            other, p = at[r], pos[best]
+            at[r], at[p], pos[best], pos[other] = best, other, r, p
+            if len(live) == 1:
+                break
+            a = rows[best][j]
+            still = [best]
+            for i in live:
+                if i != best:
+                    row_sub(i, best, rows[i][j] // a, j)
+                    if rows[i][j]:
+                        still.append(i)
+                    else:
+                        lead = _lead(rows[i], j + 1)
+                        if lead is not None:
+                            buckets[lead].append(i)
+            live = still
+        if rows[best][j] < 0:
+            for store in stores:
+                store[best] = [-v for v in store[best]]
         pivots.append(j)
-        r += 1
+
+    for store in stores:
+        store[:] = [store[i] for i in at]
 
     # canonical back-reduction: entries above a pivot lie in [0, pivot).
     # Must go left to right: subtracting pivot row idx only touches columns
     # >= pivots[idx], so earlier pivot columns stay reduced.
-    for idx in range(len(pivots)):
-        j = pivots[idx]
+    for idx, j in enumerate(pivots):
         p = rows[idx][j]
         for i in range(idx):
             q = rows[i][j] // p
             if q:
-                row_sub(i, idx, q)
+                row_sub(i, idx, q, j)
     return pivots
 
 
@@ -352,25 +387,15 @@ class Lattice:
         vec = list(vec)
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length differs from ambient rank")
-        pivot_of = {}
-        for i, row in enumerate(self.basis.rows):
-            for j, v in enumerate(row):
-                if v:
-                    pivot_of[j] = i
-                    break
+        pivot_of = {_lead(row): row for row in self.basis.rows}
         for j in range(self.ambient_rank):
             v = vec[j]
             if not v:
                 continue
-            i = pivot_of.get(j)
-            if i is None:
+            row = pivot_of.get(j)
+            if row is None or v % row[j]:
                 return False
-            p = self.basis.rows[i][j]
-            if v % p:
-                return False
-            q = v // p
-            for t in range(j, self.ambient_rank):
-                vec[t] -= q * self.basis.rows[i][t]
+            vec[j:] = map(sub, vec[j:], map(mul, repeat(v // row[j]), row[j:]))
         return True
 
 
@@ -466,24 +491,20 @@ def solve_int(mat: Matrix, target) -> tuple | None:
     if len(b) != mat.nrows:
         raise ValueError("target length differs from row count")
     coeffs = [0] * h.nrows
-    for i in range(h.nrows):
-        j = next((jj for jj, v in enumerate(h.rows[i]) if v), None)
+    for i, row in enumerate(h.rows):
+        j = _lead(row)
         if j is None:
             continue
-        if b[j] % h.rows[i][j]:
+        if b[j] % row[j]:
             return None
-        c = b[j] // h.rows[i][j]
-        coeffs[i] = c
-        if c:
-            for t in range(mat.nrows):
-                b[t] -= c * h.rows[i][t]
+        coeffs[i] = c = b[j] // row[j]
+        b = list(map(sub, b, map(mul, repeat(c), row)))
     if any(b):
         return None
     x = [0] * mat.ncols
-    for i, c in enumerate(coeffs):
+    for c, urow in zip(coeffs, u.rows):
         if c:
-            for t in range(mat.ncols):
-                x[t] += c * u.rows[i][t]
+            x = list(map(add, x, map(mul, repeat(c), urow)))
     return tuple(x)
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from functorlab import cli
 from functorlab.cli import main
-from functorlab.gamma_section import kernel_of_gamma
+from functorlab.gamma_section import VerificationError, kernel_of_gamma
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -176,6 +177,33 @@ class TestVerify:
         summary = json.loads(out)["summary"]
         assert summary["coker_invariants"] == [2] * 9
         assert summary["index"] == 512
+
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    def test_morita_extraction_error_is_a_failing_cell(self, capsys, monkeypatch, error):
+        real = cli.extract_morita_module
+
+        def extract(spec, n, seed=0):
+            if spec == cli.Sym(2):
+                raise error("extraction broke")
+            return real(spec, n, seed=seed)
+
+        monkeypatch.setattr(cli, "extract_morita_module", extract)
+        code, out, err = run(capsys, ["verify", "all", "--max-k", "1", "--max-n", "1"])
+        assert code == 1 and not err
+        failed = [c for c in json.loads(out)["cells"] if c["verdict"] == "fail"]
+        assert failed == [
+            {
+                "anchor": "module-ring-axioms",
+                "params": {"functor": "sym^2", "n": 2, "suite": "morita"},
+                "verdict": "fail",
+                "witness": "extraction broke",
+            }
+        ]
+        # the other catalog functors still reach their reconstruction cells
+        cells = json.loads(out)["cells"]
+        assert {c["params"]["functor"] for c in cells if c["anchor"] == "reconstruction-rank"} == {
+            "tensor^2", "ext^2", "div^2"
+        }
 
     @pytest.mark.parametrize(
         "argv",

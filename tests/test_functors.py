@@ -57,6 +57,26 @@ def gamma_struct(spec, n=2):
     return extract_gamma_structure(spec, n)
 
 
+def brute_tensor_arrow_map(mat: Matrix, power: int) -> Matrix:
+    """Entry (jj, ii) of the power-th tensor power is prod mat[j_t, i_t] over
+    lexicographic index tuples, one product per entry."""
+    p, q = mat.ncols, mat.nrows
+    src = tuple(product(range(p), repeat=power))
+    tgt = tuple(product(range(q), repeat=power))
+    rows = []
+    for jj in tgt:
+        row = []
+        for ii in src:
+            v = 1
+            for jt, it in zip(jj, ii):
+                v *= mat[jt, it]
+                if not v:
+                    break
+            row.append(v)
+        rows.append(row)
+    return Matrix(rows, len(src))
+
+
 def _interpolated_action(spec, n: int, A: Multiset) -> Matrix:
     """Oracle for the divided-power structure: the coefficient of t^a in the
     matrix polynomial arrow_map(spec, t_1 U_1 + ... + t_r U_r), U_i the
@@ -178,6 +198,16 @@ class TestArrowMap:
         assert arrow_map(DirectSum(*parts), m) == block_diag(
             *(arrow_map(p, m) for p in parts)
         )
+
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_tensor_matches_entrywise_products(self, power):
+        rng = random.Random(100 + power)
+        for q, p in [(1, 1), (2, 2), (3, 2), (2, 3), (1, 3), (3, 3), (0, 2), (2, 0)]:
+            if max(p, q) ** power > 81:
+                continue
+            for lo in (-1, -3):
+                a = rand_matrix(rng, q, p, lo, -lo) if q else Matrix((), p)
+                assert arrow_map(Tensor(power), a) == brute_tensor_arrow_map(a, power)
 
     def test_zeroth_powers_are_constant_one(self):
         m = Matrix([[5, 1], [0, 2]])

@@ -3,6 +3,7 @@
 Frozen expectations were computed by hand (cofactor expansions, row
 reductions) or follow from uniqueness of the canonical forms.
 """
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from functorlab.intlinalg import (
     Lattice,
     Matrix,
+    _norm,
     block_diag,
     cokernel_invariants,
     hermite_normal_form,
@@ -38,6 +40,20 @@ small_matrix = st.integers(1, 4).flatmap(
             min_size=m,
             max_size=m,
         )
+    )
+)
+
+exact_entry = st.one_of(
+    st.integers(-50, 50),
+    st.booleans(),
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+exact_rows = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(exact_entry, min_size=n, max_size=n), max_size=4),
     )
 )
 
@@ -79,6 +95,22 @@ class TestMatrixBasics:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Matrix([[1.5]], 1)
+
+    @settings(max_examples=150)
+    @given(exact_rows)
+    def test_constructor_matches_per_entry_norm(self, case):
+        width, rows = case
+        m = Matrix(rows, width)
+        expected = tuple(tuple(_norm(v) for v in row) for row in rows)
+        assert m.rows == expected
+        assert [list(map(type, r)) for r in m.rows] == [list(map(type, r)) for r in expected]
+        assert m.is_integral == all(isinstance(v, int) for r in m.rows for v in r)
+
+    @pytest.mark.parametrize("bad", [1.0, 0.5, "1", None])
+    def test_inexact_entries_rejected_in_any_position(self, bad):
+        for rows in ([[bad]], [[1, bad, 2]], [[1, 2], [3, bad]], [[Fraction(1, 2), bad]]):
+            with pytest.raises(TypeError, match=f"exact scalar required, got {type(bad).__name__}$"):
+                Matrix(rows)
 
     def test_shape_arithmetic(self):
         a = Matrix([[1, 2], [3, 4]], 2)
@@ -258,6 +290,73 @@ def test_smith_matches_sympy_invariant_factors(nrows, ncols, rank):
     expected = invariant_factors(SympyMatrix(rows), domain=ZZ)
     s = smith_normal_form(Matrix(rows, ncols))
     assert diagonal(s) == tuple(int(d) for d in expected)
+
+
+def assert_hnf_matches_sympy(rows, ncols):
+    """Our row HNF spans the lattice of sympy's column HNF of the transpose:
+    every sympy column lies in it, the ranks agree and so do the Gram
+    determinants, so the two lattices are equal."""
+    from sympy import Matrix as SympyMatrix
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    ours = Lattice.from_rows(ncols, rows)
+    theirs = sympy_hnf(SympyMatrix(len(rows), ncols, [v for r in rows for v in r]).T)
+    assert theirs.cols == ours.rank
+    for j in range(theirs.cols):
+        assert ours.contains([int(v) for v in theirs[:, j]])
+    basis = SympyMatrix(ours.rank, ncols, [v for r in ours.basis.rows for v in r])
+    assert (basis * basis.T).det() == (theirs.T * theirs).det()
+
+
+@settings(max_examples=60)
+@given(small_row_set)
+def test_hermite_matches_sympy_on_small_matrices(case):
+    pytest.importorskip("sympy")
+    ncols, rows = case
+    assert_hnf_matches_sympy(rows, ncols)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("kind", ["tensor", "sym", "ext", "div"])
+def test_hermite_matches_sympy_on_relation_matrices(kind, q):
+    """The tall, sparse balanced-product relations that `reconstruct` reduces."""
+    pytest.importorskip("sympy")
+    from functorlab.augmentation import aug_dimension, composition_tables
+    from functorlab.functors import _tensor_relation_rows, extract_morita_module, spec_from_json
+
+    module = extract_morita_module(spec_from_json({kind: 2}), 2)
+    left_dim = aug_dimension(2 * q, 2)
+    rows = _tensor_relation_rows(
+        left_dim,
+        module.generators,
+        composition_tables(q, 2, 2, 2),
+        module.action,
+        module.algebra.basis,
+        module.presentation,
+    )
+    assert len(rows) > left_dim * module.generators
+    assert_hnf_matches_sympy(rows, left_dim * module.generators)
+
+
+def test_dense_normal_forms_pinned_with_entry_bits():
+    """Seeded dense 40 x 40 and 60 x 60 matrices: frozen HNF and Smith forms
+    and the largest entry of each, so entry blow-up in the elimination shows
+    up here as a failure or a hang."""
+    rng = random.Random(0)
+    expected = [
+        (40, 175, "7de63c4754b5cb45aa830f12e6b203d1b705e504ef16c706eaa0b02745b2331e",
+         175, "4c749c65c2282007d2e36ec396e2c8ed76113e5ea509affda7d91151b77e5292"),
+        (60, 272, "a667985c41a455e4a788005fa6eda535d4e989977dfc473808e9cf94fc228a9f",
+         278, "70b9a27b3a9197f4918d0a0a5f729936fe6722fa3fe5a937970234fc657ac620"),
+    ]
+    for n, hnf_bits, hnf_digest, smith_bits, smith_digest in expected:
+        mat = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], n)
+        for form, bits, digest in (
+            (hermite_normal_form(mat), hnf_bits, hnf_digest),
+            (smith_normal_form(mat), smith_bits, smith_digest),
+        ):
+            assert max(abs(v).bit_length() for r in form.rows for v in r) == bits
+            assert hashlib.sha256(repr(form.rows).encode()).hexdigest() == digest
 
 
 class TestCokernel:
