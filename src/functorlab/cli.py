@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -20,7 +19,6 @@ from .augmentation import AugAlgebra, aug_dimension
 from .combinatorics import Multiset, binomial, format_multiset, multisets_up_to
 from .deviations import (
     SampleSpec,
-    alternating_sum,
     deviation,
     is_numerical_degree,
     multiset_deviation,
@@ -316,19 +314,26 @@ def suite_schur(max_n: int, seed: int) -> list:
     return cells
 
 
-def _morita_module(spec, seed: int, cells: list):
-    """The spec's degree-2 Morita module; when extraction fails, a failing
-    module-ring-axioms cell carrying the error instead, and None."""
+def _morita_module(spec, n: int, seed: int):
+    """(the spec's degree-n Morita module, None), or (None, the message)
+    when extraction fails."""
     try:
-        return extract_morita_module(spec, 2, seed=seed)
+        return extract_morita_module(spec, n, seed=seed), None
     except (VerificationError, ValueError) as exc:
-        cells.append(_cell("module-ring-axioms", {"functor": spec_label(spec), "n": 2}, False, str(exc)))
-        return None
+        return None, str(exc)
 
 
 def suite_morita(seed: int, max_q: int) -> list:
     cells = []
     modules = {}
+
+    def extracted(spec):
+        # a failed extraction is a failing module-ring-axioms cell
+        module, error = _morita_module(spec, 2, seed)
+        if module is None:
+            cells.append(_cell("module-ring-axioms", {"functor": spec_label(spec), "n": 2}, False, error))
+        return module
+
     for spec in _catalog(2):
         label = spec_label(spec)
         cert = degree_certificate(spec, 2, seed=seed)
@@ -336,7 +341,7 @@ def suite_morita(seed: int, max_q: int) -> list:
         sharp = degree_certificate(spec, 1, seed=seed)
         cells.append(_cell("degree-certificate-sharp", {"functor": label, "n": 1}, not sharp.passed))
 
-        module = modules[spec] = _morita_module(spec, seed, cells)
+        module = modules[spec] = extracted(spec)
         if module is None:
             continue
         cells.append(
@@ -366,7 +371,7 @@ def suite_morita(seed: int, max_q: int) -> list:
         )
 
     mixed = DirectSum(Const(1), Sym(2))
-    mixed_module = _morita_module(mixed, seed, cells)
+    mixed_module = extracted(mixed)
     if mixed_module is not None:
         ok = not quasi_homogeneity_test(mixed_module, 2)
         cells.append(_cell("kernel-annihilation-mixed", {"functor": spec_label(mixed), "n": 2}, ok))
@@ -407,28 +412,22 @@ def _run_suite(args) -> tuple[dict, bool]:
     else:
         grid = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
     summaries: dict = {}
-
-    def cells_for(name: str) -> list:
-        if name == "deviations":
-            return suite_deviations(max_n, seed)
-        if name == "aug-algebra":
-            return suite_aug_algebra(max_k, max_n, seed)
-        if name == "gamma-epsilon":
-            return suite_gamma_epsilon(grid, summaries)
-        if name == "schur":
-            return suite_schur(max_n, seed)
-        if name == "morita":
-            return suite_morita(seed, args.q if args.q is not None else 2)
-        raise ValueError(name)
+    suites = {
+        "deviations": lambda: suite_deviations(max_n, seed),
+        "aug-algebra": lambda: suite_aug_algebra(max_k, max_n, seed),
+        "gamma-epsilon": lambda: suite_gamma_epsilon(grid, summaries),
+        "schur": lambda: suite_schur(max_n, seed),
+        "morita": lambda: suite_morita(seed, args.q if args.q is not None else 2),
+    }
 
     if args.suite == "all":
         cells = []
-        for name in _SUITES[:-1]:
-            for cell in cells_for(name):
+        for name, run in suites.items():
+            for cell in run():
                 cell["params"]["suite"] = name
                 cells.append(cell)
     else:
-        cells = cells_for(args.suite)
+        cells = suites[args.suite]()
 
     cells.sort(key=lambda c: (c["anchor"], json.dumps(c["params"], sort_keys=True)))
     report = {"suite": args.suite, "seed": seed, "cells": cells}
@@ -438,25 +437,30 @@ def _run_suite(args) -> tuple[dict, bool]:
     return report, ok
 
 
+def _write_csv(header: list, rows: list):
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def _print_cells(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
         return
     cells = report["cells"]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["anchor", "params", "verdict", "witness"])
-        for c in cells:
-            writer.writerow(
+        _write_csv(
+            ["anchor", "params", "verdict", "witness"],
+            [
                 [
                     c["anchor"],
                     json.dumps(c["params"], sort_keys=True),
                     c["verdict"],
-                    json.dumps(c.get("witness"), sort_keys=True) if "witness" in c else "",
+                    json.dumps(c["witness"], sort_keys=True) if "witness" in c else "",
                 ]
-            )
-        sys.stdout.write(buf.getvalue())
+                for c in cells
+            ],
+        )
         return
     for c in cells:
         print(f"{c['verdict']:4}  {c['anchor']:34}  {json.dumps(c['params'], sort_keys=True)}")
@@ -506,11 +510,7 @@ def cmd_table(args) -> int:
             )
         )
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        _write_csv(header, rows)
     else:
         widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h)) for i, h in enumerate(header)]
         print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
@@ -571,13 +571,15 @@ def cmd_functor(args) -> int:
             print(json.dumps(out, sort_keys=True))
         return 0
 
+    if args.action == "reconstruct" and args.q is None:
+        raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
+    module, error = _morita_module(spec, n, args.seed)
+    if module is None:
+        print(json.dumps({"error": error}, sort_keys=True))
+        return 1
+
     if args.action == "extract":
-        try:
-            module = extract_morita_module(spec, n, seed=args.seed)
-        except ValueError as exc:
-            print(json.dumps({"error": str(exc)}, sort_keys=True))
-            return 1
         inv = module.group_invariants()
         mult = module.check_multiplicativity(pairs=10, seed=args.seed)
         out = {
@@ -591,30 +593,20 @@ def cmd_functor(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0 if mult else 1
 
-    if args.action == "reconstruct":
-        if args.q is None:
-            raise UsageError("reconstruct needs --q")
-        try:
-            module = extract_morita_module(spec, n, seed=args.seed)
-        except ValueError as exc:
-            print(json.dumps({"error": str(exc)}, sort_keys=True))
-            return 1
-        inv = reconstruct(module, args.q)
-        expected = object_dim(spec, args.q)
-        matches = inv.free_rank == expected and not inv.torsion
-        out = {
-            "spec": spec_to_json(spec),
-            "n": n,
-            "q": args.q,
-            "free_rank": inv.free_rank,
-            "torsion": list(inv.torsion),
-            "expected_rank": expected,
-            "matches": matches,
-        }
-        print(json.dumps(out, sort_keys=True))
-        return 0 if matches else 1
-
-    raise UsageError(f"unknown functor action {args.action!r}")
+    inv = reconstruct(module, args.q)
+    expected = object_dim(spec, args.q)
+    matches = inv.free_rank == expected and not inv.torsion
+    out = {
+        "spec": spec_to_json(spec),
+        "n": n,
+        "q": args.q,
+        "free_rank": inv.free_rank,
+        "torsion": list(inv.torsion),
+        "expected_rank": expected,
+        "matches": matches,
+    }
+    print(json.dumps(out, sort_keys=True))
+    return 0 if matches else 1
 
 
 # ---------------------------------------------------------------- parser

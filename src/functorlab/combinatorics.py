@@ -3,7 +3,9 @@
 Everything here is integer arithmetic: binomial coefficients with arbitrary
 integer upper index, Stirling numbers of the second kind, and the finite
 multisets that index the deviation and divided-power bases used elsewhere, and
-the signed subset sums behind every deviation.
+signed_subset_sums, the one walk over the 2^m subsets behind every
+deviation: deviations.alternating_sum and MultisetSpace.deviation both fold
+its terms.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
+from operator import add
 
 
 def binomial(r: int, k: int) -> int:
@@ -43,22 +46,20 @@ def multiset_binomial(coords, X: "Multiset") -> int:
     return result
 
 
-def signed_subset_sums(vectors, width: int) -> list:
-    """(sign, sum of vectors over I) for every subset I of the m integer
-    vectors, sign (-1)^(m - |I|): the terms of an inclusion-exclusion."""
-    m = len(vectors)
-    out = []
-    for mask in range(1 << m):
-        coords = [0] * width
-        bits = 0
-        for i in range(m):
-            if mask >> i & 1:
-                bits += 1
-                vi = vectors[i]
-                for t in range(width):
-                    coords[t] += vi[t]
-        out.append(((-1) ** (m - bits), tuple(coords)))
-    return out
+def signed_subset_sums(args, zero, plus=add) -> list:
+    """(sign, sum of args over I) for every subset I of the m arguments, sign
+    (-1)^(m - |I|): the terms of an inclusion-exclusion, subset I at the
+    position whose bit i is set exactly when args[i] is in I.
+
+    Built by doubling: the terms over args[:i+1] are those over args[:i],
+    then each of them with args[i] added and its sign flipped, so every
+    subset costs one `plus`.  `zero` is the empty sum; `plus` adds an
+    argument to a partial sum (default +).
+    """
+    terms = [((-1) ** len(args), zero)]
+    for a in args:
+        terms += [(-sign, plus(s, a)) for sign, s in terms]
+    return terms
 
 
 def stirling2(n: int, m: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
-from .combinatorics import Multiset, binomial
+from .combinatorics import Multiset, binomial, signed_subset_sums
 from .modules import Element, FreeModule, SetMap
 
 
@@ -21,18 +21,9 @@ def alternating_sum(fn, args: Sequence, zero):
     `zero` is the additive unit of the argument side; values of fn must
     support + and unary -.  The empty argument list gives fn(zero).
     """
-    m = len(args)
     total = None
-    for mask in range(1 << m):
-        s = zero
-        bits = 0
-        for i in range(m):
-            if mask >> i & 1:
-                s = s + args[i]
-                bits += 1
-        value = fn(s)
-        if (m - bits) % 2:
-            value = -value
+    for sign, s in signed_subset_sums(args, zero):
+        value = fn(s) if sign > 0 else -fn(s)
         total = value if total is None else total + value
     return total
 

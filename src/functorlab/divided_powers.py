@@ -14,7 +14,7 @@ product.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 from .combinatorics import binomial, multisets_exactly
 from .intlinalg import Matrix
@@ -73,31 +73,34 @@ class GammaModule(MultisetSpace):
 def gamma_of_hom(alpha, degree: int) -> Matrix:
     """Matrix of Gamma^degree(alpha) on multiset bases.
 
-    Through the tensor embedding, the entry at (B, A) is the sum over the
-    distinct rearrangements w of A of prod_t alpha[b_t, w_t], where b is the
-    sorted word of B.  Integral by construction.
+    Row B, with sorted word b_1..b_n, holds the coefficients of the product
+    of alpha's rows b_1, ..., b_n read as linear forms, the coefficient of a
+    monomial keyed by its sorted index word A.  Through the tensor embedding
+    the entry at (B, A) is the sum over the distinct rearrangements w of A of
+    prod_t alpha[b_t, w_t], and the expansion collects exactly those terms.
+    Sym^n(alpha) is the transpose of Gamma^n(alpha^T) (Roby 1963), so the
+    symmetric powers of functors.Sym come from here too.  Integral by
+    construction.
     """
     mat = alpha.matrix if isinstance(alpha, Hom) else alpha
-    p, q = mat.ncols, mat.nrows
-    source = GammaModule(p, degree)
-    target = GammaModule(q, degree)
-    cols = []
-    for A in source.basis:
-        words = distinct_permutations(A.indices())
-        col = []
-        for B in target.basis:
-            b = B.indices()
-            total = 0
-            for w in words:
-                term = 1
-                for bt, wt in zip(b, w):
-                    term *= mat[bt, wt]
-                    if not term:
-                        break
-                total += term
-            col.append(total)
-        cols.append(col)
-    return Matrix.from_cols(cols, target.dimension())
+    # both bases in the order of multisets_exactly: sorted words, lexicographic
+    source = {w: i for i, w in enumerate(combinations_with_replacement(range(mat.ncols), degree))}
+    support = [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
+    rows = []
+    for b in combinations_with_replacement(range(mat.nrows), degree):
+        acc = {(): 1}
+        for t in b:
+            nxt: dict = {}
+            for word, c in acc.items():
+                for j, v in support[t]:
+                    key = tuple(sorted(word + (j,)))
+                    nxt[key] = nxt.get(key, 0) + c * v
+            acc = nxt
+        row = [0] * len(source)
+        for word, c in acc.items():
+            row[source[word]] = c
+        rows.append(row)
+    return Matrix(rows, len(source))
 
 
 def _word_index(word, side: int) -> int:

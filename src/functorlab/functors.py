@@ -1,16 +1,22 @@
 """Catalog of classical module functors and the degree-n module dictionary.
 
-A functor spec is a value describing tensor, symmetric, exterior, or divided
-powers, constants, or finite direct sums.  Degree-certified functors are
-traded for modules over the degree-truncated augmentation algebra of the
-n x n matrix module: the basis class of a multiset X acts by the deviation
-of the arrow map at X's word of matrix units.  Reconstruction goes back
-through a balanced tensor product, read off the one composition table of
-augmentation.composition_tables, and restriction/extension of scalars
-moves between that algebra and the divided power algebra of matrices.  A
-homogeneous functor's divided-power structure is in closed form: the basis
-class of A acts by the same deviation at A's word, divided by a! =
-prod(a_i!).
+A functor spec is a value of one class per functor kind: Tensor, Sym, Ext
+and Div (the powers, sharing one base and one power check), Const and
+DirectSum.  Each class holds its JSON key, label, degree, object dimension
+`dim(q)` and arrow map `arrow(mat)`; the module-level functions
+(spec_to_json, spec_label, natural_degree, object_dim, arrow_map) dispatch
+to them once, object_dim and arrow_map after validating their input.  Sym
+and Div share divided_powers.gamma_of_hom, Sym through the transpose.
+
+Degree-certified functors are traded for modules over the degree-truncated
+augmentation algebra of the n x n matrix module: the basis class of a
+multiset X acts by the deviation of the arrow map at X's word of matrix
+units.  Reconstruction goes back through a balanced tensor product, read off
+the one composition table of augmentation.composition_tables, and
+restriction/extension of scalars moves between that algebra and the divided
+power algebra of matrices.  A homogeneous functor's divided-power structure
+is in closed form: the basis class of A acts by the same deviation at A's
+word, divided by a! = prod(a_i!).
 
 Both kinds of module are a PresentedModule, a cokernel with one action
 matrix per basis multiset; MoritaModule and GammaModuleStruct differ only in
@@ -24,9 +30,9 @@ from itertools import combinations, repeat
 from operator import add, mul
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
-from .combinatorics import Multiset, binomial, multisets_exactly
+from .combinatorics import Multiset, binomial
 from .deviations import DeviationReport, alternating_sum, cross_check_conditions
-from .divided_powers import GammaModule, schur_product
+from .divided_powers import GammaModule, gamma_of_hom, schur_product
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
     CokernelInvariants,
@@ -41,7 +47,9 @@ from .modules import Hom
 
 
 class FunctorSpec:
-    """Marker base for functor descriptions."""
+    """Base of the functor kinds.  Each kind holds its JSON form (`key`),
+    label, degree, object dimension `dim(q)` and arrow map `arrow(mat)` on
+    an integer matrix."""
 
     __slots__ = ()
 
@@ -52,48 +60,116 @@ def _check_power(n: int):
 
 
 @dataclass(frozen=True)
-class Tensor(FunctorSpec):
+class _Power(FunctorSpec):
+    """The power-th tensor, symmetric, exterior or divided power."""
+
     power: int
 
     def __post_init__(self):
         _check_power(self.power)
 
+    def to_json(self):
+        return {self.key: self.power}
 
-@dataclass(frozen=True)
-class Sym(FunctorSpec):
-    power: int
+    def label(self) -> str:
+        return f"{self.key}^{self.power}"
 
-    def __post_init__(self):
-        _check_power(self.power)
-
-
-@dataclass(frozen=True)
-class Ext(FunctorSpec):
-    power: int
-
-    def __post_init__(self):
-        _check_power(self.power)
+    def degree(self) -> int:
+        return self.power
 
 
-@dataclass(frozen=True)
-class Div(FunctorSpec):
-    power: int
+class Tensor(_Power):
+    """Pure tensors in lexicographic order."""
 
-    def __post_init__(self):
-        _check_power(self.power)
+    key = "tensor"
+
+    def dim(self, q: int) -> int:
+        return q**self.power
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        # iterated Kronecker product, built over the nonzero entries of mat
+        p, q = mat.ncols, mat.nrows
+        nonzero = [(j, i, v) for j, row in enumerate(mat.rows) for i, v in enumerate(row) if v]
+        terms = [(0, 0, 1)]
+        for _ in range(self.power):
+            terms = [(a * q + j, b * p + i, c * v) for a, b, c in terms for j, i, v in nonzero]
+        rows = [[0] * p**self.power for _ in range(q**self.power)]
+        for a, b, c in terms:
+            rows[a][b] = c
+        return Matrix(rows, p**self.power)
+
+
+class Sym(_Power):
+    """Monomials by sorted multiset word.  Sym^n(alpha) is the transpose of
+    Gamma^n(alpha^T): column A is the product of the image linear forms."""
+
+    key = "sym"
+
+    def dim(self, q: int) -> int:
+        return binomial(q + self.power - 1, self.power)
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        return gamma_of_hom(mat.transpose(), self.power).transpose()
+
+
+class Ext(_Power):
+    """Strictly increasing index tuples; the minors carry the signs."""
+
+    key = "ext"
+
+    def dim(self, q: int) -> int:
+        return binomial(q, self.power)
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        src = tuple(combinations(range(mat.ncols), self.power))
+        tgt = tuple(combinations(range(mat.nrows), self.power))
+        return Matrix([[mat.submatrix(jj, ii).det() for ii in src] for jj in tgt], len(src))
+
+
+class Div(_Power):
+    """Divided powers by sorted multiset word."""
+
+    key = "div"
+
+    def dim(self, q: int) -> int:
+        return binomial(q + self.power - 1, self.power)
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        return gamma_of_hom(mat, self.power)
 
 
 @dataclass(frozen=True)
 class Const(FunctorSpec):
+    """The constant functor of the given rank; every arrow is the identity."""
+
     rank: int
+    key = "const"
 
     def __post_init__(self):
         _check_power(self.rank)
 
+    def to_json(self):
+        return {self.key: self.rank}
+
+    def label(self) -> str:
+        return f"const({self.rank})"
+
+    def degree(self) -> int:
+        return 0
+
+    def dim(self, q: int) -> int:
+        return self.rank
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        return Matrix.identity(self.rank)
+
 
 @dataclass(frozen=True)
 class DirectSum(FunctorSpec):
+    """Finite direct sum; arrows are block diagonal, in the order of parts."""
+
     parts: tuple
+    key = "sum"
 
     def __init__(self, *parts):
         if len(parts) == 1 and isinstance(parts[0], (tuple, list)):
@@ -105,147 +181,62 @@ class DirectSum(FunctorSpec):
                 raise ValueError(f"not a functor spec: {p!r}")
         object.__setattr__(self, "parts", tuple(parts))
 
+    def to_json(self):
+        return {self.key: [p.to_json() for p in self.parts]}
+
+    def label(self) -> str:
+        return "(" + " + ".join(p.label() for p in self.parts) + ")"
+
+    def degree(self) -> int:
+        return max(p.degree() for p in self.parts)
+
+    def dim(self, q: int) -> int:
+        return sum(p.dim(q) for p in self.parts)
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        return block_diag(*(p.arrow(mat) for p in self.parts))
+
+
+_KINDS = {kind.key: kind for kind in (Tensor, Sym, Ext, Div, Const)}
+
 
 def spec_to_json(spec: FunctorSpec):
-    if isinstance(spec, Tensor):
-        return {"tensor": spec.power}
-    if isinstance(spec, Sym):
-        return {"sym": spec.power}
-    if isinstance(spec, Ext):
-        return {"ext": spec.power}
-    if isinstance(spec, Div):
-        return {"div": spec.power}
-    if isinstance(spec, Const):
-        return {"const": spec.rank}
-    if isinstance(spec, DirectSum):
-        return {"sum": [spec_to_json(p) for p in spec.parts]}
-    raise TypeError(f"not a functor spec: {spec!r}")
+    return spec.to_json()
 
 
 def spec_from_json(data) -> FunctorSpec:
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError(f"functor spec must be a one-key object, got {data!r}")
     key, value = next(iter(data.items()))
-    makers = {"tensor": Tensor, "sym": Sym, "ext": Ext, "div": Div, "const": Const}
-    if key in makers:
-        return makers[key](value)
-    if key == "sum":
+    if key in _KINDS:
+        return _KINDS[key](value)
+    if key == DirectSum.key:
         return DirectSum(tuple(spec_from_json(p) for p in value))
     raise ValueError(f"unknown functor kind {key!r}")
 
 
 def spec_label(spec: FunctorSpec) -> str:
-    if isinstance(spec, Tensor):
-        return f"tensor^{spec.power}"
-    if isinstance(spec, Sym):
-        return f"sym^{spec.power}"
-    if isinstance(spec, Ext):
-        return f"ext^{spec.power}"
-    if isinstance(spec, Div):
-        return f"div^{spec.power}"
-    if isinstance(spec, Const):
-        return f"const({spec.rank})"
-    if isinstance(spec, DirectSum):
-        return "(" + " + ".join(spec_label(p) for p in spec.parts) + ")"
-    raise TypeError(f"not a functor spec: {spec!r}")
+    return spec.label()
 
 
 def natural_degree(spec: FunctorSpec) -> int:
     """Degree the functor is homogeneous (or, for sums, bounded) of."""
-    if isinstance(spec, (Tensor, Sym, Ext, Div)):
-        return spec.power
-    if isinstance(spec, Const):
-        return 0
-    if isinstance(spec, DirectSum):
-        return max(natural_degree(p) for p in spec.parts)
-    raise TypeError(f"not a functor spec: {spec!r}")
+    return spec.degree()
 
 
 def object_dim(spec: FunctorSpec, q: int) -> int:
     if q < 0:
         raise ValueError("rank must be nonnegative")
-    if isinstance(spec, Tensor):
-        return q**spec.power
-    if isinstance(spec, Sym):
-        return binomial(q + spec.power - 1, spec.power)
-    if isinstance(spec, Ext):
-        return binomial(q, spec.power)
-    if isinstance(spec, Div):
-        return binomial(q + spec.power - 1, spec.power)
-    if isinstance(spec, Const):
-        return spec.rank
-    if isinstance(spec, DirectSum):
-        return sum(object_dim(p, q) for p in spec.parts)
-    raise TypeError(f"not a functor spec: {spec!r}")
+    return spec.dim(q)
 
 
 def arrow_map(spec: FunctorSpec, alpha) -> Matrix:
-    """Matrix of the induced map on the chosen bases.
-
-    Basis orders: pure tensors lexicographic; symmetric and divided powers by
-    sorted multiset word; exterior powers by strictly increasing index tuples
-    (minors carry the signs).
-    """
+    """Matrix of the induced map on the chosen bases, each kind's `arrow`
+    after the Hom unwrap and the integrality check."""
     mat = alpha.matrix if isinstance(alpha, Hom) else alpha
     if not mat.is_integral:
         raise ValueError("arrow maps take integer matrices")
-    p, q = mat.ncols, mat.nrows
-
-    if isinstance(spec, Tensor):
-        # iterated Kronecker product, built over the nonzero entries of mat
-        nonzero = [(j, i, v) for j, row in enumerate(mat.rows) for i, v in enumerate(row) if v]
-        terms = [(0, 0, 1)]
-        for _ in range(spec.power):
-            terms = [(a * q + j, b * p + i, c * v) for a, b, c in terms for j, i, v in nonzero]
-        rows = [[0] * p**spec.power for _ in range(q**spec.power)]
-        for a, b, c in terms:
-            rows[a][b] = c
-        return Matrix(rows, p**spec.power)
-
-    if isinstance(spec, Sym):
-        nn = spec.power
-        src = multisets_exactly(p, nn)
-        tgt = multisets_exactly(q, nn)
-        tgt_index = {A: i for i, A in enumerate(tgt)}
-        support = [[(j, v) for j, v in enumerate(c) if v] for c in mat.cols()]
-        cols = []
-        for A in src:
-            # expand the product of the image linear forms monomial by monomial
-            acc = {(): 1}
-            for t in A.indices():
-                nxt: dict = {}
-                for word, c in acc.items():
-                    for j, v in support[t]:
-                        key = tuple(sorted(word + (j,)))
-                        nxt[key] = nxt.get(key, 0) + c * v
-                acc = nxt
-            col = [0] * len(tgt)
-            for word, c in acc.items():
-                col[tgt_index[Multiset.from_indices(word)]] = c
-            cols.append(col)
-        return Matrix.from_cols(cols, len(tgt))
-
-    if isinstance(spec, Ext):
-        nn = spec.power
-        src = tuple(combinations(range(p), nn))
-        tgt = tuple(combinations(range(q), nn))
-        rows = []
-        for jj in tgt:
-            rows.append([mat.submatrix(jj, ii).det() for ii in src])
-        return Matrix(rows, len(src))
-
-    if isinstance(spec, Div):
-        from .divided_powers import gamma_of_hom
-
-        return gamma_of_hom(mat, spec.power)
-
-    if isinstance(spec, Const):
-        return Matrix.identity(spec.rank)
-
-    if isinstance(spec, DirectSum):
-        return block_diag(*(arrow_map(part, mat) for part in spec.parts))
-
-    raise TypeError(f"not a functor spec: {spec!r}")
+    return spec.arrow(mat)
 
 
 def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix, window=None) -> DeviationReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import add
 from types import MappingProxyType
 from typing import Callable
 
@@ -239,7 +240,8 @@ class MultisetSpace:
         module elements: the deviation of the map value_of at xs."""
         vectors = [self._coords_of(x) for x in xs]
         total = [0] * len(self.basis)
-        for sign, coords in signed_subset_sums(vectors, self.rank):
+        terms = signed_subset_sums(vectors, (0,) * self.rank, lambda s, a: tuple(map(add, s, a)))
+        for sign, coords in terms:
             total = [a + sign * b for a, b in zip(total, value_of(coords).vector)]
         return self.from_vector(total)
 

@@ -84,6 +84,14 @@ VERIFY_ALL_4_3_SEED_3 = "09519caf221d49a88cbdeddb7d157e3b3be8bb73ee1bc53eb8f39e1
 TABLE_INVARIANTS_4_3 = "04a26fc170ba5eebb9e005f5edaae961985c33ab6a2594d648f8a2934e0cc195"
 TABLE_INDEX_4_3 = "3e7fc99042f903d56d1eedcb24c03b2cac7bef5e8117dd81e2d9d27deaa5a2da"
 
+# sha256 of `functor arrow --format json` for MIXED_SUM on a 2x3 and a 3x2
+# hom, recorded while each functor kind still went through isinstance ladders.
+MIXED_SUM = '{"sum":[{"tensor":2},{"sym":2},{"ext":2},{"div":2},{"const":1}]}'
+MIXED_SUM_ARROWS = {
+    "[[1, -2, 0], [3, 1, 2]]": "c657874189589c0454457a11f2a7911457a20f648ca7f7ed34edfc813a7f993f",
+    "[[2, 0], [-1, 3], [1, 1]]": "65dd8730dd4b350d15c618e1ddf5594ee88fac9745cfbd2682c04d4f677f2983",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -340,6 +348,34 @@ class TestFunctor:
         assert data["free_rank"] == 1
         assert data["torsion"] == []
         assert data["multiplicative"] is True
+
+    @pytest.mark.parametrize("hom", sorted(MIXED_SUM_ARROWS))
+    def test_mixed_sum_arrow_is_pinned(self, capsys, hom):
+        code, out, _ = run(
+            capsys, ["functor", "arrow", "--spec", MIXED_SUM, "--hom", hom, "--format", "json"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MIXED_SUM_ARROWS[hom]
+
+    def test_power_kinds_stay_distinct(self):
+        # suite_morita keys its modules by spec
+        powers = [cli.Tensor(2), cli.Sym(2), cli.Ext(2), cli.Div(2)]
+        for i, a in enumerate(powers):
+            for b in powers[i + 1 :]:
+                assert a != b
+        keyed = {spec: cli.spec_label(spec) for spec in powers}
+        assert len(keyed) == 4
+        assert [keyed[spec] for spec in powers] == ["tensor^2", "sym^2", "ext^2", "div^2"]
+
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    @pytest.mark.parametrize("action", [["extract"], ["reconstruct", "--q", "2"]])
+    def test_extraction_error_is_reported(self, capsys, monkeypatch, error, action):
+        def extract(spec, n, seed=0):
+            raise error("extraction broke")
+
+        monkeypatch.setattr(cli, "extract_morita_module", extract)
+        code, out, err = run(capsys, ["functor", action[0], "--spec", '{"sym": 2}', *action[1:]])
+        assert (code, out, err) == (1, '{"error": "extraction broke"}\n', "")
 
     def test_extract_rejects_wrong_degree(self, capsys):
         code, out, _ = run(

@@ -1,5 +1,8 @@
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +18,13 @@ from functorlab.combinatorics import (
     multisets_up_to,
     parse_multiset,
     parse_rational,
+    signed_subset_sums,
     stirling2,
     stirling_sum_identity,
 )
+from functorlab.deviations import alternating_sum
+from functorlab.intlinalg import Matrix
+from functorlab.modules import FreeModule
 
 
 def set_partitions(items):
@@ -155,3 +162,47 @@ def test_rational_serialization():
     assert format_rational(Fraction(4, 2)) == "2"
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("7") == 7
+
+
+def _add_tuples(s, a):
+    return tuple(map(add, s, a))
+
+
+def _subset_walk_cases(m, rng):
+    """(args, zero, plus) over ints, int tuples, Matrix and Element."""
+    module = FreeModule(3)
+    return [
+        ([rng.randint(-5, 5) for _ in range(m)], 0, add),
+        ([tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(m)], (0, 0, 0), _add_tuples),
+        (
+            [Matrix([[rng.randint(-5, 5) for _ in range(2)] for _ in range(3)], 2) for _ in range(m)],
+            Matrix.zeros(3, 2),
+            add,
+        ),
+        ([module.element([rng.randint(-5, 5) for _ in range(3)]) for _ in range(m)], module.zero(), add),
+    ]
+
+
+class TestSignedSubsetSums:
+    @pytest.mark.parametrize("m", range(6))
+    def test_matches_subsets_from_combinations(self, m):
+        # definition: subset I at the position whose bit i marks args[i] in I
+        rng = random.Random(m)
+        for args, zero, plus in _subset_walk_cases(m, rng):
+            expected = {}
+            for size in range(m + 1):
+                for subset in combinations(range(m), size):
+                    total = zero
+                    for i in subset:
+                        total = plus(total, args[i])
+                    expected[sum(1 << i for i in subset)] = ((-1) ** (m - size), total)
+            terms = signed_subset_sums(args, zero, plus)
+            assert len(terms) == 2**m
+            assert dict(enumerate(terms)) == expected
+
+    def test_alternating_sum_of_no_arguments_is_the_value_at_zero(self):
+        fn = lambda s: 7 * s + 3  # noqa: E731
+        assert alternating_sum(fn, [], 0) == fn(0)
+        square = lambda s: s @ s.transpose()  # noqa: E731
+        zero = Matrix.zeros(2, 3)
+        assert alternating_sum(square, [], zero) == square(zero)

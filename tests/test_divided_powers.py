@@ -28,6 +28,29 @@ def flat(m: Matrix) -> tuple:
     return tuple(v for row in m.rows for v in row)
 
 
+def brute_gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
+    """Gamma^degree(alpha) entry by entry, through the tensor embedding: the
+    entry at (B, A) is the sum over the distinct rearrangements w of A of
+    prod_t alpha[b_t, w_t], b the sorted word of B.  Oracle for gamma_of_hom
+    and, through the transpose, for the symmetric powers."""
+    source = GammaModule(alpha.ncols, degree)
+    target = GammaModule(alpha.nrows, degree)
+    rows = []
+    for B in target.basis:
+        b = B.indices()
+        row = []
+        for A in source.basis:
+            total = 0
+            for w in distinct_permutations(A.indices()):
+                term = 1
+                for bt, wt in zip(b, w):
+                    term *= alpha[bt, wt]
+                total += term
+            row.append(total)
+        rows.append(row)
+    return Matrix(rows, source.dimension())
+
+
 class TestBasics:
     def test_dimension_frozen(self):
         assert gamma_dimension(2, 2) == 3
@@ -110,16 +133,23 @@ class TestInducedMatrix:
                 assert pushed == dst.divided_power(alpha.matvec(x))
 
     def test_transpose_duality_with_symmetric_power(self):
-        # same matrix two ways: the permanent-style formula here, and the
-        # monomial convolution for symmetric powers on the transposed input
+        # Sym^n(alpha^T)^T against the rearrangement sum, computed apart
+        # from the monomial expansion that Sym and Gamma share
         from functorlab.functors import Sym, arrow_map
 
         rng = random.Random(7)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for p, q in [(2, 2), (2, 3), (3, 2)]:
                 alpha = rand_matrix(rng, q, p)
                 dual = arrow_map(Sym(n), alpha.transpose()).transpose()
-                assert gamma_of_hom(alpha, n) == dual
+                assert brute_gamma_of_hom(alpha, n) == dual
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_matches_rearrangement_sum(self, n):
+        rng = random.Random(20 + n)
+        for q, p in [(1, 1), (2, 2), (3, 2), (2, 3), (1, 3), (3, 3), (0, 2), (2, 0)]:
+            alpha = rand_matrix(rng, q, p) if q else Matrix((), p)
+            assert gamma_of_hom(alpha, n) == brute_gamma_of_hom(alpha, n)
 
 
 class TestEmbedding:
