@@ -11,10 +11,13 @@ and Div share divided_powers.gamma_of_hom, Sym through the transpose.
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
 multiset X acts by the deviation of the arrow map at X's word of matrix
-units.  Reconstruction goes back through a balanced tensor product, read off
-the one composition table of augmentation.composition_tables, and
-restriction/extension of scalars moves between that algebra and the divided
-power algebra of matrices.  A homogeneous functor's divided-power structure
+units, one arrow evaluation per multiset shared by all the deviations.
+Reconstruction goes back through a balanced tensor product, built from the
+one composition table of augmentation.composition_tables as sparse
+relations whose invariants intlinalg.relation_invariants reads off without
+a Hermite form.  Restriction/extension of scalars moves between that
+algebra and the divided power algebra of matrices, the Schur products of
+the latter cached per n.  A homogeneous functor's divided-power structure
 is in closed form: the basis class of A acts by the same deviation at A's
 word, divided by a! = prod(a_i!).
 
@@ -26,12 +29,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, repeat
 from operator import add, mul
 
-from .augmentation import AugAlgebra, AugElement, aug_dimension, composition_tables
-from .combinatorics import Multiset, binomial
-from .deviations import DeviationReport, alternating_sum, cross_check_conditions
+from .augmentation import (
+    AugAlgebra,
+    AugElement,
+    _sub_multisets,
+    aug_dimension,
+    composition_tables,
+)
+from .combinatorics import binomial, multisets_up_to, signed_subset_sums
+from .deviations import DeviationReport, cross_check_conditions
 from .divided_powers import GammaModule, gamma_of_hom, schur_product
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
@@ -41,6 +51,7 @@ from .intlinalg import (
     block_diag,
     cokernel_invariants,
     hermite_normal_form,
+    relation_invariants,
     solve_rational,
 )
 from .modules import Hom
@@ -274,8 +285,13 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 
                 Matrix([[rng.randint(-2, 2) for _ in range(pp)] for _ in range(qq)], pp)
                 for _ in range(n + 1)
             ]
-            dev = alternating_sum(
-                lambda a: arrow_map(spec, a), mats, Matrix.zeros(qq, pp)
+            dev = _linear_combo(
+                (
+                    (sign, arrow_map(spec, s))
+                    for sign, s in signed_subset_sums(mats, Matrix.zeros(qq, pp))
+                ),
+                object_dim(spec, qq),
+                object_dim(spec, pp),
             )
             used += 1
             if not dev.is_zero:
@@ -283,16 +299,6 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 
                     n, used, False, ("deviation", tuple(m.rows for m in mats))
                 )
     return DeviationReport(n, used, True)
-
-
-def _unit_matrix(flat: int, nrows: int, ncols: int) -> Matrix:
-    i, j = divmod(flat, ncols)
-    return Matrix(
-        tuple(
-            tuple(int(r == i and c == j) for c in range(ncols)) for r in range(nrows)
-        ),
-        ncols,
-    )
 
 
 def _flat(mat: Matrix) -> tuple:
@@ -390,10 +396,23 @@ class MoritaModule(PresentedModule):
         return self._multiplicative(AugElement.product_mul, pairs, seed)
 
 
-def _unit_word_deviation(spec: FunctorSpec, n: int, X: Multiset) -> Matrix:
-    """Deviation of the arrow map at X's word of n x n matrix units."""
-    units = [_unit_matrix(u, n, n) for u in X.indices()]
-    return alternating_sum(lambda a: arrow_map(spec, a), units, Matrix.zeros(n, n))
+def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:
+    """Deviation of the arrow map at the word of n x n matrix units of each
+    multiset X in `basis`.  A subset of X's word sums to the matrix holding
+    the multiplicities of a sub-multiset A, so the deviation is the sum of
+    w * arrow(A) over augmentation._sub_multisets(X): one arrow evaluation
+    per multiset of size <= n, shared by every X."""
+    values = {}
+    for A in multisets_up_to(n * n, n):
+        entries = [0] * (n * n)
+        for u, m in A.pairs:
+            entries[u] = m
+        values[A] = arrow_map(spec, Matrix([entries[r * n : r * n + n] for r in range(n)], n))
+    dim = object_dim(spec, n)
+    return {
+        X: _linear_combo(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
+        for X in basis
+    }
 
 
 def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaModule:
@@ -406,7 +425,7 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
             f"functor {spec_label(spec)} fails the degree-{n} certificate: {cert.witness}"
         )
     algebra = AugAlgebra(n * n, n)
-    action = {X: _unit_word_deviation(spec, n, X) for X in algebra.basis}
+    action = _unit_word_deviations(spec, n, algebra.basis)
     return MoritaModule(n, algebra, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
@@ -417,8 +436,9 @@ def _tensor_relation_rows(
     action: dict,
     basis,
     presentation: Matrix,
-):
-    """Rows spanning the balanced-product relations inside Z^(left_dim*gens).
+) -> list[dict]:
+    """Sparse rows {index: value} spanning the balanced-product relations
+    inside Z^(left_dim*gens), zero rows left out.
 
     Generator (xi, j) sits at flat index xi*gens + j.  products[xi][y] holds
     the nonzero (index, coefficient) pairs of the xi-th left basis element
@@ -427,46 +447,45 @@ def _tensor_relation_rows(
     """
     rows = []
     for y, Y in enumerate(basis):
-        act = action[Y]
+        act_cols = [[(g, v) for g, v in enumerate(col) if v] for col in zip(*action[Y].rows)]
         for xi in range(left_dim):
             moved = products[xi][y]
-            for j in range(gens):
-                row = [0] * (left_dim * gens)
+            for j, col in enumerate(act_cols):
+                row = {}
                 for pi, c in moved:
-                    row[pi * gens + j] += c
-                for g in range(gens):
-                    v = act[g, j]
-                    if v:
-                        row[xi * gens + g] -= v
-                if any(row):
+                    k = pi * gens + j
+                    row[k] = row.get(k, 0) + c
+                for g, v in col:
+                    k = xi * gens + g
+                    row[k] = row.get(k, 0) - v
+                row = {k: v for k, v in row.items() if v}
+                if row:
                     rows.append(row)
-    for c in range(presentation.ncols):
-        col = presentation.col(c)
-        for xi in range(left_dim):
-            row = [0] * (left_dim * gens)
-            for g in range(gens):
-                row[xi * gens + g] = col[g]
-            if any(row):
-                rows.append(row)
+    for col in zip(*presentation.rows):
+        entries = [(g, v) for g, v in enumerate(col) if v]
+        if entries:
+            rows += [{xi * gens + g: v for g, v in entries} for xi in range(left_dim)]
     return rows
 
 
 def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
     """Invariants of the balanced product of the module with the degree-n
     augmentation algebra of q x n matrices; for the module of a degree-n
-    functor this recovers the functor's value on the rank-q module."""
+    functor this recovers the functor's value on the rank-q module.  They
+    are read off the sparse relations by relation_invariants."""
     if q < 0:
         raise ValueError("rank must be nonnegative")
     n = module.n
-    R = module.algebra
     dimP = aug_dimension(n * q, n)
-    table = composition_tables(q, n, n, n)
     rows = _tensor_relation_rows(
-        dimP, module.generators, table, module.action, R.basis, module.presentation
+        dimP,
+        module.generators,
+        composition_tables(q, n, n, n),
+        module.action,
+        module.algebra.basis,
+        module.presentation,
     )
-    total = dimP * module.generators
-    reduced = hermite_normal_form(Matrix(rows, total))
-    return cokernel_invariants(reduced.transpose())
+    return relation_invariants(dimP * module.generators, rows)
 
 
 class GammaModuleStruct(PresentedModule):
@@ -501,8 +520,7 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
             )
     space = GammaModule(n * n, n)
     action = {}
-    for A in space.basis:
-        dev = _unit_word_deviation(spec, n, A)
+    for A, dev in _unit_word_deviations(spec, n, space.basis).items():
         a_fact = A.factorial
         if any(v % a_fact for row in dev.rows for v in row):
             raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
@@ -528,6 +546,21 @@ def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
     return MoritaModule(n, algebra, struct.presentation, action)
 
 
+@lru_cache(maxsize=None)
+def _schur_tables(n: int):
+    """Schur products on Gamma^n of n x n matrices, which extend_scalars
+    needs for every module of degree n: (products, left), where
+    products[ai][xi] lists the nonzero (index, coefficient) pairs of basis
+    class A times the divided power image of the xi-th augmentation basis
+    class, and left[di][ai] those of D times A."""
+    space = GammaModule(n * n, n)
+    basis = [space.basis_element(A) for A in space.basis]
+    images = [space.from_vector(col) for col in gamma_matrix(n * n, n).cols()]
+    products = tuple(tuple(tuple(schur_product(a, img).nonzero()) for img in images) for a in basis)
+    left = tuple(tuple(tuple(schur_product(d, a).nonzero()) for a in basis) for d in basis)
+    return products, left
+
+
 def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     """Balanced product with the divided power algebra of matrices, seen as a
     right module over the augmentation algebra through the divided power map;
@@ -535,26 +568,20 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     n = module.n
     gens = module.generators
     space = GammaModule(n * n, n)
-    dimG = space.dimension()
-    gens_total = dimG * gens
-    images = [space.from_vector(col) for col in gamma_matrix(n * n, n).cols()]
-    products = [
-        [schur_product(space.basis_element(A), img).nonzero() for img in images]
-        for A in space.basis
-    ]
+    gens_total = space.dimension() * gens
+    products, left = _schur_tables(n)
     rows = _tensor_relation_rows(
-        dimG, gens, products, module.action, module.algebra.basis, module.presentation
+        len(products), gens, products, module.action, module.algebra.basis, module.presentation
     )
-    presentation = hermite_normal_form(Matrix(rows, gens_total)).transpose()
+    presentation = hermite_normal_form(Matrix.from_sparse(rows, gens_total)).transpose()
 
     action = {}
-    for D in space.basis:
+    for D, left_d in zip(space.basis, left):
         # left Schur multiplication by D, Kronecker with the identity on the
         # original generators
         rows_out = [[0] * gens_total for _ in range(gens_total)]
-        for ai, A in enumerate(space.basis):
-            left = schur_product(space.basis_element(D), space.basis_element(A))
-            for ci, v in left.nonzero():
+        for ai, pairs in enumerate(left_d):
+            for ci, v in pairs:
                 for g in range(gens):
                     rows_out[ci * gens + g][ai * gens + g] = v
         action[D] = Matrix(rows_out, gens_total)

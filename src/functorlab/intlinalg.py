@@ -7,17 +7,25 @@ everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
   * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
+  * relation_invariants  - invariants of Z^width modulo sparse relations
   * kernel_lattice, cokernel_invariants, lattice_intersection, saturation
 
 The integer forms share one elimination, `_echelon`: the Smith form alternates
 row Hermite forms of the matrix and of its transpose (Kannan-Bachem), and
 saturation is the kernel of the kernel.  `_echelon` buckets rows by leading
 column, so tall, sparse relation matrices cost about their nonzero rows.
+
+Cokernel invariants come from relation_invariants, also for a dense matrix
+(its columns are the relations): before any Smith form, every relation with
+a +-1 entry removes its generator by substitution, shortest relation first
+(the unit-pivot reduction for sparse integer Smith forms, Dumas-Saunders-
+Villard 2001), and smith_normal_form runs only on the dense remainder.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress, count, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -78,6 +86,17 @@ class Matrix:
         elif nrows is None:
             nrows = 0
         return cls((tuple(c[i] for c in cols) for i in range(nrows)), len(cols))
+
+    @classmethod
+    def from_sparse(cls, rows, ncols: int) -> "Matrix":
+        """Dense matrix of sparse rows, each a mapping {column: value}."""
+        out = []
+        for row in rows:
+            dense = [0] * ncols
+            for j, v in row.items():
+                dense[j] = v
+            out.append(dense)
+        return cls(out, ncols)
 
     # -- structure ---------------------------------------------------------
 
@@ -419,11 +438,77 @@ class CokernelInvariants:
 
 def cokernel_invariants(mat: Matrix) -> CokernelInvariants:
     """Invariants of Z^nrows / (column span of mat)."""
-    s = smith_normal_form(mat)
-    diag = tuple(s.rows[i][i] for i in range(min(s.shape)))
+    return relation_invariants(mat.nrows, (dict(enumerate(col)) for col in zip(*mat.rows)))
+
+
+def relation_invariants(width: int, relations) -> CokernelInvariants:
+    """Invariants of Z^width modulo the span of sparse integer relations,
+    each a mapping {column: value}.
+
+    Unit pivots first: while some relation has an entry u = +-1 at column j,
+    it says e_j = -u * (the rest of it), so e_j is substituted out of the
+    other relations touching column j, and that relation and generator j are
+    dropped.  Each step is unimodular, so the invariants do not change.  The
+    shortest relation goes first (fewest substitutions, least fill), and
+    among its unit columns the one touched by the fewest relations.  The
+    Smith form then runs only on the dense remainder.
+    """
+    rels: dict[int, dict] = {}
+    seen = set()
+    for rel in relations:
+        row = {j: v for j, v in rel.items() if v}
+        if not all(isinstance(v, int) for v in row.values()):
+            raise ValueError("relations need integer entries")
+        if not all(0 <= j < width for j in row):
+            raise ValueError(f"relation column outside 0..{width - 1}")
+        key = frozenset(row.items())
+        if row and key not in seen:
+            seen.add(key)
+            rels[len(rels)] = row
+    touching: dict[int, set] = {}  # column -> ids of the relations with an entry there
+    for i, row in rels.items():
+        for j in row:
+            touching.setdefault(j, set()).add(i)
+    # (length, id), pushed again whenever a relation changes; stale entries skip
+    queue = [(len(row), i) for i, row in rels.items()]
+    heapify(queue)
+    removed = 0
+    while queue:
+        size, i = heappop(queue)
+        pivot = rels.get(i)
+        if pivot is None or len(pivot) != size:
+            continue
+        units = [j for j, v in pivot.items() if v == 1 or v == -1]
+        if not units:
+            continue
+        j = min(units, key=lambda c: len(touching[c]))
+        del rels[i]
+        for k in pivot:
+            touching[k].discard(i)
+        u = pivot.pop(j)
+        for s in touching.pop(j):
+            other = rels[s]
+            c = other.pop(j) * u
+            for k, v in pivot.items():
+                w = other.get(k, 0) - c * v
+                if w:
+                    if k not in other:
+                        touching[k].add(s)
+                    other[k] = w
+                else:
+                    del other[k]
+                    touching[k].discard(s)
+            if other:
+                heappush(queue, (len(other), s))
+            else:
+                del rels[s]
+        removed += 1
+    cols = sorted(j for j, ids in touching.items() if ids)
+    rest = Matrix([[row.get(j, 0) for j in cols] for row in rels.values()], len(cols))
+    s = smith_normal_form(rest)
+    diag = [s.rows[i][i] for i in range(min(s.shape))]
     torsion = tuple(d for d in diag if d > 1)
-    free = mat.nrows - sum(1 for d in diag if d)
-    return CokernelInvariants(torsion, free)
+    return CokernelInvariants(torsion, width - removed - sum(1 for d in diag if d))
 
 
 def smith_normal_form(mat: Matrix) -> Matrix:

@@ -7,8 +7,9 @@ from itertools import product
 
 import pytest
 
-from functorlab.augmentation import AugAlgebra
+from functorlab.augmentation import AugAlgebra, aug_dimension, composition_tables
 from functorlab.combinatorics import Multiset
+from functorlab.deviations import alternating_sum
 from functorlab.divided_powers import GammaModule
 from functorlab.functors import (
     Const,
@@ -33,8 +34,15 @@ from functorlab.functors import (
     spec_label,
     spec_to_json,
 )
+import functorlab.functors as functors
 from functorlab.gamma_section import VerificationError
-from functorlab.intlinalg import Matrix, block_diag, rational_inverse
+from functorlab.intlinalg import (
+    Matrix,
+    block_diag,
+    hermite_normal_form,
+    rational_inverse,
+    smith_normal_form,
+)
 
 CATALOG2 = [Tensor(2), Sym(2), Ext(2), Div(2)]
 
@@ -75,6 +83,37 @@ def brute_tensor_arrow_map(mat: Matrix, power: int) -> Matrix:
             row.append(v)
         rows.append(row)
     return Matrix(rows, len(src))
+
+
+def brute_unit_word_deviation(spec, n: int, X: Multiset) -> Matrix:
+    """The deviation of the arrow map at X's word of matrix units, as an
+    alternating sum over all 2^|X| subsets of the word."""
+    units = [
+        Matrix([[int(divmod(u, n) == (i, j)) for j in range(n)] for i in range(n)])
+        for u in X.indices()
+    ]
+    return alternating_sum(lambda a: arrow_map(spec, a), units, Matrix.zeros(n, n))
+
+
+def brute_reconstruct(module, q: int):
+    """The dense route for reconstruct: Hermite form of the densified
+    balanced-product relations, then the Smith diagonal of its transpose.
+    Returns (torsion, free rank)."""
+    n = module.n
+    left_dim = aug_dimension(n * q, n)
+    width = left_dim * module.generators
+    rows = functors._tensor_relation_rows(
+        left_dim,
+        module.generators,
+        composition_tables(q, n, n, n),
+        module.action,
+        module.algebra.basis,
+        module.presentation,
+    )
+    reduced = hermite_normal_form(Matrix.from_sparse(rows, width)).transpose()
+    s = smith_normal_form(reduced)
+    diag = [s[i, i] for i in range(min(s.shape))]
+    return tuple(d for d in diag if d > 1), width - sum(1 for d in diag if d)
 
 
 def _interpolated_action(spec, n: int, A: Multiset) -> Matrix:
@@ -258,6 +297,17 @@ class TestModuleExtraction:
                 cls = mod.algebra.class_of(flat(sigma))
                 assert mod.act(cls) == arrow_map(spec, sigma)
 
+    @pytest.mark.parametrize("spec", CATALOG2 + [DirectSum(Const(1), Sym(2))], ids=spec_label)
+    def test_action_is_the_unit_word_deviation(self, spec):
+        module = morita(spec)
+        for X in module.algebra.basis:
+            assert module.action[X] == brute_unit_word_deviation(spec, 2, X), X
+
+    def test_cubic_action_is_the_unit_word_deviation(self):
+        deviations = functors._unit_word_deviations(Sym(3), 3, AugAlgebra(9, 3).basis)
+        for X in random.Random(5).sample(sorted(deviations, key=str), 40):
+            assert deviations[X] == brute_unit_word_deviation(Sym(3), 3, X), X
+
     def test_top_exterior_acts_by_determinant(self):
         rng = random.Random(16)
         mod = morita(Ext(2))
@@ -325,6 +375,14 @@ class TestReconstruction:
             inv = reconstruct(zero_module(), q)
             assert inv.free_rank == 0 and inv.torsion == ()
 
+    @pytest.mark.parametrize("spec", CATALOG2 + [DirectSum(Const(1), Sym(2))], ids=spec_label)
+    def test_matches_dense_route(self, spec):
+        module = morita(spec)
+        for q in range(1, 6):
+            inv = reconstruct(module, q)
+            assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q), q
+            assert inv.free_rank == object_dim(spec, q) and inv.torsion == ()
+
 
 class TestDividedStructure:
     def test_homogeneity_gate(self):
@@ -370,13 +428,14 @@ class TestDividedStructure:
     def test_indivisible_deviation_is_rejected(self, monkeypatch):
         # a deviation at a repeated unit that a! does not divide cannot come
         # from a homogeneous functor
-        import functorlab.functors as functors
-
-        real = functors._unit_word_deviation
+        real = functors._unit_word_deviations
         monkeypatch.setattr(
             functors,
-            "_unit_word_deviation",
-            lambda spec, n, X: real(spec, n, X) + Matrix.identity(object_dim(spec, n)),
+            "_unit_word_deviations",
+            lambda spec, n, basis: {
+                X: dev + Matrix.identity(object_dim(spec, n))
+                for X, dev in real(spec, n, basis).items()
+            },
         )
         with pytest.raises(VerificationError, match="not divisible"):
             extract_gamma_structure(Sym(2), 2)

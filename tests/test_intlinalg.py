@@ -26,6 +26,7 @@ from functorlab.intlinalg import (
     lattice_intersection,
     left_kernel,
     rational_inverse,
+    relation_invariants,
     saturation,
     smith_normal_form,
     solve_int,
@@ -334,8 +335,9 @@ def test_hermite_matches_sympy_on_relation_matrices(kind, q):
         module.algebra.basis,
         module.presentation,
     )
-    assert len(rows) > left_dim * module.generators
-    assert_hnf_matches_sympy(rows, left_dim * module.generators)
+    width = left_dim * module.generators
+    assert len(rows) > width
+    assert_hnf_matches_sympy(Matrix.from_sparse(rows, width).rows, width)
 
 
 def test_dense_normal_forms_pinned_with_entry_bits():
@@ -359,6 +361,31 @@ def test_dense_normal_forms_pinned_with_entry_bits():
             assert hashlib.sha256(repr(form.rows).encode()).hexdigest() == digest
 
 
+def hnf_smith_invariants(width, relations):
+    """The dense route: Hermite form of the densified relations, then the
+    Smith diagonal of its transpose."""
+    reduced = hermite_normal_form(Matrix.from_sparse(relations, width))
+    diag = diagonal(smith_normal_form(reduced.transpose()))
+    return tuple(d for d in diag if d > 1), width - sum(1 for d in diag if d)
+
+
+# sparse relations over Z^width: unit and non-unit entries, zero entries,
+# empty rows, and every other row repeated
+sparse_relations = st.integers(0, 6).flatmap(
+    lambda width: st.tuples(
+        st.just(width),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, max(width - 1, 0)),
+                st.sampled_from((1, -1, 1, -1, 2, -2, 3, 4, -6, 0)),
+                max_size=width,
+            ),
+            max_size=9,
+        ).map(lambda rows: rows + rows[::2]),
+    )
+)
+
+
 class TestCokernel:
     def test_frozen(self):
         inv = cokernel_invariants(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]], 3))
@@ -369,6 +396,57 @@ class TestCokernel:
         assert inv.torsion == () and inv.free_rank == 3
         assert inv.trivial is False
         assert cokernel_invariants(Matrix.identity(2)).trivial
+
+    def test_relations_frozen(self):
+        inv = relation_invariants(3, [{0: 1, 1: 2}, {1: 2, 2: 4}, {}, {0: 1, 1: 2}])
+        assert (inv.torsion, inv.free_rank) == ((2,), 1)
+        inv = relation_invariants(2, [{0: 4, 1: 6}, {0: 6, 1: 4}])
+        assert (inv.torsion, inv.free_rank) == ((2, 10), 0)
+        assert relation_invariants(0, []).trivial
+        assert relation_invariants(0, [{}, {}]).trivial
+        assert relation_invariants(2, []).free_rank == 2
+
+    def test_relations_rejected(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            relation_invariants(2, [{0: Fraction(1, 2)}])
+        with pytest.raises(ValueError, match="outside"):
+            relation_invariants(2, [{2: 1}])
+        with pytest.raises(ValueError, match="integer entries"):
+            cokernel_invariants(Matrix([[Fraction(1, 2)]], 1))
+
+    @settings(max_examples=200)
+    @given(sparse_relations)
+    def test_relations_match_dense_route(self, case):
+        width, relations = case
+        inv = relation_invariants(width, relations)
+        assert (inv.torsion, inv.free_rank) == hnf_smith_invariants(width, relations)
+
+    @settings(max_examples=60)
+    @given(sparse_relations)
+    def test_relations_match_sympy_invariant_factors(self, case):
+        pytest.importorskip("sympy")
+        from sympy import ZZ, Matrix as SympyMatrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        width, relations = case
+        dense = Matrix.from_sparse(relations, width)
+        factors = ()
+        if dense.nrows and width and not dense.is_zero:
+            factors = tuple(int(d) for d in invariant_factors(SympyMatrix(dense.to_lists()), domain=ZZ))
+        inv = relation_invariants(width, relations)
+        assert inv.torsion == tuple(d for d in factors if d > 1)
+        assert inv.free_rank == width - sum(1 for d in factors if d)
+
+    @pytest.mark.parametrize("n", [40, 60, 80])
+    def test_dense_matches_smith_diagonal(self, n):
+        """Dense matrices are full of unit entries, and substituting them out
+        grows the rest; the invariants must still be the Smith diagonal's."""
+        rng = random.Random(n)
+        mat = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)], n)
+        diag = diagonal(smith_normal_form(mat))
+        inv = cokernel_invariants(mat)
+        assert inv.torsion == tuple(d for d in diag if d > 1)
+        assert inv.free_rank == n - sum(1 for d in diag if d)
 
 
 class TestLattices:
