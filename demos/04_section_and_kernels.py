@@ -23,7 +23,8 @@ for k, n in [(1, 2), (2, 2), (3, 3), (9, 3)]:
 
 print("gamma(1,2) =", gamma_matrix(1, 2).rows)
 
-# kernel description: [rz] - r^n [z] classes, saturated, match the kernel
+# kernel description: the classes [2z] - 2^n [z] over z in N^k with
+# |z| <= n - 1, one per kernel rank, saturated, match the kernel
 rep = kernel_of_gamma(2, 2)
 print("kernel == saturated scaling span:", rep.match)
 print("kernel basis rows:", rep.kernel.basis.rows)

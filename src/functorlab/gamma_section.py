@@ -5,9 +5,11 @@ divided power x^[n]; epsilon sends a divided basis class e^[A] back to the
 basis class of A divided by prod(a_i!), a closed form: the deviation class
 of A's expanded word is that basis class.  All statements verified here are
 exact integer or rational identities: the section identity gamma @ epsilon
-== 1, the kernel description by scaling classes, the finite cokernel of the
-truncation-plus-gamma stack, multiplicativity with respect to the
-composition products, and the projector decomposition of epsilon's image.
+== 1, the kernel as the saturated span of the scaling classes [2z] - 2^n [z],
+one per z in N^rank with |z| <= n - 1 (as many rows as the kernel's rank),
+the finite cokernel of the truncation-plus-gamma stack, multiplicativity
+with respect to the composition products, and the projector decomposition
+of epsilon's image.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial
 from typing import Optional
 
@@ -115,21 +116,42 @@ class KernelReport:
     witness: Optional[tuple] = None  # a kernel basis row outside `generated`
 
 
+def _scaling_rows(rank: int, degree: int) -> list:
+    """The classes [2z] - 2^degree [z], one per z in the simplex |z| <= degree - 1
+    (the multiplicity vectors of the basis of B(rank, degree - 1))."""
+    alg = AugAlgebra(rank, degree)
+    scale = 2**degree
+    rows = []
+    for Z in multisets_up_to(rank, degree - 1):
+        z = tuple(Z.count(i) for i in range(rank))
+        doubled = alg.class_of(tuple(2 * c for c in z)).to_vector()
+        base = alg.class_of(z).to_vector()
+        rows.append(tuple(a - scale * b for a, b in zip(doubled, base)))
+    return rows
+
+
 def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
     """Kernel lattice of gamma, compared against the saturated span of the
-    scaling classes [r z] - r^degree [z] over 0/1 vectors z and small r."""
-    gam = gamma_matrix(rank, degree)
-    kernel = kernel_lattice(gam)
-    alg = AugAlgebra(rank, degree)
-    rows = []
-    for z in product((0, 1), repeat=rank):
-        base = alg.class_of(z).to_vector()
-        for r in range(-(degree + 1), degree + 2):
-            scaled = alg.class_of(tuple(r * c for c in z)).to_vector()
-            rows.append(
-                tuple(a - r**degree * b for a, b in zip(scaled, base))
-            )
-    generated = saturation(Lattice.from_rows(alg.dimension(), rows))
+    scaling classes [2z] - 2^n [z], n = degree, over the simplex of z in N^rank
+    with |z| <= n - 1.
+
+    Why these rows suffice.  A rational linear form on B(rank, n) is a
+    polynomial map f of degree <= n (Passi, LNM 715); write f_j for its
+    degree-j homogeneous part.  The form kills [2z] - 2^n [z] exactly when
+    h(z) = sum_{j<n} (2^j - 2^n) f_j(z) vanishes.  The simplex is unisolvent
+    for polynomials of degree <= n - 1 (Chung-Yao 1977), and h has degree
+    <= n - 1, so h = 0 there means h = 0 everywhere; since 2^j != 2^n, every
+    f_j with j < n is 0.  So f is homogeneous of degree n, and those are the
+    forms that factor through gamma (Roby 1963): the span and Ker(gamma) have
+    the same annihilator, hence the same rational span, and Ker(gamma) is
+    saturated, so saturating the span gives Ker(gamma).  The simplex has
+    dim B(rank, n - 1) = rank Ker(gamma) points, so the rows are a Q-basis of
+    the kernel.  The span itself is in general a proper sublattice; it is
+    saturated here, independently of the kernel computed from gamma.
+    """
+    kernel = kernel_lattice(gamma_matrix(rank, degree))
+    rows = _scaling_rows(rank, degree)
+    generated = saturation(Lattice.from_rows(aug_dimension(rank, degree), rows))
     witness = next((row for row in kernel.basis.rows if not generated.contains(row)), None)
     return KernelReport(kernel, generated, kernel == generated, witness)
 

@@ -72,11 +72,11 @@ def test_criterion_01_section_identity():
 def test_criterion_02_kernel_lattice():
     # kernel of the comparison map == saturated span of the scaling classes,
     # as lattices in canonical (triangular) form
-    for k in (1, 2, 3):
-        for n in (1, 2, 3):
-            rep = kernel_of_gamma(k, n)
-            assert rep.kernel.basis == rep.generated.basis, (k, n)
-            assert rep.match, (k, n)
+    cells = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+    for k, n in cells + [(2, 4), (2, 5), (2, 6), (3, 5)]:
+        rep = kernel_of_gamma(k, n)
+        assert rep.kernel.basis == rep.generated.basis, (k, n)
+        assert rep.match, (k, n)
 
 
 def test_criterion_03_cokernel_invariants():

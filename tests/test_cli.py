@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from functorlab import cli
+from functorlab import cli, gamma_section
 from functorlab.cli import main
-from functorlab.gamma_section import VerificationError, kernel_of_gamma
+from functorlab.gamma_section import VerificationError, gamma_matrix, kernel_of_gamma
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -166,16 +166,27 @@ class TestVerify:
         assert code == 0
         assert out == GAMMA_EPSILON_2_3
 
-    def test_failing_kernel_cell_carries_witness(self, capsys):
-        # (2, 4) shows the kernel-generator defect; its cell names a kernel
-        # basis vector that the scaling classes miss
+    def test_failing_kernel_cell_carries_witness(self, capsys, monkeypatch):
+        # without saturation the scaling classes span a proper sublattice of
+        # the kernel at (2, 4); the failing cell names a kernel basis vector
+        # that the span misses
+        monkeypatch.setattr(gamma_section, "saturation", lambda lattice: lattice)
         code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])
         assert code == 1
         cells = {c["anchor"]: c for c in json.loads(out)["cells"]}
         ker = cells.pop("kernel-lattice-match")
         assert ker["verdict"] == "fail"
-        assert ker["witness"] == list(kernel_of_gamma(2, 4).witness)
+        witness = kernel_of_gamma(2, 4).witness
+        assert ker["witness"] == list(witness)
+        assert all(v == 0 for v in gamma_matrix(2, 4).matvec(witness))
         assert all(c["verdict"] == "pass" and "witness" not in c for c in cells.values())
+
+    def test_kernel_cell_passes_past_degree_three(self, capsys):
+        code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])
+        assert code == 0
+        cells = json.loads(out)["cells"]
+        assert "kernel-lattice-match" in {c["anchor"] for c in cells}
+        assert all(c["verdict"] == "pass" and "witness" not in c for c in cells)
 
     def test_rank_nine_degree_two_cell(self, capsys):
         # values from the Smith form of the stacked map, recorded while the

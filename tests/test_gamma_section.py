@@ -10,9 +10,11 @@ import pytest
 from functorlab.augmentation import AugAlgebra, aug_dimension
 from functorlab.combinatorics import multisets_up_to, stirling2
 from functorlab.divided_powers import GammaModule
+from functorlab import gamma_section
 from functorlab.gamma_section import (
     GammaEpsilonPair,
     VerificationError,
+    _scaling_rows,
     apply_epsilon,
     apply_gamma,
     cokernel_of_pi_gamma,
@@ -29,7 +31,7 @@ from functorlab.gamma_section import (
     truncation_matrix,
     verify_section,
 )
-from functorlab.intlinalg import Lattice, Matrix, cokernel_invariants
+from functorlab.intlinalg import Lattice, Matrix, cokernel_invariants, saturation
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
 
@@ -124,11 +126,56 @@ class TestSection:
                 assert apply_gamma(pair, apply_epsilon(pair, g)) == g
 
 
+def box_scaling_rows(rank, degree):
+    """The generating set kernel_of_gamma used before the simplex: the
+    classes [r z] - r^degree [z] over 0/1 vectors z and |r| <= degree + 1."""
+    alg = AugAlgebra(rank, degree)
+    rows = []
+    for z in product((0, 1), repeat=rank):
+        base = alg.class_of(z).to_vector()
+        for r in range(-(degree + 1), degree + 2):
+            scaled = alg.class_of(tuple(r * c for c in z)).to_vector()
+            rows.append(tuple(a - r**degree * b for a, b in zip(scaled, base)))
+    return rows
+
+
 class TestKernel:
     def test_matches_scaling_classes_on_grid(self):
         for k, n in GRID:
             rep = kernel_of_gamma(k, n)
             assert rep.match, (k, n, rep)
+
+    @pytest.mark.parametrize(
+        "k,n",
+        [(2, 4), (3, 4), (4, 4), (2, 5), (3, 5), (2, 6), (2, 7), (3, 6), (5, 4), (9, 2)],
+    )
+    def test_matches_past_degree_three(self, k, n):
+        rep = kernel_of_gamma(k, n)
+        assert rep.match and rep.witness is None, (k, n)
+        assert rep.kernel.rank == aug_dimension(k, n - 1)
+
+    @pytest.mark.parametrize(
+        "k,n,rank", [(3, 0, 0), (0, 0, 0), (1, 1, 1), (4, 1, 1), (0, 1, 1), (0, 3, 1)]
+    )
+    def test_edges(self, k, n, rank):
+        # degree 0, degree 1 and rank 0
+        rep = kernel_of_gamma(k, n)
+        assert rep.match and rep.kernel.rank == rank, (k, n)
+
+    @pytest.mark.parametrize("k,n", [(0, 2), (1, 4), (2, 3), (2, 4), (3, 3), (3, 5), (4, 3)])
+    def test_square_generating_set(self, k, n):
+        # one row per point of the simplex |z| <= n - 1, each killed by gamma
+        rows = _scaling_rows(k, n)
+        assert len(rows) == aug_dimension(k, n - 1) == kernel_of_gamma(k, n).kernel.rank
+        gam = gamma_matrix(k, n)
+        for row in rows:
+            assert all(v == 0 for v in gam.matvec(row))
+
+    @pytest.mark.parametrize("k,n,enough", [(2, 4, False), (3, 5, False), (2, 3, True), (4, 3, True)])
+    def test_box_rows_fall_short_past_degree_three(self, k, n, enough):
+        # z in {0,1}^k is too small a set once n >= 4, whatever the range of r
+        box = saturation(Lattice.from_rows(aug_dimension(k, n), box_scaling_rows(k, n)))
+        assert (box == kernel_of_gamma(k, n).kernel) is enough
 
     def test_explicit_scaling_class_membership(self):
         alg = AugAlgebra(2, 2)
@@ -144,11 +191,14 @@ class TestKernel:
     def test_no_witness_on_a_match(self):
         assert kernel_of_gamma(2, 3).witness is None
 
-    def test_witness_on_the_failing_cell(self):
-        # (2, 4) shows the kernel-generator defect: the scaling classes span
-        # too little, and the witness is a kernel vector they miss
+    def test_witness_on_the_failing_cell(self, monkeypatch):
+        # without saturation the span of the scaling classes is a proper
+        # sublattice of the kernel at (2, 4), so the cell fails, and the
+        # witness is a kernel vector the span misses
+        monkeypatch.setattr(gamma_section, "saturation", lambda lattice: lattice)
         rep = kernel_of_gamma(2, 4)
         assert not rep.match
+        assert rep.generated.rank == rep.kernel.rank
         assert rep.witness in rep.kernel.basis.rows
         assert not rep.generated.contains(rep.witness)
         assert all(v == 0 for v in gamma_matrix(2, 4).matvec(rep.witness))
