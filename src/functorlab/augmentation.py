@@ -12,8 +12,10 @@ The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
 degree, so it needs no table.  The composition product has one table per
 (a, b, c, degree), for a x b by b x c matrices: entry [i][j] lists the
-nonzero coefficients of the product of two basis classes.  It is built once
-per process and shared by every algebra and by functors.reconstruct.
+nonzero coefficients of the product of two basis classes, a sum over the
+relations between the two words of matrix units (the relation-sum rule of
+composition_tables).  It is built once per process and shared by every
+algebra and by functors.reconstruct.
 
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
@@ -23,7 +25,7 @@ products.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 
 from .combinatorics import Multiset, binomial, multisets_up_to
@@ -59,49 +61,57 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     (flattened row-major), truncated at degree: table[i][j] holds the nonzero
     (index, coefficient) pairs, on the basis of B(ac), of the product of the
     basis classes of the i-th multiset of B(ab) and the j-th of B(bc).
-    Expanding both classes over sub-multisets leaves classes [AB] of integer
-    matrix products, each normalised once."""
-    left_basis = multisets_up_to(a * b, degree)
-    right_basis = multisets_up_to(b * c, degree)
-    out_basis = multisets_up_to(a * c, degree)
-    left_index = {X: i for i, X in enumerate(left_basis)}
-    right_subs = [_sub_multisets(Y) for Y in right_basis]
-    classes: dict = {}
 
-    def class_of_product(A: Multiset, B: Multiset) -> list[int]:
-        coords = [0] * (a * c)
-        for u, m in A.pairs:
-            for v, p in B.pairs:
-                if u % b == v // c:
-                    coords[u // b * c + v % c] += m * p
-        key = tuple(coords)
-        if key not in classes:
-            classes[key] = _class_vector(key, out_basis, degree)
-        return classes[key]
+    The relation-sum rule: delta_X delta_Y = sum_R delta_{uv : (u, v) in R},
+    R over the relations between the positions of X's word of matrix units
+    and those of Y's such that both projections are onto, |R| <= degree and
+    every pair is composable (u's column is v's row).  Proof sketch: with
+    delta_X = sum_{A <= X} (-1)^(|X| - |A|) [sum_A u], the product is the
+    alternating sum over A <= X, B <= Y of [sum_{A x B} uv], and
+    [sum_{A x B} uv] = sum_{R <= A x B} delta_R.  Mobius inversion over A and
+    B keeps exactly the R whose projections are all of X and all of Y.  A
+    deviation with a zero argument (a non-composable pair) vanishes, and so
+    does one with more than `degree` arguments.  R is built position by
+    position of X, each taking a nonempty set of composable Y positions while
+    |R| stays within the degree; partial relations covering the same Y
+    positions with the same product word are counted together.
+    """
+    out_index = {W.indices(): i for i, W in enumerate(multisets_up_to(a * c, degree))}
+    right = []
+    for Y in multisets_up_to(b * c, degree):
+        # per row s of Y's units: the nonempty sets of Y positions in row s,
+        # as (size, mask, columns), smallest first
+        by_row: dict = {}
+        for pos, v in enumerate(Y.indices()):
+            by_row.setdefault(v // c, []).append((pos, v % c))
+        options = {
+            s: [(k, sum(1 << p for p, _ in sub), tuple(t for _, t in sub))
+                for k in range(1, len(cells) + 1) for sub in combinations(cells, k)]
+            for s, cells in by_row.items()
+        }
+        right.append((options, (1 << Y.size) - 1))
 
-    dim = len(out_basis)
+    def relation_sum(word, options, full):
+        # onto both ways: X's columns and Y's rows are the same set
+        if {s for _, s in word} != options.keys():
+            return ()
+        states = {(0, ()): 1}
+        for k, (r, s) in enumerate(word):
+            room = degree - (len(word) - 1 - k)  # each later position needs a pair
+            nxt: dict = {}
+            for (mask, out), count in states.items():
+                for size, m, cols in options[s]:
+                    if len(out) + size > room:
+                        break
+                    key = (mask | m, tuple(sorted(out + tuple(r * c + t for t in cols))))
+                    nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+        return tuple(
+            sorted((out_index[out], count) for (mask, out), count in states.items() if mask == full)
+        )
 
-    def combine(terms, vector_of) -> list[int]:
-        acc = [0] * dim
-        for A, w in terms:
-            for t, v in enumerate(vector_of(A)):
-                if v:
-                    acc[t] += w * v
-        return acc
-
-    # half[i][y]: the class of left_basis[i] times the basis class of right_basis[y]
-    half = [
-        [combine(subs, lambda B: class_of_product(A, B)) for subs in right_subs]
-        for A in left_basis
-    ]
-    products = (
-        [combine(subs, lambda A: half[left_index[A]][y]) for y in range(len(right_basis))]
-        for subs in map(_sub_multisets, left_basis)
-    )
-    return tuple(
-        tuple(tuple((t, v) for t, v in enumerate(col) if v) for col in row)
-        for row in products
-    )
+    words = [[divmod(u, b) for u in X.indices()] for X in multisets_up_to(a * b, degree)]
+    return tuple(tuple(relation_sum(word, *Y) for Y in right) for word in words)
 
 
 class AugElement(MultisetVector):

@@ -2,10 +2,11 @@
 
 The basis is indexed by multisets of size exactly n over the coordinate set;
 the n-th divided power of sum(c_i e_i) has coefficient prod(c_i^(a_i)) on the
-basis class of A.  Induced maps and the Schur product on Gamma^n of a matrix
-algebra go through the symmetric-tensor embedding that sends a basis class to
-the orbit sum of its expanded word, with no multinomial prefactor; embedding
-and read-off are mutually inverse on basis classes.
+basis class of A.  The Schur product on Gamma^n of a matrix algebra goes
+through the symmetric-tensor embedding that sends a basis class to the orbit
+sum of its expanded word, with no multinomial prefactor; embedding and
+read-off are mutually inverse on basis classes.  It is the independent side
+of the multiplicativity checks; functors tabulates it by Green's rule.
 
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
@@ -70,6 +71,29 @@ class GammaModule(MultisetSpace):
         return self.deviation(self.divided_power, xs)
 
 
+def _monomial_rows(forms, nvars: int, degree: int):
+    """(rows, width): per sorted word b over the sparse linear forms
+    [(variable, coefficient), ...], the coefficients of the product of forms
+    b_1..b_n on the `width` monomials, each keyed by its sorted variable word
+    (both words in the order of multisets_exactly)."""
+    monomials = {w: i for i, w in enumerate(combinations_with_replacement(range(nvars), degree))}
+    rows = []
+    for b in combinations_with_replacement(range(len(forms)), degree):
+        acc = {(): 1}
+        for t in b:
+            nxt: dict = {}
+            for word, c in acc.items():
+                for j, v in forms[t]:
+                    key = tuple(sorted(word + (j,)))
+                    nxt[key] = nxt.get(key, 0) + c * v
+            acc = nxt
+        row = [0] * len(monomials)
+        for word, c in acc.items():
+            row[monomials[word]] = c
+        rows.append(row)
+    return rows, len(monomials)
+
+
 def gamma_of_hom(alpha, degree: int) -> Matrix:
     """Matrix of Gamma^degree(alpha) on multiset bases.
 
@@ -78,29 +102,12 @@ def gamma_of_hom(alpha, degree: int) -> Matrix:
     monomial keyed by its sorted index word A.  Through the tensor embedding
     the entry at (B, A) is the sum over the distinct rearrangements w of A of
     prod_t alpha[b_t, w_t], and the expansion collects exactly those terms.
-    Sym^n(alpha) is the transpose of Gamma^n(alpha^T) (Roby 1963), so the
-    symmetric powers of functors.Sym come from here too.  Integral by
-    construction.
+    Sym^n(alpha), the transpose of Gamma^n(alpha^T) (Roby 1963), expands
+    alpha's columns the same way.  Integral by construction.
     """
     mat = alpha.matrix if isinstance(alpha, Hom) else alpha
-    # both bases in the order of multisets_exactly: sorted words, lexicographic
-    source = {w: i for i, w in enumerate(combinations_with_replacement(range(mat.ncols), degree))}
-    support = [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
-    rows = []
-    for b in combinations_with_replacement(range(mat.nrows), degree):
-        acc = {(): 1}
-        for t in b:
-            nxt: dict = {}
-            for word, c in acc.items():
-                for j, v in support[t]:
-                    key = tuple(sorted(word + (j,)))
-                    nxt[key] = nxt.get(key, 0) + c * v
-            acc = nxt
-        row = [0] * len(source)
-        for word, c in acc.items():
-            row[source[word]] = c
-        rows.append(row)
-    return Matrix(rows, len(source))
+    forms = [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
+    return Matrix(*_monomial_rows(forms, mat.ncols, degree))
 
 
 def _word_index(word, side: int) -> int:

@@ -6,7 +6,8 @@ DirectSum.  Each class holds its JSON key, label, degree, object dimension
 `dim(q)` and arrow map `arrow(mat)`; the module-level functions
 (spec_to_json, spec_label, natural_degree, object_dim, arrow_map) dispatch
 to them once, object_dim and arrow_map after validating their input.  Sym
-and Div share divided_powers.gamma_of_hom, Sym through the transpose.
+and Div share the monomial expansion of divided_powers.gamma_of_hom, Sym
+on alpha's columns.
 
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
@@ -16,10 +17,10 @@ Reconstruction goes back through a balanced tensor product, built from the
 one composition table of augmentation.composition_tables as sparse
 relations whose invariants intlinalg.relation_invariants reads off without
 a Hermite form.  Restriction/extension of scalars moves between that
-algebra and the divided power algebra of matrices, the Schur products of
-the latter cached per n.  A homogeneous functor's divided-power structure
-is in closed form: the basis class of A acts by the same deviation at A's
-word, divided by a! = prod(a_i!).
+algebra and the divided power algebra of matrices, whose Schur products
+Green's rule tabulates once per n.  A homogeneous functor's divided-power
+structure is in closed form: the basis class of A acts by the same
+deviation at A's word, divided by a! = prod(a_i!).
 
 Both kinds of module are a PresentedModule, a cokernel with one action
 matrix per basis multiset; MoritaModule and GammaModuleStruct differ only in
@@ -40,9 +41,9 @@ from .augmentation import (
     aug_dimension,
     composition_tables,
 )
-from .combinatorics import binomial, multisets_up_to, signed_subset_sums
+from .combinatorics import binomial, multisets_exactly, multisets_up_to, signed_subset_sums
 from .deviations import DeviationReport, cross_check_conditions
-from .divided_powers import GammaModule, gamma_of_hom, schur_product
+from .divided_powers import GammaModule, _monomial_rows, gamma_of_hom, schur_product
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
     CokernelInvariants,
@@ -112,7 +113,8 @@ class Tensor(_Power):
 
 class Sym(_Power):
     """Monomials by sorted multiset word.  Sym^n(alpha) is the transpose of
-    Gamma^n(alpha^T): column A is the product of the image linear forms."""
+    Gamma^n(alpha^T): column A is the product of alpha's columns a_1..a_n
+    read as linear forms, the monomial expansion of gamma_of_hom."""
 
     key = "sym"
 
@@ -120,7 +122,9 @@ class Sym(_Power):
         return binomial(q + self.power - 1, self.power)
 
     def arrow(self, mat: Matrix) -> Matrix:
-        return gamma_of_hom(mat.transpose(), self.power).transpose()
+        forms = [[(i, v) for i, v in enumerate(col) if v] for col in mat.cols()]
+        cols, height = _monomial_rows(forms, mat.nrows, self.power)
+        return Matrix.from_cols(cols, height)
 
 
 class Ext(_Power):
@@ -450,6 +454,9 @@ def _tensor_relation_rows(
         act_cols = [[(g, v) for g, v in enumerate(col) if v] for col in zip(*action[Y].rows)]
         for xi in range(left_dim):
             moved = products[xi][y]
+            if not moved:
+                rows += [{xi * gens + g: -v for g, v in col} for col in act_cols if col]
+                continue
             for j, col in enumerate(act_cols):
                 row = {}
                 for pi, c in moved:
@@ -552,12 +559,33 @@ def _schur_tables(n: int):
     needs for every module of degree n: (products, left), where
     products[ai][xi] lists the nonzero (index, coefficient) pairs of basis
     class A times the divided power image of the xi-th augmentation basis
-    class, and left[di][ai] those of D times A."""
-    space = GammaModule(n * n, n)
-    basis = [space.basis_element(A) for A in space.basis]
-    images = [space.from_vector(col) for col in gamma_matrix(n * n, n).cols()]
-    products = tuple(tuple(tuple(schur_product(a, img).nonzero()) for img in images) for a in basis)
-    left = tuple(tuple(tuple(schur_product(d, a).nonzero()) for a in basis) for d in basis)
+    class, and left[di][ai] those of D times A.
+
+    Green's product rule (Polynomial Representations of GL_n, LNM 830,
+    section 2.3): X! Y! e^[X] e^[Y] = sum_sigma W(sigma)! e^[W(sigma)], sigma
+    over the bijections between the positions of X's and Y's words of matrix
+    units that pair each u with a composable v, W(sigma) the multiset of the
+    products uv.  It is the image under the multiplicative gamma, which sends
+    delta_W to W! e^[W] at |W| = n, of the relation-sum rule: relations onto
+    n positions of size <= n are bijections, so entry [X][Y] of
+    composition_tables(n, n, n, n) at |X| = n counts the sigma by W(sigma).
+    Weighting by W! / X! (and 1 / Y! for left) must divide exactly.
+    """
+    basis = multisets_exactly(n * n, n)
+    offset = aug_dimension(n * n, n) - len(basis)  # the size-n classes come last
+
+    def divided(entries, denom):
+        out = tuple((t - offset, v * basis[t - offset].factorial) for t, v in entries)
+        if any(v % denom for _, v in out):
+            raise VerificationError(f"Green's rule: {denom} does not divide {out}")
+        return tuple((t, v // denom) for t, v in out)
+
+    rows = composition_tables(n, n, n, n)[offset:]
+    products = tuple(tuple(divided(e, X.factorial) for e in row) for X, row in zip(basis, rows))
+    left = tuple(
+        tuple(divided(e, X.factorial * Y.factorial) for Y, e in zip(basis, row[offset:]))
+        for X, row in zip(basis, rows)
+    )
     return products, left
 
 

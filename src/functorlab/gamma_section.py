@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
 from math import factorial
 from typing import Optional
 
@@ -85,9 +86,21 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
 
 
 def _is_section(gam: Matrix, eps: Matrix) -> bool:
-    # compare via a cleared denominator so the product stays integral
-    d = eps.denominator_lcm()
-    return gam @ eps.scale(d) == Matrix.identity(gam.nrows).scale(d)
+    """gamma @ epsilon == 1, exactly, one column of epsilon at a time: column
+    j of the product, the sum of v * gamma[:, i] over epsilon's nonzeros v at
+    (i, j), must be the j-th unit vector."""
+    if eps.shape != (gam.ncols, gam.nrows):
+        return False
+    gam_cols = list(zip(*gam.rows))
+    for j, col in enumerate(zip(*eps.rows) if eps.rows else [()] * eps.ncols):
+        acc = [0] * gam.nrows
+        acc[j] = -1
+        for i in compress(count(), col):
+            for r in compress(count(), gam_cols[i]):
+                acc[r] += col[i] * gam_cols[i][r]
+        if any(acc):
+            return False
+    return True
 
 
 def gamma_epsilon_pair(rank: int, degree: int) -> GammaEpsilonPair:

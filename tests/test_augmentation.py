@@ -1,5 +1,6 @@
 """Truncated augmentation algebras: bases, normal forms, both products,
 and induced maps."""
+import random
 from functools import lru_cache
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from functorlab.augmentation import (
     AugAlgebra,
     AugElement,
+    _class_vector,
+    _sub_multisets,
     aug_dimension,
     composition_tables,
     pushforward,
@@ -187,6 +190,80 @@ def _oracle_product_column(X, Y, a: int, b: int, c: int, degree: int) -> tuple:
             t = Matrix([vy[j * c : (j + 1) * c] for j in range(b)], c)
             terms.append((sx * sy, [v for row in (s @ t).rows for v in row]))
     return _signed_class_sum(terms, a * c, degree)
+
+
+def brute_composition_tables(a: int, b: int, c: int, degree: int):
+    """The composition tables by sub-multiset expansion, in the layout of
+    composition_tables: expanding both basis classes over sub-multisets
+    leaves classes [AB] of integer matrix products, each normalised once."""
+    left_basis = multisets_up_to(a * b, degree)
+    right_basis = multisets_up_to(b * c, degree)
+    out_basis = multisets_up_to(a * c, degree)
+    left_index = {X: i for i, X in enumerate(left_basis)}
+    right_subs = [_sub_multisets(Y) for Y in right_basis]
+    classes: dict = {}
+
+    def class_of_product(A: Multiset, B: Multiset) -> list:
+        coords = [0] * (a * c)
+        for u, m in A.pairs:
+            for v, p in B.pairs:
+                if u % b == v // c:
+                    coords[u // b * c + v % c] += m * p
+        key = tuple(coords)
+        if key not in classes:
+            classes[key] = _class_vector(key, out_basis, degree)
+        return classes[key]
+
+    def combine(terms, vector_of) -> list:
+        acc = [0] * len(out_basis)
+        for A, w in terms:
+            for t, v in enumerate(vector_of(A)):
+                if v:
+                    acc[t] += w * v
+        return acc
+
+    # half[i][y]: the class of left_basis[i] times the basis class of right_basis[y]
+    half = [
+        [combine(subs, lambda B: class_of_product(A, B)) for subs in right_subs]
+        for A in left_basis
+    ]
+    products = (
+        [combine(subs, lambda A: half[left_index[A]][y]) for y in range(len(right_basis))]
+        for subs in map(_sub_multisets, left_basis)
+    )
+    return tuple(
+        tuple(tuple((t, v) for t, v in enumerate(col) if v) for col in row)
+        for row in products
+    )
+
+
+class TestRelationSumRule:
+    """composition_tables (relation sums) against the sub-multiset expansion."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1, 1, 3), (2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 2, 3), (3, 2, 3, 3), (1, 3, 2, 3),
+         (3, 3, 3, 2), (2, 2, 2, 4)] + [(q, 2, 2, 2) for q in range(1, 6)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_tables_equal_the_expansion(self, shape):
+        assert composition_tables(*shape) == brute_composition_tables(*shape)
+
+    def test_cubic_square_table_on_sampled_pairs(self):
+        # the expansion takes seconds at (3, 3, 3, 3), so seeded basis pairs
+        # go to the subset-sum oracle instead: half with a nonzero product
+        table = composition_tables(3, 3, 3, 3)
+        basis = multisets_up_to(9, 3)
+        rng = random.Random(33)
+        nonzero = [(x, y) for x, row in enumerate(table) for y, entry in enumerate(row) if entry]
+        pairs = rng.sample(nonzero, 12) + [
+            (rng.randrange(len(basis)), rng.randrange(len(basis))) for _ in range(12)
+        ]
+        for x, y in pairs:
+            col = [0] * len(basis)
+            for t, v in table[x][y]:
+                col[t] = v
+            assert tuple(col) == _oracle_product_column(basis[x], basis[y], 3, 3, 3, 3)
 
 
 class TestTablesAgainstOracles:

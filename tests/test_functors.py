@@ -10,7 +10,7 @@ import pytest
 from functorlab.augmentation import AugAlgebra, aug_dimension, composition_tables
 from functorlab.combinatorics import Multiset
 from functorlab.deviations import alternating_sum
-from functorlab.divided_powers import GammaModule
+from functorlab.divided_powers import GammaModule, schur_product
 from functorlab.functors import (
     Const,
     DirectSum,
@@ -35,7 +35,7 @@ from functorlab.functors import (
     spec_to_json,
 )
 import functorlab.functors as functors
-from functorlab.gamma_section import VerificationError
+from functorlab.gamma_section import VerificationError, gamma_matrix
 from functorlab.intlinalg import (
     Matrix,
     block_diag,
@@ -449,6 +449,63 @@ class TestDividedStructure:
             assert struct.act(space.divided_power(flat(sigma))) == arrow_map(
                 Sym(3), sigma
             )
+
+
+def schur_product_tables(n: int):
+    """The tables of functors._schur_tables through schur_product, the
+    tensor-embedding route, one product per entry."""
+    space = GammaModule(n * n, n)
+    basis = [space.basis_element(A) for A in space.basis]
+    images = [space.from_vector(col) for col in gamma_matrix(n * n, n).cols()]
+    products = tuple(tuple(tuple(schur_product(a, img).nonzero()) for img in images) for a in basis)
+    left = tuple(tuple(tuple(schur_product(d, a).nonzero()) for a in basis) for d in basis)
+    return products, left
+
+
+def _left_mul(left, u: dict, v: dict) -> dict:
+    """Product of two sparse elements {index: coefficient} through the table."""
+    out: dict = {}
+    for i, c in u.items():
+        for j, d in v.items():
+            for t, w in left[i][j]:
+                out[t] = out.get(t, 0) + c * d * w
+    return {t: c for t, c in out.items() if c}
+
+
+class TestGreensRule:
+    """functors._schur_tables (Green's product rule) against schur_product."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_equal_the_tensor_route(self, n):
+        assert functors._schur_tables(n) == schur_product_tables(n)
+
+    def test_cubic_entries_on_sampled_pairs(self):
+        products, left = functors._schur_tables(3)
+        space = GammaModule(9, 3)
+        basis = [space.basis_element(A) for A in space.basis]
+        images = [space.from_vector(col) for col in gamma_matrix(9, 3).cols()]
+        rng = random.Random(27)
+        for table, rights in ((left, basis), (products, images)):
+            nonzero = [(i, j) for i, row in enumerate(table) for j, e in enumerate(row) if e]
+            pairs = rng.sample(nonzero, 20) + [
+                (rng.randrange(len(table)), rng.randrange(len(rights))) for _ in range(20)
+            ]
+            for i, j in pairs:
+                assert table[i][j] == tuple(schur_product(basis[i], rights[j]).nonzero()), (i, j)
+
+    def test_cubic_closed_form_has_unit_and_associates(self):
+        _, left = functors._schur_tables(3)
+        space = GammaModule(9, 3)
+        one = dict(space.divided_power(flat(Matrix.identity(3))).nonzero())
+        for i in range(len(left)):
+            assert _left_mul(left, one, {i: 1}) == {i: 1} == _left_mul(left, {i: 1}, one)
+        rng = random.Random(28)
+        for _ in range(4):
+            u, v, w = (
+                {rng.randrange(len(left)): rng.randint(1, 3) for _ in range(20)} for _ in range(3)
+            )
+            uv_w = _left_mul(left, _left_mul(left, u, v), w)
+            assert uv_w == _left_mul(left, u, _left_mul(left, v, w))
 
 
 class TestScalarChange:

@@ -94,6 +94,20 @@ class TestSection:
         bad = GammaEpsilonPair(2, 2, pair.gamma, pair.epsilon.scale(2))
         assert not verify_section(bad)
 
+    @pytest.mark.parametrize("k,n", [(2, 2), (2, 3)])
+    def test_every_single_entry_change_is_caught(self, k, n):
+        # one changed entry (i, j) moves column j of gamma @ epsilon by a
+        # multiple of gamma's column i, which is zero only for the empty word
+        pair = gamma_epsilon_pair(k, n)
+        gam, eps = pair.gamma, pair.epsilon
+        for i in range(eps.nrows):
+            for j in range(eps.ncols):
+                rows = eps.to_lists()
+                rows[i][j] += Fraction(1, 3)
+                bad = GammaEpsilonPair(k, n, gam, Matrix(rows, eps.ncols))
+                assert verify_section(bad) == (not any(gam.col(i))), (i, j)
+                assert verify_section(bad) == (gam @ bad.epsilon == Matrix.identity(gam.nrows))
+
     def test_denominators_divide_factorial(self):
         for k, n in GRID:
             assert factorial(n) % epsilon_matrix(k, n).denominator_lcm() == 0
