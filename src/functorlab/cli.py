@@ -230,12 +230,7 @@ def suite_gamma_epsilon(grid, summaries: dict) -> list:
     cells = []
     for k, n in grid:
         params = {"k": k, "n": n}
-        try:
-            section_ok = verify_section(gamma_epsilon_pair(k, n))
-            section_witness = None
-        except VerificationError as exc:
-            section_ok = False
-            section_witness = str(exc)
+        section_ok, section_witness = _guarded(lambda: verify_section(gamma_epsilon_pair(k, n)))
         cells.append(_cell("section-identity", params, section_ok, section_witness))
 
         ker = kernel_of_gamma(k, n)
@@ -261,7 +256,7 @@ def suite_gamma_epsilon(grid, summaries: dict) -> list:
             )
         )
         summaries[(k, n)] = {
-            "section": section_ok,
+            "section": bool(section_ok),
             "kernel_match": ker.match,
             "coker_invariants": list(rep.invariants.torsion),
             "index": rep.index,
@@ -274,16 +269,14 @@ def suite_schur(max_n: int, seed: int) -> list:
     rng = random.Random(seed)
     for n in range(1, max_n + 1):
         params = {"side": 2, "n": n}
-        rep = ring_hom_checks(2, n, pairs=20, seed=seed)
-        cells.append(
-            _cell("divided-power-map-multiplicative", params, rep.gamma_multiplicative, rep.witness)
-        )
-        cells.append(
-            _cell("section-multiplicative", params, rep.epsilon_multiplicative, rep.witness)
-        )
-        cells.append(
-            _cell("top-deviation-product", params, rep.top_deviation_identity, rep.witness)
-        )
+        rep, error = _guarded(lambda: ring_hom_checks(2, n, pairs=20, seed=seed))
+        for anchor, verdict in (
+            ("divided-power-map-multiplicative", "gamma_multiplicative"),
+            ("section-multiplicative", "epsilon_multiplicative"),
+            ("top-deviation-product", "top_deviation_identity"),
+        ):
+            ok = rep is not None and getattr(rep, verdict)
+            cells.append(_cell(anchor, params, ok, error if rep is None else rep.witness))
 
         for spec in _catalog(n):
             ok = True
@@ -314,11 +307,11 @@ def suite_schur(max_n: int, seed: int) -> list:
     return cells
 
 
-def _morita_module(spec, n: int, seed: int):
-    """(the spec's degree-n Morita module, None), or (None, the message)
-    when extraction fails."""
+def _guarded(thunk):
+    """(thunk(), None), or (None, the message) when an exact check inside it
+    fails or it rejects its input: the caller reports a failing cell."""
     try:
-        return extract_morita_module(spec, n, seed=seed), None
+        return thunk(), None
     except (VerificationError, ValueError) as exc:
         return None, str(exc)
 
@@ -329,7 +322,7 @@ def suite_morita(seed: int, max_q: int) -> list:
 
     def extracted(spec):
         # a failed extraction is a failing module-ring-axioms cell
-        module, error = _morita_module(spec, 2, seed)
+        module, error = _guarded(lambda: extract_morita_module(spec, 2, seed=seed))
         if module is None:
             cells.append(_cell("module-ring-axioms", {"functor": spec_label(spec), "n": 2}, False, error))
         return module
@@ -380,9 +373,10 @@ def suite_morita(seed: int, max_q: int) -> list:
         direct = modules[spec]
         if direct is None:
             continue
-        restricted = restrict_scalars(extract_gamma_structure(spec, 2))
+        restricted, error = _guarded(lambda: restrict_scalars(extract_gamma_structure(spec, 2)))
         same = (
-            restricted.presentation == direct.presentation
+            restricted is not None
+            and restricted.presentation == direct.presentation
             and restricted.action == direct.action
         )
         cells.append(
@@ -390,6 +384,7 @@ def suite_morita(seed: int, max_q: int) -> list:
                 "restriction-matches-extraction",
                 {"functor": spec_label(spec), "n": 2},
                 same,
+                error,
             )
         )
     return cells
@@ -574,7 +569,7 @@ def cmd_functor(args) -> int:
     if args.action == "reconstruct" and args.q is None:
         raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
-    module, error = _morita_module(spec, n, args.seed)
+    module, error = _guarded(lambda: extract_morita_module(spec, n, seed=args.seed))
     if module is None:
         print(json.dumps({"error": error}, sort_keys=True))
         return 1

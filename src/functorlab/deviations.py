@@ -93,8 +93,8 @@ def is_numerical_degree(phi: SetMap, n: int, sample: SampleSpec) -> DeviationRep
     """Certify (by sampling) that phi is numerical of degree <= n.
 
     Checks every (n+1)-tuple drawn from the generators for vanishing
-    deviation, and the scaling law phi(r x) = sum_k C(r, k) * (k-th repeated
-    deviation at x) for each generator x and each r in the window.
+    deviation, and the scaling laws of cross_check_conditions on the table
+    r -> phi(r x) over the window, for each generator x.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -107,15 +107,13 @@ def is_numerical_degree(phi: SetMap, n: int, sample: SampleSpec) -> DeviationRep
             witness = ("deviation", tuple(x.coords for x in combo))
             return DeviationReport(n, used, False, witness)
 
+    window = list(sample.scalars())
     for x in gens:
-        devs = [repeated_deviation(phi, x, k) for k in range(n + 1)]
-        for r in sample.scalars():
-            used += 1
-            rhs = phi.target.zero()
-            for k in range(n + 1):
-                rhs = rhs + devs[k].scale(binomial(r, k))
-            if phi(x.scale(r)) != rhs:
-                return DeviationReport(n, used, False, ("scaling", x.coords, r))
+        table = {r: phi(x.scale(r)) for r in set(window) | set(range(n + 1))}
+        rep = cross_check_conditions(table, n, window)
+        used += rep.samples_used
+        if not rep.passed:
+            return DeviationReport(n, used, False, ("scaling", x.coords, rep.witness[1]))
 
     return DeviationReport(n, used, True)
 

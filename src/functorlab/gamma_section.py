@@ -2,14 +2,15 @@
 
 gamma sends the class of x in the degree-n augmentation algebra to the n-th
 divided power x^[n]; epsilon sends a divided basis class e^[A] back to the
-basis class of A divided by prod(a_i!), a closed form: the deviation class
-of A's expanded word is that basis class.  All statements verified here are
-exact integer or rational identities: the section identity gamma @ epsilon
-== 1, the kernel as the saturated span of the scaling classes [2z] - 2^n [z],
-one per z in N^rank with |z| <= n - 1 (as many rows as the kernel's rank),
-the finite cokernel of the truncation-plus-gamma stack, multiplicativity
-with respect to the composition products, and the projector decomposition
-of epsilon's image.
+basis class of A divided by prod(a_i!).  Both maps, the truncation [I | 0]
+and the integral section at degree 2 are written down in closed form, gamma
+with its inclusion-exclusion factored over coordinates.  All statements
+verified here are exact integer or rational identities: the section identity
+gamma @ epsilon == 1, the kernel as the saturated span of the scaling classes
+[2z] - 2^n [z], one per z in N^rank with |z| <= n - 1 (as many rows as the
+kernel's rank), the finite cokernel of the truncation-plus-gamma stack,
+multiplicativity with respect to the composition products, and the projector
+decomposition of epsilon's image.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension
-from .combinatorics import multisets_exactly, multisets_up_to
+from .combinatorics import Multiset, multisets_exactly, multisets_up_to, stirling_sum_identity
 from .divided_powers import GammaElement, GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
@@ -33,7 +34,6 @@ from .intlinalg import (
     lattice_index,
     lattice_intersection,
     saturation,
-    solve_int,
     vstack,
 )
 
@@ -53,14 +53,29 @@ class GammaEpsilonPair:
 @lru_cache(maxsize=None)
 def gamma_matrix(rank: int, degree: int) -> Matrix:
     """Integer matrix of gamma on the deviation basis: the basis class of X
-    goes to the deviation of the divided power map at X's expanded word.
-    Built once per (rank, degree); Matrix is immutable, so callers share it."""
-    space = GammaModule(rank, degree)
-    cols = []
-    for X in multisets_up_to(rank, degree):
-        vectors = [space.module.basis_vector(i) for i in X.indices()]
-        cols.append(space.deviation(space.divided_power, vectors).to_vector())
-    return Matrix.from_cols(cols, space.dimension())
+    goes to the deviation of x -> x^[n] at X's word of unit vectors.  Built
+    once per (rank, degree); Matrix is immutable, so callers share it.
+
+    Read at e^[A], the deviation factors over coordinates: a sub-word with
+    s_i of the x_i copies of e_i adds (-1)^(|X| - |s|) prod_i s_i^(a_i), and
+    C(x_i, s_i) sub-words pick that many, so the entry is the product over i
+    of sum_s (-1)^(x_i - s) C(x_i, s) s^(a_i) = stirling_sum_identity(a_i,
+    x_i) = x_i! S(a_i, x_i).  That is 0 when exactly one of a_i, x_i is 0, so
+    a row reads only the columns of its own support.
+    """
+    table = [[stirling_sum_identity(a, x) for x in range(degree + 1)] for a in range(degree + 1)]
+    columns = multisets_up_to(rank, degree)
+    by_support: dict = {}
+    for j, X in enumerate(columns):
+        by_support.setdefault(X.support, []).append((j, X.pairs))
+    rows = [
+        {
+            j: prod(table[a][x] for (_, a), (_, x) in zip(A.pairs, pairs))
+            for j, pairs in by_support.get(A.support, ())
+        }
+        for A in multisets_exactly(rank, degree)
+    ]
+    return Matrix.from_sparse(rows, len(columns))
 
 
 def epsilon_matrix(rank: int, degree: int) -> Matrix:
@@ -68,14 +83,10 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
     where delta_A, the deviation class of A's expanded word, is the basis
     class of A and a! = prod(a_i!).  Fails loudly if gamma @ epsilon != 1."""
     basis = multisets_exactly(rank, degree)
-    dim = aug_dimension(rank, degree)
     # the size-degree multisets come last in the basis of B(rank, degree)
-    offset = dim - len(basis)
-    cols = [
-        [0] * (offset + j) + [Fraction(1, A.factorial)] + [0] * (len(basis) - j - 1)
-        for j, A in enumerate(basis)
-    ]
-    eps = Matrix.from_cols(cols, dim)
+    offset = aug_dimension(rank, degree) - len(basis)
+    diagonal = [{j: Fraction(1, A.factorial)} for j, A in enumerate(basis)]
+    eps = Matrix.from_sparse([{}] * offset + diagonal, len(basis))
     gam = gamma_matrix(rank, degree)
     if not _is_section(gam, eps):
         raise VerificationError(
@@ -170,18 +181,12 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
 
 
 def truncation_matrix(rank: int, degree: int) -> Matrix:
-    """Matrix of the degree-lowering quotient map on deviation bases."""
+    """Matrix of the degree-lowering quotient map on deviation bases: [I | 0],
+    as the basis of B(rank, degree - 1) begins that of B(rank, degree)."""
     if degree < 1:
         raise ValueError("need degree >= 1 to truncate")
-    source = AugAlgebra(rank, degree)
-    target = AugAlgebra(rank, degree - 1)
-    cols = []
-    for X in source.basis:
-        col = [0] * target.dimension()
-        if X.size <= degree - 1:
-            col[target.basis_index[X]] = 1
-        cols.append(col)
-    return Matrix.from_cols(cols, target.dimension())
+    dim = aug_dimension(rank, degree)
+    return Matrix(Matrix.identity(dim).rows[: aug_dimension(rank, degree - 1)], dim)
 
 
 def stacked_pi_gamma(rank: int, degree: int) -> Matrix:
@@ -359,21 +364,19 @@ class QuadraticReport:
 
 def quadratic_split(rank: int) -> QuadraticReport:
     """Degree-2 phenomena: gamma is onto the integral divided square lattice,
-    so an integral section exists (constructed column by column); whether the
-    canonical rational section is itself integral is reported, not assumed."""
+    and e^[A] -> the basis class of the set supp A splits it integrally: by
+    gamma_matrix, gamma of the class of a set S is the sum of e^[B] over
+    |B| = 2 with supp B = S, and at degree 2 only B = A has that support.
+    Whether the canonical rational section is itself integral is reported,
+    not assumed."""
     gam = gamma_matrix(rank, 2)
     eps = epsilon_matrix(rank, 2)
     surjective = cokernel_invariants(gam).trivial
     section = None
     if surjective:
-        cols = []
-        for j in range(gam.nrows):
-            target = tuple(int(i == j) for i in range(gam.nrows))
-            x = solve_int(gam, target)
-            if x is None:
-                raise VerificationError("trivial cokernel but no integral preimage")
-            cols.append(x)
-        section = Matrix.from_cols(cols, gam.ncols)
+        support = {Multiset.from_indices(A.support): j for j, A in enumerate(multisets_exactly(rank, 2))}
+        rows = [{support[X]: 1} if X in support else {} for X in multisets_up_to(rank, 2)]
+        section = Matrix.from_sparse(rows, gam.nrows)
         if gam @ section != Matrix.identity(gam.nrows):
             raise VerificationError("constructed section does not invert gamma")
     return QuadraticReport(surjective, eps.is_integral, section)

@@ -456,11 +456,14 @@ def relation_invariants(width: int, relations) -> CokernelInvariants:
     rels: dict[int, dict] = {}
     seen = set()
     for rel in relations:
-        row = {j: v for j, v in rel.items() if v}
-        if not all(isinstance(v, int) for v in row.values()):
-            raise ValueError("relations need integer entries")
-        if not all(0 <= j < width for j in row):
-            raise ValueError(f"relation column outside 0..{width - 1}")
+        row = {}
+        for j, v in rel.items():
+            if v:
+                if not isinstance(v, int):
+                    raise ValueError("relations need integer entries")
+                if not 0 <= j < width:
+                    raise ValueError(f"relation column outside 0..{width - 1}")
+                row[j] = v
         key = frozenset(row.items())
         if row and key not in seen:
             seen.add(key)

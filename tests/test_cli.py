@@ -224,6 +224,48 @@ class TestVerify:
             "tensor^2", "ext^2", "div^2"
         }
 
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    @pytest.mark.parametrize(
+        "target,anchors",
+        [
+            (
+                "ring_hom_checks",
+                {"divided-power-map-multiplicative", "section-multiplicative", "top-deviation-product"},
+            ),
+            ("extract_gamma_structure", {"restriction-matches-extraction"}),
+            ("restrict_scalars", {"restriction-matches-extraction"}),
+        ],
+    )
+    def test_cell_error_is_a_failing_cell(self, capsys, monkeypatch, error, target, anchors):
+        def broken(*args, **kwargs):
+            raise error("check broke")
+
+        monkeypatch.setattr(cli, target, broken)
+        code, out, err = run(capsys, ["verify", "all", "--max-k", "1", "--max-n", "1"])
+        assert code == 1 and not err
+        failed = [c for c in json.loads(out)["cells"] if c["verdict"] == "fail"]
+        assert {c["anchor"] for c in failed} == anchors
+        assert all(c["witness"] == "check broke" for c in failed)
+
+    def test_failed_section_identity_fails_its_cells(self, capsys, monkeypatch):
+        # epsilon_matrix raises inside the section cell and inside
+        # ring_hom_checks; both become failing cells, not a traceback
+        monkeypatch.setattr(gamma_section, "_is_section", lambda gam, eps: False)
+        code, out, err = run(capsys, ["verify", "all", "--max-k", "2", "--max-n", "2"])
+        assert code == 1 and not err
+        failed = [c for c in json.loads(out)["cells"] if c["verdict"] == "fail"]
+        assert sorted((c["anchor"], c["params"]["n"]) for c in failed) == sorted(
+            [("section-identity", n) for k in (1, 2) for n in (1, 2)]
+            + [
+                (anchor, n)
+                for anchor in (
+                    "divided-power-map-multiplicative", "section-multiplicative", "top-deviation-product"
+                )
+                for n in (1, 2)
+            ]
+        )
+        assert all(c["witness"].startswith("section identity failed") for c in failed)
+
     @pytest.mark.parametrize(
         "argv",
         [

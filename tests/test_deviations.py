@@ -98,6 +98,30 @@ class TestNumericalDegree:
         rep = is_numerical_degree(CUBE, 2, SampleSpec.default_for(LINE, 2))
         assert rep.witness[0] in ("deviation", "scaling")
 
+    @pytest.mark.parametrize(
+        "n,generators,window,used,witness",
+        [
+            (2, ((1, 0), (0, 1)), (-4, 4), 15, ((0, 1), -3)),
+            (3, ((1, 0), (0, 1)), (-5, 5), 19, ((0, 1), -3)),
+            (2, ((1, 0), (0, 1)), (-5, 1), 14, ((0, 1), -3)),
+            (2, ((1, 1), (0, 1)), (-3, -3), 5, ((1, 1), -3)),
+        ],
+    )
+    def test_scaling_law_alone_fails(self, n, generators, window, used, witness):
+        # a square in each coordinate except at one point off the generators'
+        # sums, so every deviation on the generators vanishes and only the
+        # scaling law at r = -3 along the second coordinate sees it; witness
+        # and sample count as recorded before the law went through
+        # cross_check_conditions
+        plane = FreeModule(2)
+
+        def f(x):
+            a, b = x.coords
+            return LINE.element((a * a + (0 if b == -3 else b * b),))
+
+        rep = is_numerical_degree(SetMap(plane, LINE, f), n, SampleSpec(generators, window))
+        assert (rep.passed, rep.samples_used, rep.witness) == (False, used, ("scaling", *witness))
+
 
 class TestScalingLaws:
     def test_square_table_passes_degree_two(self):

@@ -34,6 +34,34 @@ from functorlab.gamma_section import (
 from functorlab.intlinalg import Lattice, Matrix, cokernel_invariants, saturation
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
+# the cells of the benchmark's invariants workload
+INVARIANT_CELLS = [(2, 4), (3, 4), (4, 3), (2, 5), (3, 5), (5, 3), (4, 4), (6, 2), (7, 2)]
+# rank 0, degree 0 and degree 1
+EDGES = [(0, 0), (0, 1), (0, 3), (3, 0), (1, 1), (4, 1)]
+
+
+def brute_gamma_matrix(rank, degree):
+    """gamma as it was built before its closed form: column X is the
+    deviation of the divided power map at X's word of unit vectors."""
+    space = GammaModule(rank, degree)
+    cols = []
+    for X in multisets_up_to(rank, degree):
+        vectors = [space.module.basis_vector(i) for i in X.indices()]
+        cols.append(space.deviation(space.divided_power, vectors).to_vector())
+    return Matrix.from_cols(cols, space.dimension())
+
+
+def brute_truncation_matrix(rank, degree):
+    """The truncation as it was built from the two algebras' bases."""
+    source = AugAlgebra(rank, degree)
+    target = AugAlgebra(rank, degree - 1)
+    cols = []
+    for X in source.basis:
+        col = [0] * target.dimension()
+        if X.size <= degree - 1:
+            col[target.basis_index[X]] = 1
+        cols.append(col)
+    return Matrix.from_cols(cols, target.dimension())
 
 
 def brute_products_sublattice(rank, degree):
@@ -62,6 +90,12 @@ class TestGammaMatrix:
     def test_integral(self):
         for k, n in GRID:
             assert gamma_matrix(k, n).is_integral
+
+    @pytest.mark.parametrize("k,n", GRID + INVARIANT_CELLS + [(9, 2), (2, 6)] + EDGES)
+    def test_closed_form_against_deviation_route(self, k, n):
+        gam = gamma_matrix(k, n)
+        assert gam.rows == brute_gamma_matrix(k, n).rows
+        assert gam.shape == (len(GammaModule(k, n).basis), aug_dimension(k, n))
 
     @pytest.mark.parametrize(
         "k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (2, 5)]
@@ -112,7 +146,9 @@ class TestSection:
         for k, n in GRID:
             assert factorial(n) % epsilon_matrix(k, n).denominator_lcm() == 0
 
-    @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4)])
+    @pytest.mark.parametrize(
+        "k,n", [(1, 3), (2, 3), (3, 3), (4, 2), (2, 4), (4, 3), (3, 4), (0, 2), (3, 0), (2, 1)]
+    )
     def test_closed_form_against_deviation_route(self, k, n):
         # the route epsilon_matrix took before its closed form: the deviation
         # class of A's word, divided by prod(a_i!), is the basis class of A
@@ -228,6 +264,11 @@ class TestCokernel:
     def test_truncation_frozen(self):
         assert truncation_matrix(1, 2).rows == ((1, 0, 0), (0, 1, 0))
 
+    @pytest.mark.parametrize("k,n", GRID + [(4, 4), (0, 1), (0, 3), (1, 1), (4, 1)])
+    def test_truncation_against_the_two_bases(self, k, n):
+        assert truncation_matrix(k, n) == brute_truncation_matrix(k, n)
+        assert truncation_matrix(k, n).shape == (aug_dimension(k, n - 1), aug_dimension(k, n))
+
     def test_truncation_needs_positive_degree(self):
         with pytest.raises(ValueError):
             truncation_matrix(2, 0)
@@ -295,7 +336,7 @@ class TestDecomposition:
 
 class TestQuadratic:
     def test_surjective_with_integral_section(self):
-        for k in (1, 2, 3, 4):
+        for k in range(1, 7):
             rep = quadratic_split(k)
             assert rep.surjective
             assert rep.split_integrally
