@@ -3,6 +3,12 @@
 Every sampled check takes a --seed (default 0); identical invocations print
 identical bytes.  Exit codes: 0 all checks passed, 1 at least one check
 failed, 2 usage or input error.
+
+Every verify cell is one check run through _cell.  A sampled cell runs all of
+its seeded draws and, when it fails, names its last failing draw as its
+witness.  A check that raises VerificationError or ValueError is a failing
+cell with the message as its witness, so the run exits 1 and prints no
+traceback.
 """
 from __future__ import annotations
 
@@ -14,6 +20,8 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache, partial
+from operator import attrgetter
 
 from .augmentation import AugAlgebra, aug_dimension
 from .combinatorics import Multiset, binomial, format_multiset, multisets_up_to
@@ -81,11 +89,40 @@ def _jsonable(x):
     return str(x)
 
 
-def _cell(anchor: str, params: dict, ok: bool, witness=None) -> dict:
+def _verdict(check) -> tuple:
+    """(ok, witness) from check(), which returns ok or (ok, witness).  An
+    exact check that fails inside it (VerificationError) or an input it
+    rejects (ValueError) gives (False, the message)."""
+    try:
+        result = check()
+    except (VerificationError, ValueError) as exc:
+        return False, str(exc)
+    return result if isinstance(result, tuple) else (result, None)
+
+
+def _cell(anchor: str, params: dict, check) -> dict:
+    ok, witness = _verdict(check)
     cell = {"anchor": anchor, "params": _jsonable(params), "verdict": "pass" if ok else "fail"}
     if witness is not None and not ok:
         cell["witness"] = _jsonable(witness)
     return cell
+
+
+def _sampled(draws) -> tuple:
+    """(every draw passed, the last failing draw's witness) over draws, each
+    a check for _verdict.  Every draw runs, in order, so the seeded stream
+    never depends on a verdict."""
+    failed = [witness for ok, witness in map(_verdict, draws) if not ok]
+    return not failed, failed[-1] if failed else None
+
+
+def _ran(thunk) -> bool:
+    """Whether a functools.cache'd thunk has returned, i.e. did not raise."""
+    return thunk.cache_info().currsize > 0
+
+
+_passed = attrgetter("passed", "witness")
+_matched = attrgetter("match", "witness")
 
 
 def _catalog(power: int):
@@ -95,62 +132,52 @@ def _catalog(power: int):
 # ---------------------------------------------------------------- suites
 
 
-def _binomial_map(n: int) -> SetMap:
+def _binomial_degree(n: int, degree: int):
+    """is_numerical_degree of x -> C(x, n) on Z, at the given degree."""
     line = FreeModule(1)
-    return SetMap(line, line, lambda x: line.element((binomial(x.coords[0], n),)))
+    phi = SetMap(line, line, lambda x: line.element((binomial(x.coords[0], n),)))
+    return is_numerical_degree(phi, degree, SampleSpec.default_for(line, degree))
 
 
 def suite_deviations(max_n: int, seed: int) -> list:
     cells = []
-    line = FreeModule(1)
     for n in range(1, max_n + 1):
-        phi = _binomial_map(n)
-        rep = is_numerical_degree(phi, n, SampleSpec.default_for(line, n))
-        cells.append(_cell("scalar-binomial-degree", {"n": n}, rep.passed, rep.witness))
-        sharp = is_numerical_degree(phi, n - 1, SampleSpec.default_for(line, n - 1))
-        cells.append(_cell("scalar-binomial-sharp", {"n": n}, not sharp.passed))
+        cells += [
+            _cell("scalar-binomial-degree", {"n": n}, lambda: _passed(_binomial_degree(n, n))),
+            _cell("scalar-binomial-sharp", {"n": n}, lambda: not _binomial_degree(n, n - 1).passed),
+        ]
 
-    cells.append(
-        _cell(
-            "functor-scaling-laws",
-            {"functor": spec_label(Const(1)), "n": 0},
-            scaling_cross_check(Const(1), 0, Matrix.identity(1)).passed,
-        )
-    )
-    for m in range(1, max_n + 1):
-        for spec in _catalog(m):
-            rep = scaling_cross_check(spec, m, Matrix.identity(m))
-            cells.append(
-                _cell(
-                    "functor-scaling-laws",
-                    {"functor": spec_label(spec), "n": m},
-                    rep.passed,
-                    rep.witness,
-                )
+    # Const(1) arrows are the identity of rank 1 whatever the hom
+    for spec, m in [(Const(1), 0)] + [(s, m) for m in range(1, max_n + 1) for s in _catalog(m)]:
+        cells.append(
+            _cell(
+                "functor-scaling-laws",
+                {"functor": spec_label(spec), "n": m},
+                lambda: _passed(scaling_cross_check(spec, m, Matrix.identity(m))),
             )
+        )
 
     # alternating differences of a cubic map at scaled arguments, rebuilt
     # from binomial coefficients times the word differences
+    line = FreeModule(1)
     cube = SetMap(line, line, lambda x: line.element((x.coords[0] ** 3,)))
     rng = random.Random(seed)
-    ok = True
-    witness = None
-    for nargs in (1, 2, 3):
-        for _ in range(4):
-            scalars = [rng.randint(-3, 3) for _ in range(nargs)]
-            points = [line.element((rng.randint(-2, 2),)) for _ in range(nargs)]
-            lhs = deviation(cube, [x.scale(a) for a, x in zip(scalars, points)])
-            rhs = line.zero()
-            for X in multisets_up_to(nargs, 3):
-                if X.support != tuple(range(nargs)):
-                    continue
-                coeff = math.prod(binomial(scalars[i], m) for i, m in X.pairs)
-                if coeff:
-                    rhs = rhs + multiset_deviation(cube, points, X).scale(coeff)
-            if lhs != rhs:
-                ok = False
-                witness = {"scalars": scalars, "points": [p.coords for p in points]}
-    cells.append(_cell("scaled-argument-expansion", {"n": 3}, ok, witness))
+
+    def expansion(nargs):
+        scalars = [rng.randint(-3, 3) for _ in range(nargs)]
+        points = [line.element((rng.randint(-2, 2),)) for _ in range(nargs)]
+        lhs = deviation(cube, [x.scale(a) for a, x in zip(scalars, points)])
+        rhs = line.zero()
+        for X in multisets_up_to(nargs, 3):
+            if X.support != tuple(range(nargs)):
+                continue
+            coeff = math.prod(binomial(scalars[i], m) for i, m in X.pairs)
+            if coeff:
+                rhs = rhs + multiset_deviation(cube, points, X).scale(coeff)
+        return lhs == rhs, {"scalars": scalars, "points": [p.coords for p in points]}
+
+    draws = [partial(expansion, nargs) for nargs in (1, 2, 3) for _ in range(4)]
+    cells.append(_cell("scaled-argument-expansion", {"n": 3}, partial(_sampled, draws)))
     return cells
 
 
@@ -160,10 +187,6 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
         for n in range(1, max_n + 1):
             alg = AugAlgebra(k, n)
             params = {"k": k, "n": n}
-            cells.append(
-                _cell("dimension-count", params, alg.dimension() == aug_dimension(k, n))
-            )
-
             rng = random.Random(seed)
 
             def rand_elem():
@@ -173,54 +196,48 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
                     coeffs[X] = coeffs.get(X, 0) + rng.randint(-2, 2)
                 return alg.element(coeffs)
 
-            ok = True
-            for _ in range(5):
+            def sum_ring():
                 u, v, w = rand_elem(), rand_elem(), rand_elem()
                 x = tuple(rng.randint(-2, 2) for _ in range(k))
                 y = tuple(rng.randint(-2, 2) for _ in range(k))
-                if alg.class_of(x).sum_mul(alg.class_of(y)) != alg.class_of(
-                    tuple(a + b for a, b in zip(x, y))
-                ):
-                    ok = False
-                if u.sum_mul(v) != v.sum_mul(u):
-                    ok = False
-                if u.sum_mul(v).sum_mul(w) != u.sum_mul(v.sum_mul(w)):
-                    ok = False
-                if alg.one().sum_mul(u) != u:
-                    ok = False
-            cells.append(_cell("sum-ring-axioms", params, ok))
+                holds = (
+                    alg.class_of(x).sum_mul(alg.class_of(y))
+                    == alg.class_of(tuple(a + b for a, b in zip(x, y)))
+                    and u.sum_mul(v) == v.sum_mul(u)
+                    and u.sum_mul(v).sum_mul(w) == u.sum_mul(v.sum_mul(w))
+                    and alg.one().sum_mul(u) == u
+                )
+                return holds, {"u": u.vector, "v": v.vector, "w": w.vector, "x": x, "y": y}
 
-            ok = True
-            witness = None
-            for _ in range(5):
+            def scaling():
                 z = tuple(rng.randint(-2, 2) for _ in range(k))
                 r = rng.randint(-3, 3)
-                lhs = alg.class_of(tuple(r * c for c in z))
                 rhs = alg.zero()
                 for m in range(n + 1):
                     c = binomial(r, m)
                     if c:
                         rhs = rhs + alg.class_of_deviation([z] * m).scale(c)
-                if lhs != rhs:
-                    ok = False
-                    witness = {"z": z, "r": r}
-            cells.append(_cell("scaling-relation", params, ok, witness))
+                return alg.class_of(tuple(r * c for c in z)) == rhs, {"z": z, "r": r}
 
+            def composition_ring():
+                u, v, w = rand_elem(), rand_elem(), rand_elem()
+                holds = (
+                    u.product_mul(v).product_mul(w) == u.product_mul(v.product_mul(w))
+                    and one.product_mul(u) == u
+                    and u.product_mul(one) == u
+                )
+                return holds, {"u": u.vector, "v": v.vector, "w": w.vector}
+
+            cells += [
+                _cell("dimension-count", params, lambda: alg.dimension() == aug_dimension(k, n)),
+                _cell("sum-ring-axioms", params, partial(_sampled, [sum_ring] * 5)),
+                _cell("scaling-relation", params, partial(_sampled, [scaling] * 5)),
+            ]
             side = math.isqrt(k)
             if side * side == k:
-                ok = True
-                one = alg.class_of(
-                    tuple(
-                        int(i == j) for i in range(side) for j in range(side)
-                    )
-                )
-                for _ in range(3):
-                    u, v, w = rand_elem(), rand_elem(), rand_elem()
-                    if u.product_mul(v).product_mul(w) != u.product_mul(v.product_mul(w)):
-                        ok = False
-                    if one.product_mul(u) != u or u.product_mul(one) != u:
-                        ok = False
-                cells.append(_cell("composition-ring-axioms", params, ok))
+                one = alg.class_of(tuple(int(i == j) for i in range(side) for j in range(side)))
+                draws = [composition_ring] * 3
+                cells.append(_cell("composition-ring-axioms", params, partial(_sampled, draws)))
     return cells
 
 
@@ -230,36 +247,30 @@ def suite_gamma_epsilon(grid, summaries: dict) -> list:
     cells = []
     for k, n in grid:
         params = {"k": k, "n": n}
-        section_ok, section_witness = _guarded(lambda: verify_section(gamma_epsilon_pair(k, n)))
-        cells.append(_cell("section-identity", params, section_ok, section_witness))
+        coker = cache(lambda: cokernel_of_pi_gamma(k, n))
 
-        ker = kernel_of_gamma(k, n)
-        cells.append(_cell("kernel-lattice-match", params, ker.match, ker.witness))
+        def invariants():
+            rep = coker()
+            quotient = rep.quotient_invariants.torsion
+            return rep.match, {"stacked": rep.invariants.torsion, "quotient": quotient}
 
-        rep = cokernel_of_pi_gamma(k, n)
-        cells.append(
-            _cell(
-                "cokernel-invariants-match",
-                params,
-                rep.match,
-                {
-                    "stacked": list(rep.invariants.torsion),
-                    "quotient": list(rep.quotient_invariants.torsion),
-                },
-            )
-        )
-        cells.append(
+        section, kernel, *_ = group = [
+            _cell("section-identity", params, lambda: verify_section(gamma_epsilon_pair(k, n))),
+            _cell("kernel-lattice-match", params, lambda: _matched(kernel_of_gamma(k, n))),
+            _cell("cokernel-invariants-match", params, invariants),
             _cell(
                 "finite-index-injection",
                 params,
-                rep.injective and rep.index is not None,
-            )
-        )
+                lambda: coker().injective and coker().index is not None,
+            ),
+        ]
+        cells += group
+        rep = coker() if _ran(coker) else None
         summaries[(k, n)] = {
-            "section": bool(section_ok),
-            "kernel_match": ker.match,
-            "coker_invariants": list(rep.invariants.torsion),
-            "index": rep.index,
+            "section": section["verdict"] == "pass",
+            "kernel_match": kernel["verdict"] == "pass",
+            "coker_invariants": list(rep.invariants.torsion) if rep else None,
+            "index": rep.index if rep else None,
         }
     return cells
 
@@ -269,124 +280,78 @@ def suite_schur(max_n: int, seed: int) -> list:
     rng = random.Random(seed)
     for n in range(1, max_n + 1):
         params = {"side": 2, "n": n}
-        rep, error = _guarded(lambda: ring_hom_checks(2, n, pairs=20, seed=seed))
+        hom = cache(lambda: ring_hom_checks(2, n, pairs=20, seed=seed))
         for anchor, verdict in (
             ("divided-power-map-multiplicative", "gamma_multiplicative"),
             ("section-multiplicative", "epsilon_multiplicative"),
             ("top-deviation-product", "top_deviation_identity"),
         ):
-            ok = rep is not None and getattr(rep, verdict)
-            cells.append(_cell(anchor, params, ok, error if rep is None else rep.witness))
+            cells.append(_cell(anchor, params, lambda: attrgetter(verdict, "witness")(hom())))
+
+        def functorial(spec):
+            a = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)], 2)
+            b = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)], 2)
+            same = arrow_map(spec, a @ b) == arrow_map(spec, a) @ arrow_map(spec, b)
+            return same, {"a": a, "b": b}
 
         for spec in _catalog(n):
-            ok = True
-            witness = None
-            for _ in range(5):
-                a = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)], 2)
-                b = Matrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)], 2)
-                if arrow_map(spec, a @ b) != arrow_map(spec, a) @ arrow_map(spec, b):
-                    ok = False
-                    witness = {"a": a, "b": b}
-            cells.append(
-                _cell(
-                    "arrow-functoriality",
-                    {"functor": spec_label(spec), "n": n},
-                    ok,
-                    witness,
-                )
-            )
+            draws = [partial(functorial, spec)] * 5
+            at_n = {"functor": spec_label(spec), "n": n}
+            cells.append(_cell("arrow-functoriality", at_n, partial(_sampled, draws)))
 
         space = GammaModule(4, n)
-        ok = True
-        for _ in range(5):
+
+        def round_trip():
             vec = tuple(rng.randint(-2, 2) for _ in range(space.dimension()))
             elem = space.from_vector(vec)
-            if tensor_readoff(space, tensor_embedding(elem)) != elem:
-                ok = False
-        cells.append(_cell("orbit-sum-round-trip", {"rank": 4, "n": n}, ok))
+            return tensor_readoff(space, tensor_embedding(elem)) == elem, {"vector": vec}
+
+        draws = [round_trip] * 5
+        cells.append(_cell("orbit-sum-round-trip", {"rank": 4, "n": n}, partial(_sampled, draws)))
     return cells
 
 
-def _guarded(thunk):
-    """(thunk(), None), or (None, the message) when an exact check inside it
-    fails or it rejects its input: the caller reports a failing cell."""
-    try:
-        return thunk(), None
-    except (VerificationError, ValueError) as exc:
-        return None, str(exc)
-
-
 def suite_morita(seed: int, max_q: int) -> list:
+    """Cells of the catalog's degree-2 modules.  A failed extraction fails the
+    first cell that reads the module, and the module's later cells are
+    skipped."""
     cells = []
-    modules = {}
-
-    def extracted(spec):
-        # a failed extraction is a failing module-ring-axioms cell
-        module, error = _guarded(lambda: extract_morita_module(spec, 2, seed=seed))
-        if module is None:
-            cells.append(_cell("module-ring-axioms", {"functor": spec_label(spec), "n": 2}, False, error))
-        return module
-
     for spec in _catalog(2):
-        label = spec_label(spec)
-        cert = degree_certificate(spec, 2, seed=seed)
-        cells.append(_cell("degree-certificate", {"functor": label, "n": 2}, cert.passed, cert.witness))
-        sharp = degree_certificate(spec, 1, seed=seed)
-        cells.append(_cell("degree-certificate-sharp", {"functor": label, "n": 1}, not sharp.passed))
-
-        module = modules[spec] = extracted(spec)
-        if module is None:
+        at2 = {"functor": spec_label(spec), "n": 2}
+        module = cache(lambda: extract_morita_module(spec, 2, seed=seed))
+        certify = partial(degree_certificate, spec, seed=seed)
+        cells += [
+            _cell("degree-certificate", at2, lambda: _passed(certify(2))),
+            _cell("degree-certificate-sharp", {**at2, "n": 1}, lambda: not certify(1).passed),
+            _cell("module-ring-axioms", at2, lambda: module().check_multiplicativity(10, seed)),
+        ]
+        if not _ran(module):
             continue
-        cells.append(
-            _cell(
-                "module-ring-axioms",
-                {"functor": label, "n": 2},
-                module.check_multiplicativity(pairs=10, seed=seed),
-            )
-        )
+
+        def restriction():
+            restricted, direct = restrict_scalars(extract_gamma_structure(spec, 2)), module()
+            same = restricted.presentation == direct.presentation
+            return same and restricted.action == direct.action
+
+        def rank_matches(q):
+            inv, expected = reconstruct(module(), q), object_dim(spec, q)
+            found = {"free_rank": inv.free_rank, "torsion": list(inv.torsion), "expected": expected}
+            return inv.free_rank == expected and not inv.torsion, found
+
         for q in range(1, max_q + 1):
-            inv = reconstruct(module, q)
-            expected = object_dim(spec, q)
-            cells.append(
-                _cell(
-                    "reconstruction-rank",
-                    {"functor": label, "n": 2, "q": q},
-                    inv.free_rank == expected and not inv.torsion,
-                    {"free_rank": inv.free_rank, "torsion": list(inv.torsion), "expected": expected},
-                )
-            )
-        cells.append(
-            _cell(
-                "kernel-annihilation",
-                {"functor": label, "n": 2},
-                quasi_homogeneity_test(module, 2),
-            )
-        )
+            cells.append(_cell("reconstruction-rank", {**at2, "q": q}, partial(rank_matches, q)))
+        cells.append(_cell("kernel-annihilation", at2, lambda: quasi_homogeneity_test(module(), 2)))
+        if spec in (Sym(2), Ext(2)):
+            cells.append(_cell("restriction-matches-extraction", at2, restriction))
 
     mixed = DirectSum(Const(1), Sym(2))
-    mixed_module = extracted(mixed)
-    if mixed_module is not None:
-        ok = not quasi_homogeneity_test(mixed_module, 2)
-        cells.append(_cell("kernel-annihilation-mixed", {"functor": spec_label(mixed), "n": 2}, ok))
-
-    for spec in (Sym(2), Ext(2)):
-        direct = modules[spec]
-        if direct is None:
-            continue
-        restricted, error = _guarded(lambda: restrict_scalars(extract_gamma_structure(spec, 2)))
-        same = (
-            restricted is not None
-            and restricted.presentation == direct.presentation
-            and restricted.action == direct.action
+    cells.append(
+        _cell(
+            "kernel-annihilation-mixed",
+            {"functor": spec_label(mixed), "n": 2},
+            lambda: not quasi_homogeneity_test(extract_morita_module(mixed, 2, seed=seed), 2),
         )
-        cells.append(
-            _cell(
-                "restriction-matches-extraction",
-                {"functor": spec_label(spec), "n": 2},
-                same,
-                error,
-            )
-        )
+    )
     return cells
 
 
@@ -394,9 +359,7 @@ _SUITES = ("deviations", "aug-algebra", "gamma-epsilon", "schur", "morita", "all
 
 
 def _run_suite(args) -> tuple[dict, bool]:
-    seed = args.seed
-    max_k = args.max_k
-    max_n = args.max_n
+    seed, max_k, max_n = args.seed, args.max_k, args.max_n
     single = args.k is not None or args.n is not None
     if single and (args.suite != "gamma-epsilon" or args.k is None or args.n is None):
         raise UsageError("--k and --n go together, and only with the gamma-epsilon suite")
@@ -569,39 +532,25 @@ def cmd_functor(args) -> int:
     if args.action == "reconstruct" and args.q is None:
         raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
-    module, error = _guarded(lambda: extract_morita_module(spec, n, seed=args.seed))
-    if module is None:
-        print(json.dumps({"error": error}, sort_keys=True))
-        return 1
 
-    if args.action == "extract":
-        inv = module.group_invariants()
-        mult = module.check_multiplicativity(pairs=10, seed=args.seed)
-        out = {
-            "spec": spec_to_json(spec),
-            "n": n,
-            "generators": module.generators,
-            "free_rank": inv.free_rank,
-            "torsion": list(inv.torsion),
-            "multiplicative": mult,
-        }
-        print(json.dumps(out, sort_keys=True))
-        return 0 if mult else 1
+    def query():
+        module = extract_morita_module(spec, n, seed=args.seed)
+        if args.action == "extract":
+            inv = module.group_invariants()
+            passed = module.check_multiplicativity(pairs=10, seed=args.seed)
+            out = {"generators": module.generators, "multiplicative": passed}
+        else:
+            inv = reconstruct(module, args.q)
+            expected = object_dim(spec, args.q)
+            passed = inv.free_rank == expected and not inv.torsion
+            out = {"q": args.q, "expected_rank": expected, "matches": passed}
+        out.update(spec=spec_to_json(spec), n=n, free_rank=inv.free_rank, torsion=list(inv.torsion))
+        return passed, out
 
-    inv = reconstruct(module, args.q)
-    expected = object_dim(spec, args.q)
-    matches = inv.free_rank == expected and not inv.torsion
-    out = {
-        "spec": spec_to_json(spec),
-        "n": n,
-        "q": args.q,
-        "free_rank": inv.free_rank,
-        "torsion": list(inv.torsion),
-        "expected_rank": expected,
-        "matches": matches,
-    }
-    print(json.dumps(out, sort_keys=True))
-    return 0 if matches else 1
+    # as in a verify cell, a check that raises is a failure with its message
+    passed, out = _verdict(query)
+    print(json.dumps(out if isinstance(out, dict) else {"error": out}, sort_keys=True))
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------- parser

@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
-from math import factorial, prod
+from itertools import combinations, compress, count
+from math import comb, factorial, prod
 from typing import Optional
 
 from .augmentation import AugAlgebra, AugElement, aug_dimension
@@ -31,8 +31,8 @@ from .intlinalg import (
     Matrix,
     cokernel_invariants,
     kernel_lattice,
-    lattice_index,
     lattice_intersection,
+    relation_invariants,
     saturation,
     vstack,
 )
@@ -64,10 +64,7 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
     a row reads only the columns of its own support.
     """
     table = [[stirling_sum_identity(a, x) for x in range(degree + 1)] for a in range(degree + 1)]
-    columns = multisets_up_to(rank, degree)
-    by_support: dict = {}
-    for j, X in enumerate(columns):
-        by_support.setdefault(X.support, []).append((j, X.pairs))
+    by_support = _columns_by_support(rank, degree)
     rows = [
         {
             j: prod(table[a][x] for (_, a), (_, x) in zip(A.pairs, pairs))
@@ -75,7 +72,16 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
         }
         for A in multisets_exactly(rank, degree)
     ]
-    return Matrix.from_sparse(rows, len(columns))
+    return Matrix.from_sparse(rows, aug_dimension(rank, degree))
+
+
+def _columns_by_support(rank: int, degree: int) -> dict:
+    """support -> [(j, pairs)] over the basis of B(rank, degree): the column
+    index and the (index, multiplicity) pairs of each basis multiset."""
+    by_support: dict = {}
+    for j, X in enumerate(multisets_up_to(rank, degree)):
+        by_support.setdefault(X.support, []).append((j, X.pairs))
+    return by_support
 
 
 def epsilon_matrix(rank: int, degree: int) -> Matrix:
@@ -142,15 +148,25 @@ class KernelReport:
 
 def _scaling_rows(rank: int, degree: int) -> list:
     """The classes [2z] - 2^degree [z], one per z in the simplex |z| <= degree - 1
-    (the multiplicity vectors of the basis of B(rank, degree - 1))."""
-    alg = AugAlgebra(rank, degree)
+    (the multiplicity vectors of the basis of B(rank, degree - 1)).
+
+    The class of x has prod_i C(x_i, m_i) at the basis class of X, where m_i
+    are X's multiplicities; for x >= 0 that is 0 unless supp X lies in supp x.
+    So the row of z visits only the columns whose support is a subset of supp z.
+    """
+    by_support = _columns_by_support(rank, degree)
+    dim = aug_dimension(rank, degree)
     scale = 2**degree
     rows = []
     for Z in multisets_up_to(rank, degree - 1):
-        z = tuple(Z.count(i) for i in range(rank))
-        doubled = alg.class_of(tuple(2 * c for c in z)).to_vector()
-        base = alg.class_of(z).to_vector()
-        rows.append(tuple(a - scale * b for a, b in zip(doubled, base)))
+        z = dict(Z.pairs)
+        row = [0] * dim
+        for size in range(len(z) + 1):
+            for support in combinations(Z.support, size):
+                for j, pairs in by_support.get(support, ()):
+                    doubled = prod(comb(2 * z[i], m) for i, m in pairs)
+                    row[j] = doubled - scale * prod(comb(z[i], m) for i, m in pairs)
+        rows.append(tuple(row))
     return rows
 
 
@@ -211,8 +227,10 @@ def products_sublattice(rank: int, degree: int) -> Lattice:
 
 
 def products_quotient_invariants(rank: int, degree: int) -> CokernelInvariants:
-    """Invariant factors of Gamma^degree modulo the products sublattice."""
-    return cokernel_invariants(products_sublattice(rank, degree).basis.transpose())
+    """Invariant factors of Gamma^degree modulo the products sublattice: the
+    relations a! e^[A], one per basis multiset A."""
+    basis = multisets_exactly(rank, degree)
+    return relation_invariants(len(basis), ({j: A.factorial} for j, A in enumerate(basis)))
 
 
 @dataclass(frozen=True)
@@ -227,17 +245,23 @@ class CokernelReport:
 def cokernel_of_pi_gamma(rank: int, degree: int) -> CokernelReport:
     """Check the stacked map is injective with finite cokernel isomorphic to
     Gamma^degree modulo the products sublattice: the stacked map's Smith form
-    against the closed-form quotient, the sum of Z/a! (products_sublattice)."""
+    against the closed-form quotient, the sum of Z/a! (products_sublattice).
+
+    Everything is read off the one Smith form.  The map is square, so it is
+    injective exactly when its cokernel has free rank 0, and then the index
+    of its image is the product of the invariant factors, |det|.
+    """
     stacked = stacked_pi_gamma(rank, degree)
-    injective = kernel_lattice(stacked).rank == 0
+    if stacked.nrows != stacked.ncols:
+        raise VerificationError(f"the stacked map is {stacked.nrows} x {stacked.ncols}, not square")
     invariants = cokernel_invariants(stacked)
     quotient = products_quotient_invariants(rank, degree)
-    image = Lattice.from_rows(stacked.nrows, [tuple(c) for c in stacked.cols()])
+    injective = invariants.free_rank == 0
     return CokernelReport(
         injective,
         invariants,
         quotient,
-        lattice_index(image),
+        prod(invariants.torsion) if injective else None,
         injective and invariants == quotient,
     )
 

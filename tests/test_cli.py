@@ -1,6 +1,8 @@
 """End-to-end command line checks, run in process through main(); the
 closed-pipe check runs the module in a child process."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +10,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from functorlab import cli, gamma_section
+from functorlab import augmentation, cli, gamma_section
 from functorlab.cli import main
 from functorlab.gamma_section import VerificationError, gamma_matrix, kernel_of_gamma
 
@@ -230,10 +233,21 @@ class TestVerify:
         [
             (
                 "ring_hom_checks",
-                {"divided-power-map-multiplicative", "section-multiplicative", "top-deviation-product"},
+                {
+                    "divided-power-map-multiplicative",
+                    "section-multiplicative",
+                    "top-deviation-product",
+                },
             ),
             ("extract_gamma_structure", {"restriction-matches-extraction"}),
             ("restrict_scalars", {"restriction-matches-extraction"}),
+            ("kernel_of_gamma", {"kernel-lattice-match"}),
+            ("cokernel_of_pi_gamma", {"cokernel-invariants-match", "finite-index-injection"}),
+            ("scaling_cross_check", {"functor-scaling-laws"}),
+            ("degree_certificate", {"degree-certificate", "degree-certificate-sharp"}),
+            ("reconstruct", {"reconstruction-rank"}),
+            ("quasi_homogeneity_test", {"kernel-annihilation", "kernel-annihilation-mixed"}),
+            ("is_numerical_degree", {"scalar-binomial-degree", "scalar-binomial-sharp"}),
         ],
     )
     def test_cell_error_is_a_failing_cell(self, capsys, monkeypatch, error, target, anchors):
@@ -246,6 +260,81 @@ class TestVerify:
         failed = [c for c in json.loads(out)["cells"] if c["verdict"] == "fail"]
         assert {c["anchor"] for c in failed} == anchors
         assert all(c["witness"] == "check broke" for c in failed)
+
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    def test_failed_cokernel_leaves_summary_without_invariants(self, capsys, monkeypatch, error):
+        def broken(k, n):
+            raise error("cokernel broke")
+
+        monkeypatch.setattr(cli, "cokernel_of_pi_gamma", broken)
+        code, out, err = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "3"])
+        assert code == 1 and not err
+        report = json.loads(out)
+        assert report["summary"] == {
+            "section": True,
+            "kernel_match": True,
+            "coker_invariants": None,
+            "index": None,
+        }
+        failed = {c["anchor"]: c["witness"] for c in report["cells"] if c["verdict"] == "fail"}
+        assert failed == {
+            "cokernel-invariants-match": "cokernel broke",
+            "finite-index-injection": "cokernel broke",
+        }
+
+    def test_failing_sampled_cell_names_a_failing_draw(self, capsys, monkeypatch):
+        # with the unit of the sum product broken, a draw of sum-ring-axioms
+        # fails exactly when its u is nonzero, so the witness names such a
+        # draw; the other cells, which draw from the same seeded stream after
+        # it, are unchanged
+        argv = ["verify", "aug-algebra", "--max-k", "2", "--max-n", "2", "--seed", "4"]
+        _, before, _ = run(capsys, argv)
+        monkeypatch.setattr(augmentation.AugAlgebra, "one", lambda self: self.zero())
+        code, out, err = run(capsys, argv)
+        assert code == 1 and not err
+        cells, expected = json.loads(out)["cells"], json.loads(before)["cells"]
+        failed = [c for c in cells if c["verdict"] == "fail"]
+        assert {c["anchor"] for c in failed} == {"sum-ring-axioms"}
+        assert len(failed) == 4
+        for cell in failed:
+            witness = cell["witness"]
+            assert sorted(witness) == ["u", "v", "w", "x", "y"]
+            assert any(witness["u"])
+        assert [c for c in cells if c["anchor"] != "sum-ring-axioms"] == [
+            c for c in expected if c["anchor"] != "sum-ring-axioms"
+        ]
+
+    def test_sampled_runs_every_draw_and_keeps_the_last_failure(self):
+        ran = []
+
+        def draw(i, ok):
+            def check():
+                ran.append(i)
+                if ok is None:
+                    raise ValueError(f"draw {i} broke")
+                return ok, {"draw": i}
+            return check
+
+        outcomes = [True, False, None, False, True]
+        assert cli._sampled([draw(i, ok) for i, ok in enumerate(outcomes)]) == (False, {"draw": 3})
+        assert ran == [0, 1, 2, 3, 4]
+        assert cli._sampled([draw(0, False), draw(1, None)]) == (False, "draw 1 broke")
+        assert cli._sampled([draw(0, True), draw(1, True)]) == (True, None)
+        assert cli._sampled([]) == (True, None)
+
+    def test_failing_draw_reproduces_alone(self, capsys, monkeypatch):
+        # a broken orbit-sum read-off fails on every nonzero vector; the
+        # witness, the last failing draw, fails when checked by itself
+        real = cli.tensor_readoff
+        monkeypatch.setattr(cli, "tensor_readoff", lambda space, t: real(space, t).scale(2))
+        code, out, _ = run(capsys, ["verify", "schur", "--max-n", "2", "--seed", "1"])
+        assert code == 1
+        failed = [c for c in json.loads(out)["cells"] if c["verdict"] == "fail"]
+        assert [c["anchor"] for c in failed] == ["orbit-sum-round-trip"] * 2
+        for cell in failed:
+            space = cli.GammaModule(4, cell["params"]["n"])
+            elem = space.from_vector(tuple(cell["witness"]["vector"]))
+            assert cli.tensor_readoff(space, cli.tensor_embedding(elem)) != elem
 
     def test_failed_section_identity_fails_its_cells(self, capsys, monkeypatch):
         # epsilon_matrix raises inside the section cell and inside
@@ -430,6 +519,15 @@ class TestFunctor:
         code, out, err = run(capsys, ["functor", action[0], "--spec", '{"sym": 2}', *action[1:]])
         assert (code, out, err) == (1, '{"error": "extraction broke"}\n', "")
 
+    @pytest.mark.parametrize("error", [VerificationError, ValueError])
+    def test_reconstruction_error_is_reported(self, capsys, monkeypatch, error):
+        def broken(module, q):
+            raise error("reconstruction broke")
+
+        monkeypatch.setattr(cli, "reconstruct", broken)
+        code, out, err = run(capsys, ["functor", "reconstruct", "--spec", '{"sym": 2}', "--q", "2"])
+        assert (code, out, err) == (1, '{"error": "reconstruction broke"}\n', "")
+
     def test_extract_rejects_wrong_degree(self, capsys):
         code, out, _ = run(
             capsys, ["functor", "extract", "--spec", '{"sym": 2}', "--n", "1"]
@@ -485,3 +583,106 @@ class TestFunctor:
         )
         assert code == 2
         assert "bad matrix" in err
+
+
+# ------------------------------------------------------------ argv fuzzing
+
+SMALL = st.integers(-1, 2)
+SEEDS = st.integers(-3, 3)
+FORMATS = st.sampled_from(["json", "csv", "plain", "plain", "yaml"])
+
+
+def _one_key(keys, values):
+    return st.builds(lambda k, v: {k: v}, st.sampled_from(keys), values)
+
+
+SPECS = st.recursive(
+    _one_key(["tensor", "sym", "ext", "div"], st.integers(0, 3))
+    | _one_key(["const"], st.integers(0, 2)),
+    lambda inner: st.lists(inner, min_size=1, max_size=3).map(lambda xs: {"sum": xs}),
+    max_leaves=4,
+)
+# malformed: unknown kinds, values of the wrong type, not JSON at all
+BAD_SPECS = st.sampled_from(
+    ['{"sym": -1}', '{"sym": true}', '{"sym": "2"}', '{"frob": 1}', "[]", "{}", "sym", '{"sum": 3}']
+)
+MATRICES = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-3, 3), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+# malformed: ragged, fractional, boolean, not a list of rows
+BAD_MATRICES = st.sampled_from(
+    ["[[1, 2], [3]]", "[[0.5]]", "[[true]]", "[1, 2]", '[["a"]]', "{}", "[[]]", "[[1]"]
+)
+HOMS = st.one_of(MATRICES.map(json.dumps), BAD_MATRICES, st.text(max_size=6))
+# stray arguments: unknown flags, a flag without its value, non-integer values
+STRAY = st.lists(
+    st.sampled_from(["--bogus", "--seed", "--k", "x", "-1", "--max-k=a", "--n=1.5"]),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values.map(str))
+
+
+def _argv(command, positionals, flags, required=()):
+    """[command, positional, *required, *flags, *stray]: a few distinct flags,
+    stray arguments in about one case in four."""
+    return st.tuples(
+        st.sampled_from(positionals * 3 + ["bogus"]),
+        st.tuples(*required),
+        st.lists(st.one_of(*flags), max_size=4, unique_by=lambda f: f[0]),
+        st.one_of(st.just([]), st.just([]), st.just([]), STRAY),
+    ).map(lambda t: [command, t[0], *(x for f in (*t[1], *t[2]) for x in f), *t[3]])
+
+
+ARGV = st.one_of(
+    _argv(
+        "verify",
+        list(cli._SUITES),
+        [_flag(f, SMALL) for f in ("--k", "--n", "--q", "--max-k", "--max-n")]
+        + [_flag("--seed", SEEDS), _flag("--format", FORMATS)],
+    ),
+    _argv(
+        "table",
+        ["dims", "index", "invariants"],
+        [_flag("--max-k", SMALL), _flag("--max-n", SMALL), _flag("--format", FORMATS)],
+    ),
+    _argv(
+        "functor",
+        ["dims", "arrow", "extract", "reconstruct"],
+        [_flag(f, SMALL) for f in ("--q", "--n")]
+        + [_flag("--seed", SEEDS), _flag("--format", FORMATS)]
+        + [st.tuples(st.just("--hom"), HOMS)],
+        required=[
+            st.tuples(
+                st.just("--spec"),
+                st.one_of(*[SPECS.map(json.dumps)] * 4, BAD_SPECS, st.text(max_size=6)),
+            )
+        ],
+    ),
+)
+
+
+class TestContract:
+    @settings(max_examples=120, deadline=None)
+    @given(ARGV)
+    def test_exit_codes_and_streams(self, argv):
+        # exit 0, 1 or 2 only, and no exception escapes main; stdout is
+        # empty on a refused input (exit 2) and stderr is empty otherwise
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the arguments
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert out.getvalue() == "", argv
+        else:
+            assert err.getvalue() == "", (argv, err.getvalue())

@@ -31,13 +31,22 @@ from functorlab.gamma_section import (
     truncation_matrix,
     verify_section,
 )
-from functorlab.intlinalg import Lattice, Matrix, cokernel_invariants, saturation
+from functorlab.intlinalg import (
+    Lattice,
+    Matrix,
+    cokernel_invariants,
+    kernel_lattice,
+    lattice_index,
+    saturation,
+)
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
 # the cells of the benchmark's invariants workload
 INVARIANT_CELLS = [(2, 4), (3, 4), (4, 3), (2, 5), (3, 5), (5, 3), (4, 4), (6, 2), (7, 2)]
 # rank 0, degree 0 and degree 1
 EDGES = [(0, 0), (0, 1), (0, 3), (3, 0), (1, 1), (4, 1)]
+# the grid of `verify all --max-k 4 --max-n 3`
+VERIFY_GRID = [(k, n) for k in range(1, 5) for n in range(1, 4)]
 
 
 def brute_gamma_matrix(rank, degree):
@@ -189,7 +198,24 @@ def box_scaling_rows(rank, degree):
     return rows
 
 
+def brute_scaling_rows(rank, degree):
+    """_scaling_rows as it was built before its closed form: the classes of
+    2z and z from an AugAlgebra, one per z in the simplex |z| <= degree - 1."""
+    alg = AugAlgebra(rank, degree)
+    rows = []
+    for Z in multisets_up_to(rank, degree - 1):
+        z = tuple(Z.count(i) for i in range(rank))
+        doubled = alg.class_of(tuple(2 * c for c in z)).to_vector()
+        base = alg.class_of(z).to_vector()
+        rows.append(tuple(a - 2**degree * b for a, b in zip(doubled, base)))
+    return rows
+
+
 class TestKernel:
+    @pytest.mark.parametrize("k,n", VERIFY_GRID + INVARIANT_CELLS + [(9, 2), (9, 3)] + EDGES)
+    def test_scaling_rows_against_class_of(self, k, n):
+        assert _scaling_rows(k, n) == brute_scaling_rows(k, n)
+
     def test_matches_scaling_classes_on_grid(self):
         for k, n in GRID:
             rep = kernel_of_gamma(k, n)
@@ -260,7 +286,47 @@ class TestKernel:
                 assert all(v == 0 for v in gam.matvec(row))
 
 
+def brute_cokernel_report(rank, degree):
+    """(injective, torsion, free rank, quotient invariants, index) as
+    cokernel_of_pi_gamma read them before everything came off one Smith form:
+    injectivity from the kernel lattice, the index from the image lattice's
+    Hermite form, the quotient from the products sublattice."""
+    stacked = stacked_pi_gamma(rank, degree)
+    invariants = cokernel_invariants(stacked)
+    image = Lattice.from_rows(stacked.nrows, [tuple(c) for c in stacked.cols()])
+    quotient = cokernel_invariants(products_sublattice(rank, degree).basis.transpose())
+    injective = kernel_lattice(stacked).rank == 0
+    return injective, invariants, quotient, lattice_index(image)
+
+
 class TestCokernel:
+    @pytest.mark.parametrize(
+        "k,n", VERIFY_GRID + INVARIANT_CELLS + [(9, 2), (9, 3), (0, 1), (0, 3), (3, 1)]
+    )
+    def test_report_against_lattice_route(self, k, n):
+        rep = cokernel_of_pi_gamma(k, n)
+        injective, invariants, quotient, index = brute_cokernel_report(k, n)
+        assert (rep.injective, rep.invariants, rep.quotient_invariants) == (
+            injective, invariants, quotient
+        )
+        assert rep.index == index and type(rep.index) is type(index)
+        assert rep.match == (injective and invariants == quotient)
+
+    def test_non_square_stack_is_a_verification_error(self, monkeypatch):
+        # the index is |det| only for a square map
+        monkeypatch.setattr(
+            gamma_section, "stacked_pi_gamma", lambda k, n: Matrix([[1, 0, 0], [0, 2, 0]], 3)
+        )
+        with pytest.raises(VerificationError, match="not square"):
+            cokernel_of_pi_gamma(1, 2)
+
+    def test_singular_square_stack_has_no_index(self, monkeypatch):
+        singular = Matrix([[2, 4], [1, 2]], 2)
+        monkeypatch.setattr(gamma_section, "stacked_pi_gamma", lambda k, n: singular)
+        rep = cokernel_of_pi_gamma(1, 1)
+        assert not rep.injective and rep.index is None and not rep.match
+        assert rep.invariants.free_rank == 1
+
     def test_truncation_frozen(self):
         assert truncation_matrix(1, 2).rows == ((1, 0, 0), (0, 1, 0))
 
