@@ -15,6 +15,7 @@ product.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
 from .combinatorics import binomial, multisets_exactly
@@ -71,27 +72,50 @@ class GammaModule(MultisetSpace):
         return self.deviation(self.divided_power, xs)
 
 
+@lru_cache(maxsize=None)
+def _monomial_columns(nvars: int, degree: int) -> dict:
+    """Column of each monomial of the given degree in nvars variables, in
+    the order of multisets_exactly, keyed by its code sum_t (degree+1)^w_t
+    over its variable word w."""
+    base = degree + 1
+    return {
+        sum(base**j for j in word): i
+        for i, word in enumerate(combinations_with_replacement(range(nvars), degree))
+    }
+
+
 def _monomial_rows(forms, nvars: int, degree: int):
     """(rows, width): per sorted word b over the sparse linear forms
     [(variable, coefficient), ...], the coefficients of the product of forms
-    b_1..b_n on the `width` monomials, each keyed by its sorted variable word
-    (both words in the order of multisets_exactly)."""
-    monomials = {w: i for i, w in enumerate(combinations_with_replacement(range(nvars), degree))}
+    b_1..b_n on the `width` monomials (both words in the order of
+    multisets_exactly).
+
+    A monomial is keyed by the integer whose base-(degree+1) digits are its
+    variable multiplicities, so multiplying by variable j adds (degree+1)^j
+    to the key.  The words b are expanded depth first, in lexicographic
+    order, so words sharing a prefix share the product of its forms."""
+    columns = _monomial_columns(nvars, degree)
+    width = len(columns)
+    base = degree + 1
+    coded = [[(base**j, v) for j, v in form] for form in forms]
     rows = []
-    for b in combinations_with_replacement(range(len(forms)), degree):
-        acc = {(): 1}
-        for t in b:
+
+    def expand(acc: dict, start: int, depth: int):
+        if depth == degree:
+            row = [0] * width
+            for code, c in acc.items():
+                row[columns[code]] = c
+            rows.append(row)
+            return
+        for t in range(start, len(coded)):
             nxt: dict = {}
-            for word, c in acc.items():
-                for j, v in forms[t]:
-                    key = tuple(sorted(word + (j,)))
-                    nxt[key] = nxt.get(key, 0) + c * v
-            acc = nxt
-        row = [0] * len(monomials)
-        for word, c in acc.items():
-            row[monomials[word]] = c
-        rows.append(row)
-    return rows, len(monomials)
+            for code, c in acc.items():
+                for step, v in coded[t]:
+                    nxt[code + step] = nxt.get(code + step, 0) + c * v
+            expand(nxt, t, depth + 1)
+
+    expand({0: 1}, 0, 0)
+    return rows, width
 
 
 def gamma_of_hom(alpha, degree: int) -> Matrix:

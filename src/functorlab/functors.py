@@ -12,7 +12,9 @@ on alpha's columns.
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
 multiset X acts by the deviation of the arrow map at X's word of matrix
-units, one arrow evaluation per multiset shared by all the deviations.
+units, one arrow evaluation per multiset shared by all the deviations.  The
+certificate is memoized, one per (spec, n, seed, samples), so extraction
+after an explicit certificate does not sample the functor again.
 Reconstruction goes back through a balanced tensor product, built from the
 one composition table of augmentation.composition_tables as sparse
 relations whose invariants intlinalg.relation_invariants reads off without
@@ -262,12 +264,17 @@ def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix, window=None) -
     return cross_check_conditions(table, n, list(window))
 
 
+@lru_cache(maxsize=None)
 def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 3) -> DeviationReport:
     """Certify (by exact sampling) that the functor is numerical of degree <= n.
 
     Two ingredients: the scaling laws at the identity of the rank-n module on
     the window [-(n+2), n+2], and the vanishing of every (n+1)-st deviation
     of the arrow map on seeded random matrix tuples of assorted shapes.
+
+    The report is a pure function of (spec, n, seed, samples), all frozen
+    and hashable, so it is memoized: extract_morita_module reuses the
+    certificate a caller has just asked for.  A raising call is not cached.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

@@ -1,8 +1,11 @@
 """Dense exact linear algebra over the integers, with rational spillover.
 
-Matrices are immutable and carry int or Fraction entries (never floats): a
-row of plain ints is stored as given, any other row is normalized entry by
-entry.  Products skip zero entries.  The integer normal forms drive
+Matrices are immutable and carry int or Fraction entries (never floats).
+The constructor checks the types of all entries in one pass over the
+chained rows; only when some entry is not a plain int does it look at the
+rows one by one, keeping an all-int row as given and normalizing any other
+entry by entry (integral Fractions collapse to int, anything inexact is a
+TypeError).  Products skip zero entries.  The integer normal forms drive
 everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -48,14 +52,17 @@ class Matrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        data = tuple(
-            row if _INT.issuperset(map(type, row)) else tuple(map(_norm, row))
-            for row in map(tuple, rows)
-        )
+        data = tuple(map(tuple, rows))
+        if not _INT.issuperset(map(type, chain.from_iterable(data))):
+            data = tuple(
+                row if _INT.issuperset(map(type, row)) else tuple(map(_norm, row))
+                for row in data
+            )
         if data:
-            width = len(data[0])
-            if any(len(r) != width for r in data):
+            widths = set(map(len, data))
+            if len(widths) > 1:
                 raise ValueError("ragged rows")
+            (width,) = widths
             if ncols is not None and ncols != width:
                 raise ValueError(f"declared {ncols} columns, rows have {width}")
             ncols = width
@@ -80,12 +87,12 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, cols, nrows: int | None = None) -> "Matrix":
-        cols = tuple(tuple(c) for c in cols)
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return cls((tuple(c[i] for c in cols) for i in range(nrows)), len(cols))
+        cols = tuple(map(tuple, cols))
+        if not cols:
+            return cls(((),) * (nrows or 0), 0)
+        if len(set(map(len, cols))) > 1:
+            raise ValueError("ragged columns")
+        return cls(zip(*cols), len(cols))
 
     @classmethod
     def from_sparse(cls, rows, ncols: int) -> "Matrix":
@@ -135,10 +142,9 @@ class Matrix:
 
     @property
     def is_integral(self) -> bool:
-        return all(
-            _INT.issuperset(map(type, r)) or all(isinstance(v, int) for v in r)
-            for r in self.rows
-        )
+        if _INT.issuperset(map(type, chain.from_iterable(self.rows))):
+            return True
+        return all(isinstance(v, int) for r in self.rows for v in r)
 
     @property
     def is_zero(self) -> bool:
@@ -402,11 +408,17 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.nrows
 
+    @cached_property
+    def _pivot_rows(self) -> dict:
+        """Basis row by pivot column, built on the first membership test.
+        Not a field, so equality and hashing still see the basis alone."""
+        return {_lead(row): row for row in self.basis.rows}
+
     def contains(self, vec) -> bool:
         vec = list(vec)
         if len(vec) != self.ambient_rank:
             raise ValueError("vector length differs from ambient rank")
-        pivot_of = {_lead(row): row for row in self.basis.rows}
+        pivot_of = self._pivot_rows
         for j in range(self.ambient_rank):
             v = vec[j]
             if not v:

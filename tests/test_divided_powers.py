@@ -1,15 +1,18 @@
 """Divided power modules, the induced matrix on multiset bases, the tensor
 orbit-sum embedding, and the composition product built on it."""
 import random
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra
 from functorlab.combinatorics import Multiset
 from functorlab.divided_powers import (
     GammaElement,
     GammaModule,
+    _monomial_rows,
     distinct_permutations,
     gamma_dimension,
     gamma_of_hom,
@@ -49,6 +52,81 @@ def brute_gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
             row.append(total)
         rows.append(row)
     return Matrix(rows, source.dimension())
+
+
+def brute_monomial_rows(forms, nvars: int, degree: int):
+    """The product of forms b_1..b_n for each sorted word b, expanded term by
+    term with every monomial keyed by its sorted variable word.  Oracle for
+    the integer-coded, prefix-sharing expansion of _monomial_rows."""
+    monomials = {
+        w: i for i, w in enumerate(combinations_with_replacement(range(nvars), degree))
+    }
+    rows = []
+    for b in combinations_with_replacement(range(len(forms)), degree):
+        acc = {(): 1}
+        for t in b:
+            nxt: dict = {}
+            for word, c in acc.items():
+                for j, v in forms[t]:
+                    key = tuple(sorted(word + (j,)))
+                    nxt[key] = nxt.get(key, 0) + c * v
+            acc = nxt
+        row = [0] * len(monomials)
+        for word, c in acc.items():
+            row[monomials[word]] = c
+        rows.append(row)
+    return rows, len(monomials)
+
+
+sparse_forms = st.integers(0, 5).flatmap(
+    lambda nvars: st.tuples(
+        st.just(nvars),
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, max(nvars - 1, 0)), st.integers(-4, 4).filter(bool)),
+                max_size=nvars,
+                unique_by=lambda term: term[0],
+            ),
+            max_size=5,
+        ),
+        st.integers(0, 4),
+    )
+)
+
+
+class TestMonomialRows:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_forms)
+    def test_matches_sorted_word_expansion(self, case):
+        nvars, forms, degree = case
+        assert _monomial_rows(forms, nvars, degree) == brute_monomial_rows(forms, nvars, degree)
+
+    def test_edges(self):
+        for nvars in range(4):
+            for degree in range(4):
+                for forms in ([], [[]], [[], []], [[(0, -1)]] if nvars else [[]]):
+                    got = _monomial_rows(forms, nvars, degree)
+                    assert got == brute_monomial_rows(forms, nvars, degree)
+
+    def test_repeated_calls_share_the_index_not_the_rows(self):
+        forms = [[(0, 2), (1, -1)], [(1, 3)]]
+        first, width = _monomial_rows(forms, 2, 3)
+        first[0][0] = 99
+        assert _monomial_rows(forms, 2, 3) == brute_monomial_rows(forms, 2, 3)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("q,p", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)])
+    def test_sym_and_div_on_empty_matrices(self, q, p, n):
+        from functorlab.functors import Div, Sym, arrow_map, object_dim
+
+        alpha = Matrix((), p) if q == 0 else Matrix.zeros(q, 0)
+        assert alpha.shape == (q, p)
+        for spec in (Sym(n), Div(n)):
+            got = arrow_map(spec, alpha)
+            assert got.shape == (object_dim(spec, q), object_dim(spec, p))
+            assert got.is_zero == (n > 0)
+        assert arrow_map(Div(n), alpha) == brute_gamma_of_hom(alpha, n)
+        assert arrow_map(Sym(n), alpha) == brute_gamma_of_hom(alpha.transpose(), n).transpose()
 
 
 class TestBasics:

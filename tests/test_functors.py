@@ -283,6 +283,63 @@ class TestDegreeCertificates:
         assert not scaling_cross_check(Sym(2), 1, Matrix.identity(1)).passed
 
 
+class TestCertificateMemo:
+    """degree_certificate is memoized per (spec, n, seed, samples)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        degree_certificate.cache_clear()
+        yield
+        degree_certificate.cache_clear()
+
+    def test_repeated_call_returns_the_same_report(self):
+        first = degree_certificate(Sym(2), 2, seed=4)
+        assert degree_certificate(Sym(2), 2, seed=4) is first
+        info = degree_certificate.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_memo_equals_a_fresh_run(self):
+        fresh = degree_certificate.__wrapped__
+        for spec in CATALOG2 + [Sym(3), DirectSum(Const(1), Sym(2))]:
+            for n in (1, 2):
+                assert degree_certificate(spec, n, seed=2) == fresh(spec, n, seed=2)
+
+    def test_each_key_has_its_own_entry(self):
+        calls = [
+            (Sym(2), 2, 0, 3),
+            (Div(2), 2, 0, 3),
+            (Tensor(2), 2, 0, 3),
+            (Sym(2), 1, 0, 3),
+            (Sym(2), 2, 1, 3),
+            (Sym(2), 2, 0, 1),
+        ]
+        reports = [degree_certificate(spec, n, seed=seed, samples=k) for spec, n, seed, k in calls]
+        assert degree_certificate.cache_info().currsize == len(calls)
+        assert degree_certificate.cache_info().hits == 0
+        assert [r.passed for r in reports] == [True, True, True, False, True, True]
+        assert reports[5].samples_used < reports[0].samples_used
+
+    def test_raising_call_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                degree_certificate(Sym(2), -1)
+        info = degree_certificate.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_extraction_reuses_the_certificate(self):
+        degree_certificate(Sym(2), 2, seed=3)
+        extract_morita_module(Sym(2), 2, seed=3)
+        info = degree_certificate.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_failed_certificate_raises_on_every_extraction(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="fails the degree-2 certificate"):
+                extract_morita_module(Sym(3), 2, seed=1)
+        info = degree_certificate.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+
 class TestModuleExtraction:
     def test_certificate_gate(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ reductions) or follow from uniqueness of the canonical forms.
 import hashlib
 import itertools
 import random
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from math import gcd
 
@@ -112,6 +113,45 @@ class TestMatrixBasics:
         for rows in ([[bad]], [[1, bad, 2]], [[1, 2], [3, bad]], [[Fraction(1, 2), bad]]):
             with pytest.raises(TypeError, match=f"exact scalar required, got {type(bad).__name__}$"):
                 Matrix(rows)
+
+    @pytest.mark.parametrize("bad", [2.5, "7"])
+    @pytest.mark.parametrize("before", [0, 1, 40])
+    def test_inexact_entry_after_int_rows_rejected(self, bad, before):
+        message = f"exact scalar required, got {type(bad).__name__}$"
+        ints = [[1, 2, 3]] * before
+        for rows in (ints + [[1, 2, bad]], ints + [[bad, 0, 0]] + ints):
+            with pytest.raises(TypeError, match=message):
+                Matrix(rows)
+            with pytest.raises(TypeError, match=message):
+                Matrix.from_cols(rows)
+
+    def test_integral_fractions_collapse_after_int_rows(self):
+        m = Matrix([[1, 2]] * 30 + [[Fraction(6, 3), Fraction(1, 2)]], 2)
+        assert m.rows[-1] == (2, Fraction(1, 2))
+        assert type(m.rows[-1][0]) is int and type(m.rows[0][0]) is int
+        assert not m.is_integral
+        assert Matrix([[1, 2], [Fraction(-4, 2), 0]], 2).is_integral
+
+    @pytest.mark.parametrize(
+        "rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []], [[Fraction(1, 2)], [1, 2]]]
+    )
+    def test_ragged_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match="ragged rows"):
+            Matrix(rows)
+
+    @pytest.mark.parametrize("cols", [[(1,), (2, 3)], [(1, 2), (3,)], [(1, 2), (3, 4), ()]])
+    def test_ragged_columns_rejected(self, cols):
+        with pytest.raises(ValueError, match="ragged columns"):
+            Matrix.from_cols(cols)
+
+    def test_from_cols(self):
+        assert Matrix.from_cols([(1, 2, 3), (4, 5, 6)]).rows == ((1, 4), (2, 5), (3, 6))
+        assert Matrix.from_cols(iter([[Fraction(2, 1)]])).rows == ((2,),)
+        assert Matrix.from_cols([], 3).shape == (3, 0)
+        assert Matrix.from_cols([]).shape == (0, 0)
+        assert Matrix.from_cols([(), ()], 0).shape == (0, 2)
+        m = Matrix([[1, -2, 0], [3, 1, 2]], 3)
+        assert Matrix.from_cols(m.cols(), m.nrows) == m
 
     def test_shape_arithmetic(self):
         a = Matrix([[1, 2], [3, 4]], 2)
@@ -449,11 +489,50 @@ class TestCokernel:
         assert inv.free_rank == n - sum(1 for d in diag if d)
 
 
+lattice_and_vectors = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4),
+        st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=6),
+        st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n), min_size=1, max_size=6),
+    )
+)
+
+
 class TestLattices:
     def test_contains(self):
         lat = Lattice.from_rows(2, [(2, 0), (0, 2)])
         assert lat.contains((4, -2))
         assert not lat.contains((1, 0))
+
+    @settings(max_examples=150)
+    @given(lattice_and_vectors)
+    def test_contains_matches_hermite_oracle(self, case):
+        """v lies in L iff appending v to L's basis leaves its Hermite form
+        unchanged; vectors are drawn both inside L and anywhere."""
+        n, rows, coeffs, free = case
+        lat = Lattice.from_rows(n, rows)
+        inside = [
+            [sum(c * r[j] for c, r in zip(cs, lat.basis.rows)) for j in range(n)]
+            for cs in coeffs
+        ]
+        for vec in inside + free:
+            oracle = hermite_normal_form(Matrix(list(lat.basis.rows) + [vec], n)) == lat.basis
+            assert lat.contains(vec) == oracle, (lat.basis.rows, vec)
+        assert all(lat.contains(v) for v in inside)
+
+    def test_pivot_cache_leaves_equality_and_hash(self):
+        rows = [(2, 4, 0), (0, 3, 6)]
+        used, fresh = Lattice.from_rows(3, rows), Lattice.from_rows(3, rows)
+        before = hash(used), repr(used)
+        assert used.contains((2, 7, 6)) and not used.contains((1, 0, 0))
+        assert (hash(used), repr(used)) == before
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {used, fresh} == {fresh}
+        assert used != Lattice.from_rows(3, [(2, 4, 0)])
+        assert [f.name for f in fields(Lattice)] == ["ambient_rank", "basis"]
+        with pytest.raises(FrozenInstanceError):
+            used.basis = fresh.basis
 
     def test_intersection_frozen(self):
         two = Lattice.from_rows(1, [(2,)])
