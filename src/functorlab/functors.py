@@ -54,6 +54,7 @@ from .intlinalg import (
     block_diag,
     cokernel_invariants,
     hermite_normal_form,
+    relation_hermite_form,
     relation_invariants,
     solve_rational,
 )
@@ -605,10 +606,9 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     space = GammaModule(n * n, n)
     gens_total = space.dimension() * gens
     products, left = _schur_tables(n)
-    rows = _tensor_relation_rows(
+    presentation = relation_hermite_form(gens_total, _tensor_relation_rows(
         len(products), gens, products, module.action, module.algebra.basis, module.presentation
-    )
-    presentation = hermite_normal_form(Matrix.from_sparse(rows, gens_total)).transpose()
+    )).transpose()
 
     action = {}
     for D, left_d in zip(space.basis, left):

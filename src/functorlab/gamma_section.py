@@ -201,8 +201,8 @@ def truncation_matrix(rank: int, degree: int) -> Matrix:
     as the basis of B(rank, degree - 1) begins that of B(rank, degree)."""
     if degree < 1:
         raise ValueError("need degree >= 1 to truncate")
-    dim = aug_dimension(rank, degree)
-    return Matrix(Matrix.identity(dim).rows[: aug_dimension(rank, degree - 1)], dim)
+    units = [{i: 1} for i in range(aug_dimension(rank, degree - 1))]
+    return Matrix.from_sparse(units, aug_dimension(rank, degree))
 
 
 def stacked_pi_gamma(rank: int, degree: int) -> Matrix:

@@ -1,28 +1,31 @@
-"""Dense exact linear algebra over the integers, with rational spillover.
+"""Exact linear algebra over the integers, with rational spillover: dense
+storage, sparse elimination.
 
-Matrices are immutable and carry int or Fraction entries (never floats).
-The constructor checks the types of all entries in one pass over the
-chained rows; only when some entry is not a plain int does it look at the
-rows one by one, keeping an all-int row as given and normalizing any other
-entry by entry (integral Fractions collapse to int, anything inexact is a
-TypeError).  Products skip zero entries.  The integer normal forms drive
-everything downstream:
+Matrices are immutable and carry int or Fraction entries (never floats),
+stored as dense rows.  The constructor checks the types of all entries in
+one pass over the chained rows; only when some entry is not a plain int does
+it look at the rows one by one, keeping an all-int row as given and
+normalizing any other entry by entry (integral Fractions collapse to int,
+anything inexact is a TypeError).  Products skip zero entries.  The integer
+normal forms drive everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
   * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
-  * relation_invariants  - invariants of Z^width modulo sparse relations
+  * relation_invariants, relation_hermite_form - the same for sparse relations
   * kernel_lattice, cokernel_invariants, lattice_intersection, saturation
 
-The integer forms share one elimination, `_echelon`: the Smith form alternates
-row Hermite forms of the matrix and of its transpose (Kannan-Bachem), and
-saturation is the kernel of the kernel.  `_echelon` buckets rows by leading
-column, so tall, sparse relation matrices cost about their nonzero rows.
+They share one elimination, `_echelon`, on sparse rows {column: value}: the
+Smith form alternates row Hermite forms of the rows and of their transpose
+(Kannan-Bachem), a kernel is read off the sparse transform rows of the rows
+that reduce to zero, and saturation is the kernel of the kernel.  Rows are
+bucketed by leading column, so the cost follows the nonzero entries, and no
+dense identity or transform is built.
 
 Cokernel invariants come from relation_invariants, also for a dense matrix
 (its columns are the relations): before any Smith form, every relation with
 a +-1 entry removes its generator by substitution, shortest relation first
 (the unit-pivot reduction for sparse integer Smith forms, Dumas-Saunders-
-Villard 2001), and smith_normal_form runs only on the dense remainder.
+Villard 2001), and the Smith form runs only on the sparse remainder.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, repeat
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
@@ -212,8 +215,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Rank over the rationals (scale to integers, then echelon)."""
-        d = self.denominator_lcm()
-        return len(_echelon([[int(v * d) for v in r] for r in self.rows], self.ncols))
+        return len(_echelon(_int_rows(self.scale(self.denominator_lcm()))))
 
     def det(self) -> int:
         """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
@@ -272,48 +274,62 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(rows, total_c)
 
 
-def _lead(row, start: int = 0):
-    """Column of the first nonzero entry at or after `start`, or None."""
-    return next(compress(count(start), islice(row, start, None)), None)
+def _int_rows(mat: Matrix, form: str = "Hermite") -> list[dict]:
+    """Sparse rows {column: value} of an integer matrix, zeros left out."""
+    if not mat.is_integral:
+        raise ValueError(f"{form} form needs integer entries")
+    return [dict(compress(enumerate(row), row)) for row in mat.rows]
 
 
-def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | None = None):
-    """In-place integer row echelon with back-reduction (canonical HNF layout).
+def _transpose(rows: list[dict], width: int) -> list[dict]:
+    """Sparse columns of sparse rows whose columns lie in 0..width-1."""
+    cols: list[dict] = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
 
-    Rows are bucketed by leading column, so column j touches only the rows
-    that start there, and a row reduced to zero drops out.  Forward pass: per
-    column, Euclid within the bucket: the entry of smallest absolute value
-    (the topmost row on ties) becomes the pivot and the others are reduced
-    modulo it, moving to the bucket of their new leading column, until only
-    the pivot is left; then it is made positive.  Reducing by remainders
-    rather than by Bezout combinations keeps entries small on dense matrices.
-    Positions follow the row swaps of an in-place elimination; rows are put
-    in that order at the end.  Back pass: reduce entries above each pivot
-    into [0, pivot).  `transform` rows receive the same row operations.
-    Returns the list of pivot columns; rows beyond len(pivots) end up zero.
+
+def _echelon(rows: list[dict], transform: list[dict] | None = None) -> list[int]:
+    """In-place integer row echelon of sparse rows {column: nonzero value},
+    with back-reduction (canonical HNF layout).
+
+    Rows are bucketed by leading column and a heap holds the columns whose
+    bucket is pending, so column j touches only the rows that start there,
+    and a row reduced to zero drops out.  Forward pass: per column, Euclid
+    within the bucket: the entry of smallest absolute value (the topmost row
+    on ties) becomes the pivot and the others are reduced modulo it, moving
+    to the bucket of their new leading column, until only the pivot is left;
+    then it is made positive.  Reducing by remainders rather than by Bezout
+    combinations keeps entries small on dense matrices.  Positions follow
+    the row swaps of an in-place elimination; rows are put in that order at
+    the end.  Back pass: reduce entries above each pivot into [0, pivot).
+    `transform` rows (sparse too) receive the same row operations.  Returns
+    the list of pivot columns; rows beyond len(pivots) end up empty.
     """
     stores = (rows, transform) if transform is not None else (rows,)
     at = list(range(len(rows)))  # at[p]: the row standing at position p
     pos = list(range(len(rows)))  # pos[i]: the position of row i
-    buckets: list[list[int]] = [[] for _ in range(width)]
+    buckets: dict[int, list[int]] = {}
     for i, row in enumerate(rows):
-        j = _lead(row)
-        if j is not None:
-            buckets[j].append(i)
+        if row:
+            buckets.setdefault(min(row), []).append(i)
+    pending = sorted(buckets)  # a heap of the columns with a pending bucket
     pivots: list[int] = []
 
-    def row_sub(i, k, q, j):
-        # entries left of column j are zero in row k
-        ri, rk = rows[i], rows[k]
-        ri[j:] = map(sub, ri[j:], map(mul, repeat(q), rk[j:]))
-        if transform is not None:
-            ti, tk = transform[i], transform[k]
-            ti[:] = map(sub, ti, map(mul, repeat(q), tk))
+    def row_sub(i, k, q):
+        for store in stores:
+            ri = store[i]
+            for c, v in store[k].items():
+                w = ri.get(c, 0) - q * v
+                if w:
+                    ri[c] = w
+                else:
+                    del ri[c]
 
-    for j in range(width):
-        live = buckets[j]
-        if not live:
-            continue
+    while pending:
+        j = heappop(pending)
+        live = buckets.pop(j)
         r = len(pivots)
         while True:
             best = min(live, key=lambda i: (abs(rows[i][j]), pos[i]))
@@ -325,17 +341,18 @@ def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | Non
             still = [best]
             for i in live:
                 if i != best:
-                    row_sub(i, best, rows[i][j] // a, j)
-                    if rows[i][j]:
+                    row_sub(i, best, rows[i][j] // a)
+                    if j in rows[i]:
                         still.append(i)
-                    else:
-                        lead = _lead(rows[i], j + 1)
-                        if lead is not None:
-                            buckets[lead].append(i)
+                    elif rows[i]:
+                        lead = min(rows[i])
+                        if lead not in buckets:
+                            heappush(pending, lead)
+                        buckets.setdefault(lead, []).append(i)
             live = still
         if rows[best][j] < 0:
             for store in stores:
-                store[best] = [-v for v in store[best]]
+                store[best] = {c: -v for c, v in store[best].items()}
         pivots.append(j)
 
     for store in stores:
@@ -347,9 +364,9 @@ def _echelon(rows: list[list[int]], width: int, transform: list[list[int]] | Non
     for idx, j in enumerate(pivots):
         p = rows[idx][j]
         for i in range(idx):
-            q = rows[i][j] // p
+            q = rows[i].get(j, 0) // p
             if q:
-                row_sub(i, idx, q, j)
+                row_sub(i, idx, q)
     return pivots
 
 
@@ -358,28 +375,35 @@ def hermite_normal_form(mat: Matrix) -> Matrix:
 
     Two integer row spans are equal iff their forms are equal.
     """
-    if not mat.is_integral:
-        raise ValueError("Hermite form needs integer entries")
-    rows = mat.to_lists()
-    pivots = _echelon(rows, mat.ncols)
-    return Matrix(rows[: len(pivots)], mat.ncols)
+    rows = _int_rows(mat)
+    return Matrix.from_sparse(rows[: len(_echelon(rows))], mat.ncols)
+
+
+def relation_hermite_form(width: int, relations) -> Matrix:
+    """Hermite form of the span of sparse integer relations {column: value}
+    in Z^width, with no dense copy of the relations."""
+    rows = _relation_rows(width, relations)
+    return Matrix.from_sparse(rows[: len(_echelon(rows))], width)
 
 
 def hnf_with_transform(mat: Matrix) -> tuple[Matrix, Matrix]:
     """Return (H, U) with U unimodular, U @ mat == H, H echelon incl. zero rows."""
-    if not mat.is_integral:
-        raise ValueError("Hermite form needs integer entries")
-    rows = mat.to_lists()
-    transform = Matrix.identity(mat.nrows).to_lists()
-    _echelon(rows, mat.ncols, transform)
-    return Matrix(rows, mat.ncols), Matrix(transform, mat.nrows)
+    rows, transform = _int_rows(mat), [{i: 1} for i in range(mat.nrows)]
+    _echelon(rows, transform)
+    return Matrix.from_sparse(rows, mat.ncols), Matrix.from_sparse(transform, mat.nrows)
+
+
+def _kernel(rows: list[dict]) -> list[dict]:
+    """Canonical Hermite rows of {y : sum_i y_i rows[i] == 0}: the transform
+    rows of the rows that reduce to zero.  Reduces `rows` in place."""
+    transform = [{i: 1} for i in range(len(rows))]
+    kernel = transform[len(_echelon(rows, transform)):]
+    return kernel[: len(_echelon(kernel))]
 
 
 def left_kernel(mat: Matrix) -> Matrix:
     """Canonical basis rows of {y : y @ mat == 0}."""
-    h, u = hnf_with_transform(mat)
-    rows = [u.rows[i] for i in range(mat.nrows) if not any(h.rows[i])]
-    return hermite_normal_form(Matrix(rows, mat.nrows))
+    return Matrix.from_sparse(_kernel(_int_rows(mat)), mat.nrows)
 
 
 @dataclass(frozen=True)
@@ -412,7 +436,7 @@ class Lattice:
     def _pivot_rows(self) -> dict:
         """Basis row by pivot column, built on the first membership test.
         Not a field, so equality and hashing still see the basis alone."""
-        return {_lead(row): row for row in self.basis.rows}
+        return {next(compress(count(), row)): row for row in self.basis.rows}
 
     def contains(self, vec) -> bool:
         vec = list(vec)
@@ -432,8 +456,8 @@ class Lattice:
 
 def kernel_lattice(mat: Matrix) -> Lattice:
     """Integer solutions of mat @ x == 0, as a (saturated) lattice in Z^ncols."""
-    ker = left_kernel(mat.transpose())
-    return Lattice(mat.ncols, ker)
+    cols = _transpose(_int_rows(mat), mat.ncols)
+    return Lattice(mat.ncols, Matrix.from_sparse(_kernel(cols), mat.ncols))
 
 
 @dataclass(frozen=True)
@@ -463,23 +487,9 @@ def relation_invariants(width: int, relations) -> CokernelInvariants:
     dropped.  Each step is unimodular, so the invariants do not change.  The
     shortest relation goes first (fewest substitutions, least fill), and
     among its unit columns the one touched by the fewest relations.  The
-    Smith form then runs only on the dense remainder.
+    Smith form then runs only on the sparse remainder.
     """
-    rels: dict[int, dict] = {}
-    seen = set()
-    for rel in relations:
-        row = {}
-        for j, v in rel.items():
-            if v:
-                if not isinstance(v, int):
-                    raise ValueError("relations need integer entries")
-                if not 0 <= j < width:
-                    raise ValueError(f"relation column outside 0..{width - 1}")
-                row[j] = v
-        key = frozenset(row.items())
-        if row and key not in seen:
-            seen.add(key)
-            rels[len(rels)] = row
+    rels = dict(enumerate(_relation_rows(width, relations)))
     touching: dict[int, set] = {}  # column -> ids of the relations with an entry there
     for i, row in rels.items():
         for j in row:
@@ -518,60 +528,74 @@ def relation_invariants(width: int, relations) -> CokernelInvariants:
             else:
                 del rels[s]
         removed += 1
-    cols = sorted(j for j, ids in touching.items() if ids)
-    rest = Matrix([[row.get(j, 0) for j in cols] for row in rels.values()], len(cols))
-    s = smith_normal_form(rest)
-    diag = [s.rows[i][i] for i in range(min(s.shape))]
+    diag = _smith_diagonal(list(rels.values()), width)
     torsion = tuple(d for d in diag if d > 1)
-    return CokernelInvariants(torsion, width - removed - sum(1 for d in diag if d))
+    return CokernelInvariants(torsion, width - removed - len(diag))
+
+
+def _relation_rows(width: int, relations) -> list[dict]:
+    """Checked copies of sparse integer relations {column: value} in Z^width,
+    with zero entries, empty relations and repeated relations left out."""
+    rows, seen = [], set()
+    for rel in relations:
+        row = {}
+        for j, v in rel.items():
+            if v:
+                if not isinstance(v, int):
+                    raise ValueError("relations need integer entries")
+                if not 0 <= j < width:
+                    raise ValueError(f"relation column outside 0..{width - 1}")
+                row[j] = v
+        key = frozenset(row.items())
+        if row and key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return rows
 
 
 def smith_normal_form(mat: Matrix) -> Matrix:
     """Smith form S of mat: same shape, nonnegative diagonal d_1 | d_2 | ...,
-    zero past the rank, every other entry zero.
+    zero past the rank, every other entry zero."""
+    diag = _smith_diagonal(_int_rows(mat, "Smith"), mat.ncols)
+    rows = [{i: d} for i, d in enumerate(diag)] + [{}] * (mat.nrows - len(diag))
+    return Matrix.from_sparse(rows, mat.ncols)
+
+
+def _smith_diagonal(rows: list[dict], width: int) -> list[int]:
+    """Nonzero invariant factors d_1 | d_2 | ... of sparse rows in Z^width.
 
     Row Hermite forms of the rows and of the transpose alternate until each
     row keeps one nonzero entry.  Each pass's first pivot divides the last
     one's, and an equal pivot leaves its row and column cleared for good, so
     the loop ends.  gcd/lcm swaps then order the diagonal into a chain.
     """
-    if not mat.is_integral:
-        raise ValueError("Smith form needs integer entries")
-    rows, width = mat.to_lists(), mat.ncols
     while True:
-        rank = len(_echelon(rows, width))
+        rank = len(_echelon(rows))
         rows = rows[:rank]
-        if sum(1 for r in rows for v in r if v) == rank:
+        if all(len(r) == 1 for r in rows):
             break
-        rows, width = [list(c) for c in zip(*rows)], rank
-    diag = [v for r in rows for v in r if v]
+        rows, width = _transpose(rows, width), rank
+    diag = [v for r in rows for v in r.values()]
     for i in range(rank):
         for j in range(i + 1, rank):
             g = gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] // g * diag[j]
-    s = [[0] * mat.ncols for _ in range(mat.nrows)]
-    for i, d in enumerate(diag):
-        s[i][i] = d
-    return Matrix(s, mat.ncols)
+    return diag
 
 
 def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
-    if a.rank == 0 or b.rank == 0:
-        return Lattice.zero(a.ambient_rank)
-    stacked = vstack(a.basis, b.basis)
-    relations = left_kernel(stacked)
-    rows = [
-        a.basis.transpose().matvec(rel[: a.rank])
-        for rel in relations.rows
-    ]
-    return Lattice.from_rows(a.ambient_rank, rows)
+    relations = left_kernel(vstack(a.basis, b.basis))
+    coeffs = Matrix((rel[: a.rank] for rel in relations.rows), a.rank)
+    return Lattice(a.ambient_rank, hermite_normal_form(coeffs @ a.basis))
 
 
 def saturation(lat: Lattice) -> Lattice:
     """Smallest sublattice containing lat whose quotient is torsion-free."""
-    return kernel_lattice(left_kernel(lat.basis.transpose()))
+    amb = lat.ambient_rank
+    ortho = _kernel(_transpose(_int_rows(lat.basis), amb))
+    return Lattice(amb, Matrix.from_sparse(_kernel(_transpose(ortho, amb)), amb))
 
 
 def lattice_index(lat: Lattice) -> int | None:
@@ -586,25 +610,21 @@ def lattice_index(lat: Lattice) -> int | None:
 
 def solve_int(mat: Matrix, target) -> tuple | None:
     """One integer solution x of mat @ x == target, or None."""
-    h, u = hnf_with_transform(mat.transpose())
+    cols, transform = _transpose(_int_rows(mat), mat.ncols), [{i: 1} for i in range(mat.ncols)]
     b = list(target)
     if len(b) != mat.nrows:
         raise ValueError("target length differs from row count")
-    coeffs = [0] * h.nrows
-    for i, row in enumerate(h.rows):
-        j = _lead(row)
-        if j is None:
-            continue
+    x = [0] * mat.ncols
+    for j, row, urow in zip(_echelon(cols, transform), cols, transform):
         if b[j] % row[j]:
             return None
-        coeffs[i] = c = b[j] // row[j]
-        b = list(map(sub, b, map(mul, repeat(c), row)))
+        c = b[j] // row[j]
+        for k, v in row.items():
+            b[k] -= c * v
+        for k, v in urow.items():
+            x[k] += c * v
     if any(b):
         return None
-    x = [0] * mat.ncols
-    for c, urow in zip(coeffs, u.rows):
-        if c:
-            x = list(map(add, x, map(mul, repeat(c), urow)))
     return tuple(x)
 
 

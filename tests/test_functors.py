@@ -41,6 +41,8 @@ from functorlab.intlinalg import (
     block_diag,
     hermite_normal_form,
     rational_inverse,
+    relation_hermite_form,
+    relation_invariants,
     smith_normal_form,
 )
 
@@ -587,6 +589,30 @@ class TestScalarChange:
     def test_extension_of_zero_module_is_trivial(self):
         inv = extend_scalars(zero_module()).group_invariants()
         assert inv.free_rank == 0 and inv.torsion == ()
+
+    def test_cubic_extension_presentation_of_sym3(self):
+        """The presentation extend_scalars builds for sym^3 at n = 3, without
+        the 165 dense action matrices: the Hermite form of the balanced-product
+        relations over Green's tables (77,295 relations on 1,650 generators)
+        has rank 1,640, and its cokernel is Z^10 = Sym^3(Z^3), also when read
+        off the relations by unit-pivot substitution."""
+        module = extract_morita_module(Sym(3), 3)
+        products, _ = functors._schur_tables(3)
+        rows = functors._tensor_relation_rows(
+            len(products),
+            module.generators,
+            products,
+            module.action,
+            module.algebra.basis,
+            module.presentation,
+        )
+        width = len(products) * module.generators
+        assert (len(rows), width) == (77295, 1650)
+        hermite = relation_hermite_form(width, rows)
+        assert hermite.shape == (1640, 1650)
+        inv = relation_invariants(width, ({j: v for j, v in enumerate(r) if v} for r in hermite.rows))
+        assert (inv.torsion, inv.free_rank) == ((), object_dim(Sym(3), 3)) == ((), 10)
+        assert relation_invariants(width, rows) == inv
 
 
 class TestQuotientTrace:

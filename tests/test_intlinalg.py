@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from functorlab.intlinalg import (
     Lattice,
     Matrix,
+    _echelon,
     _norm,
     block_diag,
     cokernel_invariants,
@@ -27,6 +28,7 @@ from functorlab.intlinalg import (
     lattice_intersection,
     left_kernel,
     rational_inverse,
+    relation_hermite_form,
     relation_invariants,
     saturation,
     smith_normal_form,
@@ -487,6 +489,219 @@ class TestCokernel:
         inv = cokernel_invariants(mat)
         assert inv.torsion == tuple(d for d in diag if d > 1)
         assert inv.free_rank == n - sum(1 for d in diag if d)
+
+
+def _brute_lead(row, start=0):
+    return next((j for j in range(start, len(row)) if row[j]), None)
+
+
+def brute_echelon(rows, width, transform=None):
+    """Oracle for the sparse `_echelon`: the same elimination over dense list
+    rows, with the same pivot rule (smallest |entry|, topmost row on ties),
+    bucketing by leading column and back-reduction into [0, pivot).  Reduces
+    `rows` (and `transform`) in place; returns the pivot columns."""
+    stores = (rows, transform) if transform is not None else (rows,)
+    at = list(range(len(rows)))  # at[p]: the row standing at position p
+    pos = list(range(len(rows)))  # pos[i]: the position of row i
+    buckets = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        j = _brute_lead(row)
+        if j is not None:
+            buckets[j].append(i)
+    pivots = []
+
+    def row_sub(i, k, q):
+        for store in stores:
+            store[i] = [a - q * b for a, b in zip(store[i], store[k])]
+
+    for j in range(width):
+        live = buckets[j]
+        if not live:
+            continue
+        r = len(pivots)
+        while True:
+            best = min(live, key=lambda i: (abs(rows[i][j]), pos[i]))
+            other, p = at[r], pos[best]
+            at[r], at[p], pos[best], pos[other] = best, other, r, p
+            if len(live) == 1:
+                break
+            a = rows[best][j]
+            still = [best]
+            for i in live:
+                if i != best:
+                    row_sub(i, best, rows[i][j] // a)
+                    if rows[i][j]:
+                        still.append(i)
+                    else:
+                        lead = _brute_lead(rows[i], j + 1)
+                        if lead is not None:
+                            buckets[lead].append(i)
+            live = still
+        if rows[best][j] < 0:
+            for store in stores:
+                store[best] = [-v for v in store[best]]
+        pivots.append(j)
+
+    for store in stores:
+        store[:] = [store[i] for i in at]
+    for idx, j in enumerate(pivots):
+        p = rows[idx][j]
+        for i in range(idx):
+            q = rows[i][j] // p
+            if q:
+                row_sub(i, idx, q)
+    return pivots
+
+
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def brute_hnf(rows, width):
+    """Nonzero rows of the dense oracle's Hermite form."""
+    rows = [list(r) for r in rows]
+    return rows[: len(brute_echelon(rows, width))]
+
+
+def brute_left_kernel(rows, width):
+    """Kernel rows off the dense transform, in canonical (Hermite) form."""
+    h, u = [list(r) for r in rows], identity_rows(len(rows))
+    brute_echelon(h, width, u)
+    return brute_hnf([t for r, t in zip(h, u) if not any(r)], len(rows))
+
+
+def sparse_rows(rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def dense_rows(rows, width):
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+# Elimination inputs as (ncols, dense rows):
+#  * dense matrices with entries in [-6, 6], 0 x n and n x 0 included;
+#  * tall sparse relation-like matrices (up to 24 rows, few entries each);
+#  * entries from +-1, +-2 and 0 only, so minimal entries tie and pivots
+#    start out negative.
+dense_elimination_case = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=5),
+    )
+)
+tall_sparse_case = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, max(n - 1, 0)),
+                st.sampled_from((1, -1, 1, -1, 2, -2, 3, -4, 6, 0)),
+                max_size=min(n, 3),
+            ).map(lambda row: [row.get(j, 0) for j in range(n)]),
+            max_size=24,
+        ),
+    )
+)
+tied_case = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.lists(st.sampled_from((-2, -1, 0, 1, 2)), min_size=n, max_size=n), max_size=6
+        ),
+    )
+)
+elimination_case = st.one_of(dense_elimination_case, tall_sparse_case, tied_case)
+
+
+class TestSparseElimination:
+    """The sparse `_echelon` against the dense `brute_echelon`, and every
+    normal form built on it against its definition."""
+
+    @settings(max_examples=300)
+    @given(elimination_case)
+    def test_echelon_matches_dense_oracle(self, case):
+        width, rows = case
+        dense, dense_u = [list(r) for r in rows], identity_rows(len(rows))
+        sparse, sparse_u = sparse_rows(rows), [{i: 1} for i in range(len(rows))]
+        assert _echelon(sparse, sparse_u) == brute_echelon(dense, width, dense_u)
+        assert dense_rows(sparse, width) == dense
+        assert dense_rows(sparse_u, len(rows)) == dense_u
+        assert all(0 not in row.values() for row in sparse + sparse_u)
+        bare = sparse_rows(rows)
+        assert _echelon(bare) == brute_echelon([list(r) for r in rows], width)
+        assert dense_rows(bare, width) == dense
+
+    @settings(max_examples=200)
+    @given(elimination_case)
+    def test_left_kernel_matches_dense_oracle(self, case):
+        width, rows = case
+        mat = Matrix(rows, width)
+        kernel = left_kernel(mat)
+        assert kernel.shape == (len(brute_left_kernel(rows, width)), len(rows))
+        assert [list(r) for r in kernel.rows] == brute_left_kernel(rows, width)
+        for y in kernel.rows:
+            assert mat.transpose().matvec(y) == (0,) * width
+        lat = kernel_lattice(mat.transpose())
+        assert lat.ambient_rank == len(rows) and lat.basis == kernel
+
+    @settings(max_examples=200)
+    @given(elimination_case)
+    def test_transform_rank_and_solver(self, case):
+        width, rows = case
+        mat = Matrix(rows, width)
+        h, u = hnf_with_transform(mat)
+        assert u.shape == (len(rows), len(rows)) and h.shape == mat.shape
+        assert u @ mat == h
+        assert abs(u.det()) == 1
+        pivots = brute_echelon([list(r) for r in rows], width)
+        assert mat.rank() == len(pivots)
+        assert hermite_normal_form(mat).rows == h.rows[: len(pivots)]
+        # targets in the column lattice, and the same moved off it by e_0
+        span = [list(c) for c in zip(*rows)]
+        for coeffs in ([1] * width, list(range(width)), [(-1) ** j for j in range(width)]):
+            target = mat.matvec(coeffs)
+            x = solve_int(mat, target)
+            assert x is not None and mat.matvec(x) == target
+            if rows:
+                moved = (target[0] + 1,) + target[1:]
+                reachable = brute_hnf(span + [moved], len(rows)) == brute_hnf(span, len(rows))
+                x = solve_int(mat, moved)
+                assert (x is not None) == reachable
+                assert x is None or mat.matvec(x) == moved
+
+    def test_empty_shapes(self):
+        for nrows, ncols in ((0, 0), (0, 3), (3, 0)):
+            mat = Matrix.zeros(nrows, ncols)
+            assert hermite_normal_form(mat).shape == (0, ncols)
+            h, u = hnf_with_transform(mat)
+            assert h == mat and u == Matrix.identity(nrows)
+            assert left_kernel(mat) == Matrix.identity(nrows)
+            assert kernel_lattice(mat) == Lattice.full(ncols)
+            assert smith_normal_form(mat) == mat
+            assert mat.rank() == 0
+            assert solve_int(mat, (0,) * nrows) == (0,) * ncols
+        assert solve_int(Matrix.zeros(2, 0), (0, 1)) is None
+
+    def test_negative_pivot_and_ties(self):
+        h, u = hnf_with_transform(Matrix([[-2, 1], [-2, 3], [2, 0]], 2))
+        assert h.rows == ((2, 0), (0, 1), (0, 0))
+        assert u @ Matrix([[-2, 1], [-2, 3], [2, 0]], 2) == h
+        assert left_kernel(Matrix([[-1], [-1], [1]], 1)).rows == ((1, 0, 1), (0, 1, 1))
+
+    @settings(max_examples=150)
+    @given(sparse_relations)
+    def test_relation_hermite_form_matches_dense_route(self, case):
+        width, relations = case
+        assert relation_hermite_form(width, relations) == hermite_normal_form(
+            Matrix.from_sparse(relations, width)
+        )
+
+    def test_relation_hermite_form_rejects(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            relation_hermite_form(2, [{0: Fraction(1, 2)}])
+        with pytest.raises(ValueError, match="outside"):
+            relation_hermite_form(2, [{2: 1}])
+        assert relation_hermite_form(3, [{}, {1: 0}]).shape == (0, 3)
 
 
 lattice_and_vectors = st.integers(1, 4).flatmap(
