@@ -3,8 +3,8 @@ The comparison map, its section, and exact lattice bookkeeping
 ==============================================================
 
 gamma sends the class [x] to the divided power x^[n]; epsilon is a rational
-one-sided inverse.  The kernel of gamma is exactly the saturated span of
-the scaling classes, and stacking gamma with the degree truncation gives an
+one-sided inverse.  The kernel of gamma contains the scaling classes and has
+their rank, so it is their saturated span, and stacking gamma with the degree truncation gives an
 injection of finite index whose cokernel is computed two independent ways.
 """
 from functorlab import (
@@ -23,11 +23,14 @@ for k, n in [(1, 2), (2, 2), (3, 3), (9, 3)]:
 
 print("gamma(1,2) =", gamma_matrix(1, 2).rows)
 
-# kernel description: the classes [2z] - 2^n [z] over z in N^k with
-# |z| <= n - 1, one per kernel rank, saturated, match the kernel
+# kernel description: gamma kills the classes [2z] - 2^n [z] over z in N^k
+# with |z| <= n - 1, and they span a sublattice of the kernel's rank, of
+# finite index
 rep = kernel_of_gamma(2, 2)
-print("kernel == saturated scaling span:", rep.match)
+print("scaling classes in the kernel, of its rank:", rep.match)
 print("kernel basis rows:", rep.kernel.basis.rows)
+for k, n in [(2, 2), (2, 3), (2, 4), (3, 4)]:
+    print(f"index of the scaling span in the kernel at (k={k}, n={n}):", kernel_of_gamma(k, n).index)
 
 # truncation stacked over gamma: injective, finite index, and its cokernel
 # invariants agree with Gamma^n modulo the sublattice of products

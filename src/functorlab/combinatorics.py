@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add
@@ -95,7 +95,8 @@ class Multiset:
 
     Canonical form: pairs (index, multiplicity) with strictly increasing
     indices and positive multiplicities.  Hashable, so usable as a sparse
-    coefficient key.
+    coefficient key.  size, factorial and support are computed on first use
+    and kept; equality and hashing see the pairs alone.
     """
 
     pairs: tuple[tuple[int, int], ...] = ()
@@ -125,17 +126,17 @@ class Multiset:
             counts[i] += m
         return cls(tuple(sorted((i, m) for i, m in counts.items() if m)))
 
-    @property
+    @cached_property
     def size(self) -> int:
         """Total cardinality |X|, counting multiplicity."""
         return sum(m for _, m in self.pairs)
 
-    @property
+    @cached_property
     def factorial(self) -> int:
         """a! = prod(a_i!) over the multiplicities a_i."""
         return prod(factorial(m) for _, m in self.pairs)
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.pairs)
 

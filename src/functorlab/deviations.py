@@ -36,13 +36,6 @@ def deviation(phi: SetMap, args: Sequence[Element]) -> Element:
     return alternating_sum(phi, list(args), phi.source.zero())
 
 
-def repeated_deviation(phi: SetMap, x: Element, k: int) -> Element:
-    """Deviation with x repeated k times; k = 0 gives phi(0)."""
-    if k < 0:
-        raise ValueError("repetition count must be nonnegative")
-    return deviation(phi, [x] * k)
-
-
 def multiset_deviation(phi: SetMap, xs: Sequence[Element], X: Multiset) -> Element:
     """Deviation at the arguments xs[i] repeated with the multiplicities of X."""
     xs = list(xs)

@@ -53,10 +53,8 @@ from .intlinalg import (
     Matrix,
     block_diag,
     cokernel_invariants,
-    hermite_normal_form,
     relation_hermite_form,
     relation_invariants,
-    solve_rational,
 )
 from .modules import Hom
 
@@ -621,14 +619,3 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
                     rows_out[ci * gens + g][ai * gens + g] = v
         action[D] = Matrix(rows_out, gens_total)
     return GammaModuleStruct(n, presentation, action)
-
-
-def action_trace_on_quotient(presentation: Matrix, act: Matrix):
-    """Trace of the map induced on coker(presentation), as an exact rational:
-    full trace minus the trace of the restriction to the relation span."""
-    rel = hermite_normal_form(presentation.transpose())
-    if rel.nrows == 0:
-        return act.trace()
-    rt = rel.transpose()
-    coords = solve_rational(rt, act @ rt)
-    return act.trace() - coords.trace()

@@ -6,15 +6,17 @@ basis class of A divided by prod(a_i!).  Both maps, the truncation [I | 0]
 and the integral section at degree 2 are written down in closed form, gamma
 with its inclusion-exclusion factored over coordinates.  All statements
 verified here are exact integer or rational identities: the section identity
-gamma @ epsilon == 1, the kernel as the saturated span of the scaling classes
-[2z] - 2^n [z], one per z in N^rank with |z| <= n - 1 (as many rows as the
-kernel's rank), the finite cokernel of the truncation-plus-gamma stack,
+gamma @ epsilon == 1, the kernel as the lattice that contains the scaling
+classes [2z] - 2^n [z], one per z in N^rank with |z| <= n - 1, and has their
+rank (so it is their saturated span), the finite cokernel of the
+truncation-plus-gamma stack,
 multiplicativity with respect to the composition products, and the projector
 decomposition of epsilon's image.
 """
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,8 +34,8 @@ from .intlinalg import (
     cokernel_invariants,
     kernel_lattice,
     lattice_intersection,
+    relation_hermite_form,
     relation_invariants,
-    saturation,
     vstack,
 )
 
@@ -141,59 +143,94 @@ def apply_epsilon(pair: GammaEpsilonPair, g: GammaElement) -> AugElement:
 @dataclass(frozen=True)
 class KernelReport:
     kernel: Lattice
-    generated: Lattice
+    generated: Lattice  # the span L of the scaling classes, not saturated
     match: bool
-    witness: Optional[tuple] = None  # a kernel basis row outside `generated`
+    witness: Optional[tuple] = None  # ("escape", z) or ("rank", rank L, rank Ker gamma)
+    index: Optional[int] = None  # [Ker gamma : L], when they match
 
 
-def _scaling_rows(rank: int, degree: int) -> list:
-    """The classes [2z] - 2^degree [z], one per z in the simplex |z| <= degree - 1
-    (the multiplicity vectors of the basis of B(rank, degree - 1)).
+def _scaling_rows(rank: int, degree: int) -> dict:
+    """z -> the class [2z] - 2^degree [z] as a sparse row {column: value},
+    one per z in the simplex |z| <= degree - 1 (the multiplicity vectors of
+    the basis of B(rank, degree - 1)).
 
     The class of x has prod_i C(x_i, m_i) at the basis class of X, where m_i
     are X's multiplicities; for x >= 0 that is 0 unless supp X lies in supp x.
     So the row of z visits only the columns whose support is a subset of supp z.
     """
     by_support = _columns_by_support(rank, degree)
-    dim = aug_dimension(rank, degree)
     scale = 2**degree
-    rows = []
+    rows = {}
     for Z in multisets_up_to(rank, degree - 1):
         z = dict(Z.pairs)
-        row = [0] * dim
+        row = {}
         for size in range(len(z) + 1):
             for support in combinations(Z.support, size):
                 for j, pairs in by_support.get(support, ()):
                     doubled = prod(comb(2 * z[i], m) for i, m in pairs)
-                    row[j] = doubled - scale * prod(comb(z[i], m) for i, m in pairs)
-        rows.append(tuple(row))
+                    if value := doubled - scale * prod(comb(z[i], m) for i, m in pairs):
+                        row[j] = value
+        rows[tuple(z.get(i, 0) for i in range(rank))] = row
     return rows
 
 
-def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
-    """Kernel lattice of gamma, compared against the saturated span of the
-    scaling classes [2z] - 2^n [z], n = degree, over the simplex of z in N^rank
-    with |z| <= n - 1.
+def _killed(columns: list, row: dict) -> bool:
+    """gamma @ row == 0, summed over the nonzeros of gamma's columns at the
+    row's nonzeros."""
+    image = defaultdict(int)
+    for j, v in row.items():
+        for i, g in columns[j].items():
+            image[i] += v * g
+    return not any(image.values())
 
-    Why these rows suffice.  A rational linear form on B(rank, n) is a
+
+def _pivot_product(lattice: Lattice) -> int:
+    return prod(next(filter(None, row)) for row in lattice.basis.rows)
+
+
+def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
+    """Kernel lattice of gamma, compared against the span L of the scaling
+    classes [2z] - 2^n [z], n = degree, over the simplex of z in N^rank with
+    |z| <= n - 1: gamma must kill every class, and rank L must equal
+    rank Ker(gamma).
+
+    Why that decides it.  Ker(gamma) is the kernel of an integer map, so it
+    is saturated: it holds every integer vector of its rational span.  If L
+    lies in it with the same rank, the two have the same rational span, so
+    Ker(gamma) is the saturation of L, and the index [Ker(gamma) : L] is
+    finite.  Their Hermite forms then share pivot columns, and the index is
+    the quotient of their pivot products.
+
+    Why the ranks agree.  A rational linear form on B(rank, n) is a
     polynomial map f of degree <= n (Passi, LNM 715); write f_j for its
     degree-j homogeneous part.  The form kills [2z] - 2^n [z] exactly when
     h(z) = sum_{j<n} (2^j - 2^n) f_j(z) vanishes.  The simplex is unisolvent
     for polynomials of degree <= n - 1 (Chung-Yao 1977), and h has degree
     <= n - 1, so h = 0 there means h = 0 everywhere; since 2^j != 2^n, every
     f_j with j < n is 0.  So f is homogeneous of degree n, and those are the
-    forms that factor through gamma (Roby 1963): the span and Ker(gamma) have
-    the same annihilator, hence the same rational span, and Ker(gamma) is
-    saturated, so saturating the span gives Ker(gamma).  The simplex has
+    forms that factor through gamma (Roby 1963): L and Ker(gamma) have the
+    same annihilator, hence the same rank.  The simplex has
     dim B(rank, n - 1) = rank Ker(gamma) points, so the rows are a Q-basis of
-    the kernel.  The span itself is in general a proper sublattice; it is
-    saturated here, independently of the kernel computed from gamma.
+    the kernel.  Both conditions are checked here, the containment by the
+    product of gamma with each row and the rank by L's own Hermite form, not
+    assumed; L is in general a proper sublattice of the kernel.
     """
-    kernel = kernel_lattice(gamma_matrix(rank, degree))
+    gam = gamma_matrix(rank, degree)
+    dim = gam.ncols
+    kernel = kernel_lattice(gam)
+    columns = [{} for _ in range(dim)]
+    for i, gamma_row in enumerate(gam.rows):
+        for j in compress(count(), gamma_row):
+            columns[j][i] = gamma_row[j]
     rows = _scaling_rows(rank, degree)
-    generated = saturation(Lattice.from_rows(aug_dimension(rank, degree), rows))
-    witness = next((row for row in kernel.basis.rows if not generated.contains(row)), None)
-    return KernelReport(kernel, generated, kernel == generated, witness)
+    generated = Lattice(dim, relation_hermite_form(dim, rows.values()))
+    escaped = next((z for z, row in rows.items() if not _killed(columns, row)), None)
+    if escaped is not None:
+        return KernelReport(kernel, generated, False, ("escape", escaped))
+    if generated.rank != kernel.rank:
+        return KernelReport(kernel, generated, False, ("rank", generated.rank, kernel.rank))
+    index = _pivot_product(generated) // _pivot_product(kernel)
+    return KernelReport(kernel, generated, True, None, index)
 
 
 def truncation_matrix(rank: int, degree: int) -> Matrix:

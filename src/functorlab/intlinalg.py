@@ -19,7 +19,9 @@ Smith form alternates row Hermite forms of the rows and of their transpose
 (Kannan-Bachem), a kernel is read off the sparse transform rows of the rows
 that reduce to zero, and saturation is the kernel of the kernel.  Rows are
 bucketed by leading column, so the cost follows the nonzero entries, and no
-dense identity or transform is built.
+dense identity or transform is built.  saturation is kept as public API and
+as the tests' oracle for the kernel of gamma; nothing else in the package
+calls it.
 
 Cokernel invariants come from relation_invariants, also for a dense matrix
 (its columns are the relations): before any Smith form, every relation with

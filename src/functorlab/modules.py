@@ -124,10 +124,6 @@ def hom(matrix: Matrix) -> Hom:
     return Hom(FreeModule(matrix.ncols), FreeModule(matrix.nrows), matrix)
 
 
-def identity_hom(module: FreeModule) -> Hom:
-    return Hom(module, module, Matrix.identity(module.rank))
-
-
 def compose(g: Hom, f: Hom) -> Hom:
     if f.target != g.source:
         raise ValueError("maps do not compose")
@@ -149,25 +145,6 @@ class SetMap:
         if not isinstance(y, Element) or y.module != self.target:
             raise ValueError("evaluator returned a value outside the target module")
         return y
-
-
-def linear_as_setmap(f: Hom) -> SetMap:
-    return SetMap(f.source, f.target, f)
-
-
-def hom_to_json(f: Hom) -> dict:
-    return {
-        "source_rank": f.source.rank,
-        "target_rank": f.target.rank,
-        "rows": [list(r) for r in f.matrix.rows],
-    }
-
-
-def hom_from_json(data: dict) -> Hom:
-    matrix = Matrix(data["rows"], data["source_rank"])
-    if matrix.nrows != data["target_rank"]:
-        raise ValueError("row count differs from declared target rank")
-    return Hom(FreeModule(data["source_rank"]), FreeModule(data["target_rank"]), matrix)
 
 
 class MultisetSpace:

@@ -18,7 +18,7 @@ from functorlab.augmentation import (
 from functorlab.combinatorics import Multiset, binomial, multiset_binomial, multisets_up_to
 from functorlab.deviations import SampleSpec, is_numerical_degree
 from functorlab.intlinalg import Matrix
-from functorlab.modules import FreeModule, SetMap, compose, hom, identity_hom
+from functorlab.modules import FreeModule, SetMap, compose, hom
 
 
 class TestDimensions:
@@ -303,7 +303,7 @@ class TestTablesAgainstOracles:
 class TestPushforward:
     def test_identity_map(self):
         alg = AugAlgebra(2, 2)
-        p = pushforward(identity_hom(FreeModule(2)), alg, alg)
+        p = pushforward(hom(Matrix.identity(2)), alg, alg)
         assert p == Matrix.identity(alg.dimension())
 
     def test_tracks_classes(self):
@@ -323,7 +323,7 @@ class TestPushforward:
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            pushforward(identity_hom(FreeModule(2)), AugAlgebra(2, 2), AugAlgebra(2, 1))
+            pushforward(hom(Matrix.identity(2)), AugAlgebra(2, 2), AugAlgebra(2, 1))
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from functorlab import augmentation, cli, gamma_section
 from functorlab.cli import main
-from functorlab.gamma_section import VerificationError, gamma_matrix, kernel_of_gamma
+from functorlab.gamma_section import VerificationError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -169,20 +169,40 @@ class TestVerify:
         assert code == 0
         assert out == GAMMA_EPSILON_2_3
 
-    def test_failing_kernel_cell_carries_witness(self, capsys, monkeypatch):
-        # without saturation the scaling classes span a proper sublattice of
-        # the kernel at (2, 4); the failing cell names a kernel basis vector
-        # that the span misses
-        monkeypatch.setattr(gamma_section, "saturation", lambda lattice: lattice)
-        code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])
-        assert code == 1
+    def failing_kernel_cell(self, capsys, monkeypatch, edit):
+        """The cells of `verify gamma-epsilon --k 2 --n 4` with the scaling
+        rows changed by edit(rows, dim): exit 1, an empty stderr, and only
+        the kernel cell failing, whose witness is returned."""
+        real = gamma_section._scaling_rows
+
+        def rows(rank, degree):
+            out = real(rank, degree)
+            edit(out, augmentation.aug_dimension(rank, degree))
+            return out
+
+        monkeypatch.setattr(gamma_section, "_scaling_rows", rows)
+        code, out, err = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])
+        assert code == 1 and not err
         cells = {c["anchor"]: c for c in json.loads(out)["cells"]}
         ker = cells.pop("kernel-lattice-match")
         assert ker["verdict"] == "fail"
-        witness = kernel_of_gamma(2, 4).witness
-        assert ker["witness"] == list(witness)
-        assert all(v == 0 for v in gamma_matrix(2, 4).matvec(witness))
         assert all(c["verdict"] == "pass" and "witness" not in c for c in cells.values())
+        assert json.loads(out)["summary"]["kernel_match"] is False
+        return ker["witness"]
+
+    def test_failing_kernel_cell_carries_witness(self, capsys, monkeypatch):
+        # one scaling class fewer leaves the span a rank short of the kernel
+        witness = self.failing_kernel_cell(capsys, monkeypatch, lambda rows, dim: rows.popitem())
+        assert witness == ["rank", 9, 10]
+
+    def test_escaping_kernel_row_carries_witness(self, capsys, monkeypatch):
+        # a class that gamma does not kill (its last column is nonzero) is
+        # named by its point z
+        def perturb(rows, dim):
+            rows[(0, 0)][dim - 1] = 1
+
+        witness = self.failing_kernel_cell(capsys, monkeypatch, perturb)
+        assert witness == ["escape", [0, 0]]
 
     def test_kernel_cell_passes_past_degree_three(self, capsys):
         code, out, _ = run(capsys, ["verify", "gamma-epsilon", "--k", "2", "--n", "4"])

@@ -16,7 +16,6 @@ from functorlab.deviations import (
     deviation,
     is_numerical_degree,
     multiset_deviation,
-    repeated_deviation,
 )
 from functorlab.modules import FreeModule, SetMap
 
@@ -59,10 +58,6 @@ class TestDeviation:
     def test_cube_triple_term(self):
         for a, b, c in [(1, 1, 1), (2, -1, 3), (0, 4, 2)]:
             assert val(deviation(CUBE, [pt(a), pt(b), pt(c)])) == 6 * a * b * c
-
-    def test_repeated_matches_deviation(self):
-        for k in range(4):
-            assert repeated_deviation(CUBE, pt(2), k) == deviation(CUBE, [pt(2)] * k)
 
     def test_multiset_deviation_expands_word(self):
         X = Multiset.from_indices((0, 0, 1))

@@ -19,7 +19,6 @@ from functorlab.functors import (
     MoritaModule,
     Sym,
     Tensor,
-    action_trace_on_quotient,
     arrow_map,
     degree_certificate,
     extend_scalars,
@@ -613,14 +612,3 @@ class TestScalarChange:
         inv = relation_invariants(width, ({j: v for j, v in enumerate(r) if v} for r in hermite.rows))
         assert (inv.torsion, inv.free_rank) == ((), object_dim(Sym(3), 3)) == ((), 10)
         assert relation_invariants(width, rows) == inv
-
-
-class TestQuotientTrace:
-    def test_free_case_is_plain_trace(self):
-        act = Matrix([[3, 1], [0, 4]])
-        assert action_trace_on_quotient(Matrix.zeros(2, 0), act) == 7
-
-    def test_relation_span_is_subtracted(self):
-        presentation = Matrix([[2], [0]])
-        act = Matrix([[1, 0], [0, 5]])
-        assert action_trace_on_quotient(presentation, act) == 5

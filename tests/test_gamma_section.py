@@ -38,6 +38,7 @@ from functorlab.intlinalg import (
     kernel_lattice,
     lattice_index,
     saturation,
+    solve_int,
 )
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
@@ -211,10 +212,78 @@ def brute_scaling_rows(rank, degree):
     return rows
 
 
+def dense_rows(rows, dim):
+    return [tuple(row.get(j, 0) for j in range(dim)) for row in rows]
+
+
+def brute_kernel_report(rank, degree):
+    """(match, kernel) as kernel_of_gamma read them before the rank
+    certificate: the saturation of the span of the scaling classes, compared
+    as a lattice with the kernel lattice of gamma."""
+    kernel = kernel_lattice(gamma_matrix(rank, degree))
+    dim = aug_dimension(rank, degree)
+    rows = dense_rows(_scaling_rows(rank, degree).values(), dim)
+    return saturation(Lattice.from_rows(dim, rows)) == kernel, kernel
+
+
+def brute_kernel_index(rank, degree):
+    """[Ker gamma : L] from the Smith form of L's coordinates over the
+    kernel's Hermite basis."""
+    rep = kernel_of_gamma(rank, degree)
+    basis = rep.kernel.basis.transpose()
+    coords = Matrix([solve_int(basis, row) for row in rep.generated.basis.rows], rep.kernel.rank)
+    invariants = cokernel_invariants(coords)
+    assert invariants.free_rank == 0
+    return prod(invariants.torsion)
+
+
+def inject(monkeypatch, edit):
+    """Route kernel_of_gamma through scaling rows changed by edit(rows, dim)."""
+    real = gamma_section._scaling_rows
+
+    def rows(rank, degree):
+        out = real(rank, degree)
+        edit(out, aug_dimension(rank, degree))
+        return out
+
+    monkeypatch.setattr(gamma_section, "_scaling_rows", rows)
+
+
+def drop_last_row(rows, dim):
+    rows.popitem()
+
+
+def perturb_first_row(rows, dim):
+    # gamma's last column, the class of a size-n multiset, is nonzero
+    row = next(iter(rows.values()))
+    row[dim - 1] = row.get(dim - 1, 0) + 1
+
+
 class TestKernel:
     @pytest.mark.parametrize("k,n", VERIFY_GRID + INVARIANT_CELLS + [(9, 2), (9, 3)] + EDGES)
     def test_scaling_rows_against_class_of(self, k, n):
-        assert _scaling_rows(k, n) == brute_scaling_rows(k, n)
+        rows = _scaling_rows(k, n)
+        assert list(rows) == [tuple(Z.count(i) for i in range(k)) for Z in multisets_up_to(k, n - 1)]
+        assert all(all(row.values()) for row in rows.values())
+        assert dense_rows(rows.values(), aug_dimension(k, n)) == brute_scaling_rows(k, n)
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(5) for n in range(9)])
+    def test_verdict_against_saturation(self, k, n):
+        match, kernel = brute_kernel_report(k, n)
+        rep = kernel_of_gamma(k, n)
+        assert (rep.match, rep.kernel) == (match, kernel)
+        dim = aug_dimension(k, n)
+        assert rep.generated == Lattice.from_rows(dim, dense_rows(_scaling_rows(k, n).values(), dim))
+
+    @pytest.mark.parametrize(
+        "k,n,index", [(2, 3, 224), (2, 4, 3010560), (3, 4, 2762200842240), (2, 5, 12844233916416)]
+    )
+    def test_index_pinned(self, k, n, index):
+        assert kernel_of_gamma(k, n).index == index
+
+    @pytest.mark.parametrize("k,n", GRID + EDGES + [(2, 4), (3, 4), (4, 4), (2, 5)])
+    def test_index_against_smith_form(self, k, n):
+        assert kernel_of_gamma(k, n).index == brute_kernel_index(k, n)
 
     def test_matches_scaling_classes_on_grid(self):
         for k, n in GRID:
@@ -244,7 +313,7 @@ class TestKernel:
         rows = _scaling_rows(k, n)
         assert len(rows) == aug_dimension(k, n - 1) == kernel_of_gamma(k, n).kernel.rank
         gam = gamma_matrix(k, n)
-        for row in rows:
+        for row in dense_rows(rows.values(), gam.ncols):
             assert all(v == 0 for v in gam.matvec(row))
 
     @pytest.mark.parametrize("k,n,enough", [(2, 4, False), (3, 5, False), (2, 3, True), (4, 3, True)])
@@ -268,16 +337,23 @@ class TestKernel:
         assert kernel_of_gamma(2, 3).witness is None
 
     def test_witness_on_the_failing_cell(self, monkeypatch):
-        # without saturation the span of the scaling classes is a proper
-        # sublattice of the kernel at (2, 4), so the cell fails, and the
-        # witness is a kernel vector the span misses
-        monkeypatch.setattr(gamma_section, "saturation", lambda lattice: lattice)
+        # one scaling class fewer leaves the span a rank short of the kernel
+        inject(monkeypatch, drop_last_row)
         rep = kernel_of_gamma(2, 4)
-        assert not rep.match
-        assert rep.generated.rank == rep.kernel.rank
-        assert rep.witness in rep.kernel.basis.rows
-        assert not rep.generated.contains(rep.witness)
-        assert all(v == 0 for v in gamma_matrix(2, 4).matvec(rep.witness))
+        assert not rep.match and rep.index is None
+        assert rep.witness == ("rank", 9, 10)
+        assert (rep.generated.rank, rep.kernel.rank) == (9, 10)
+
+    def test_witness_on_an_escaping_row(self, monkeypatch):
+        # a class that gamma does not kill names its point z
+        inject(monkeypatch, perturb_first_row)
+        rep = kernel_of_gamma(2, 4)
+        assert not rep.match and rep.index is None
+        assert rep.witness == ("escape", (0, 0))
+        gam = gamma_matrix(2, 4)
+        rows = gamma_section._scaling_rows(2, 4)
+        escaping = [z for z, row in zip(rows, dense_rows(rows.values(), gam.ncols)) if any(gam.matvec(row))]
+        assert escaping == [(0, 0)]
 
     def test_kernel_annihilated_by_gamma(self):
         for k, n in GRID:

@@ -13,10 +13,6 @@ from functorlab.modules import (
     SetMap,
     compose,
     hom,
-    hom_from_json,
-    hom_to_json,
-    identity_hom,
-    linear_as_setmap,
 )
 
 
@@ -61,7 +57,7 @@ def test_hom_composition_and_apply():
     gf = compose(g, f)
     assert gf.matrix == g.matrix @ f.matrix
     assert gf(x).coords == (6, 3)
-    assert identity_hom(f.source)(x).coords == (1, 1)
+    assert hom(Matrix.identity(2))(x).coords == (1, 1)
 
 
 def test_hom_shape_must_match_modules():
@@ -79,21 +75,6 @@ def test_setmap_validates_membership():
     bad = SetMap(M, M, lambda x: FreeModule(2).element((0, 0)))
     with pytest.raises(ValueError):
         bad(M.element((1,)))
-
-
-def test_linear_as_setmap_agrees():
-    f = hom(Matrix([[1, 2], [3, 4]], 2))
-    s = linear_as_setmap(f)
-    x = f.source.element((1, -1))
-    assert s(x).coords == f(x).coords
-
-
-def test_hom_json_round_trip():
-    f = hom(Matrix([[1, 2, 3], [4, 5, 6]], 3))
-    data = hom_to_json(f)
-    g = hom_from_json(data)
-    assert g.matrix == f.matrix
-    assert g.source.rank == 3 and g.target.rank == 2
 
 
 MULTISET_SPACES = [AugAlgebra(2, 2), AugAlgebra(3, 1), GammaModule(2, 3), GammaModule(3, 2)]
