@@ -86,9 +86,9 @@ def _monomial_columns(nvars: int, degree: int) -> dict:
 
 def _monomial_rows(forms, nvars: int, degree: int):
     """(rows, width): per sorted word b over the sparse linear forms
-    [(variable, coefficient), ...], the coefficients of the product of forms
-    b_1..b_n on the `width` monomials (both words in the order of
-    multisets_exactly).
+    {variable: coefficient}, the sparse row {monomial: coefficient} of the
+    product of forms b_1..b_n over the `width` monomials (both words in the
+    order of multisets_exactly).
 
     A monomial is keyed by the integer whose base-(degree+1) digits are its
     variable multiplicities, so multiplying by variable j adds (degree+1)^j
@@ -97,15 +97,12 @@ def _monomial_rows(forms, nvars: int, degree: int):
     columns = _monomial_columns(nvars, degree)
     width = len(columns)
     base = degree + 1
-    coded = [[(base**j, v) for j, v in form] for form in forms]
+    coded = [[(base**j, v) for j, v in form.items()] for form in forms]
     rows = []
 
     def expand(acc: dict, start: int, depth: int):
         if depth == degree:
-            row = [0] * width
-            for code, c in acc.items():
-                row[columns[code]] = c
-            rows.append(row)
+            rows.append({columns[code]: c for code, c in acc.items()})
             return
         for t in range(start, len(coded)):
             nxt: dict = {}
@@ -130,8 +127,7 @@ def gamma_of_hom(alpha, degree: int) -> Matrix:
     alpha's columns the same way.  Integral by construction.
     """
     mat = alpha.matrix if isinstance(alpha, Hom) else alpha
-    forms = [[(j, v) for j, v in enumerate(row) if v] for row in mat.rows]
-    return Matrix(*_monomial_rows(forms, mat.ncols, degree))
+    return Matrix(*_monomial_rows(mat.sparse_rows, mat.ncols, degree))
 
 
 def _word_index(word, side: int) -> int:
@@ -148,12 +144,12 @@ def tensor_embedding(elem: GammaElement) -> Matrix:
     side = space.matrix_side
     n = space.degree
     dim = side**n
-    t = [[0] * dim for _ in range(dim)]
+    t: list[dict] = [{} for _ in range(dim)]
     for A, c in elem.coeffs.items():
         for word in distinct_permutations(A.indices()):
-            rows = tuple(u // side for u in word)
-            colw = tuple(u % side for u in word)
-            t[_word_index(rows, side)][_word_index(colw, side)] += c
+            row = t[_word_index([u // side for u in word], side)]
+            j = _word_index([u % side for u in word], side)
+            row[j] = row.get(j, 0) + c
     return Matrix(t, dim)
 
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, repeat
-from operator import add, mul
+from itertools import combinations
 
 from .augmentation import (
     AugAlgebra,
@@ -100,15 +99,15 @@ class Tensor(_Power):
         return q**self.power
 
     def arrow(self, mat: Matrix) -> Matrix:
-        # iterated Kronecker product, built over the nonzero entries of mat
-        p, q = mat.ncols, mat.nrows
-        nonzero = [(j, i, v) for j, row in enumerate(mat.rows) for i, v in enumerate(row) if v]
-        terms = [(0, 0, 1)]
+        # iterated Kronecker product: row (a, j) is row a times row j of mat
+        p = mat.ncols
+        rows = [{0: 1}]
         for _ in range(self.power):
-            terms = [(a * q + j, b * p + i, c * v) for a, b, c in terms for j, i, v in nonzero]
-        rows = [[0] * p**self.power for _ in range(q**self.power)]
-        for a, b, c in terms:
-            rows[a][b] = c
+            rows = [
+                {b * p + i: c * v for b, c in left.items() for i, v in right.items()}
+                for left in rows
+                for right in mat.sparse_rows
+            ]
         return Matrix(rows, p**self.power)
 
 
@@ -123,9 +122,8 @@ class Sym(_Power):
         return binomial(q + self.power - 1, self.power)
 
     def arrow(self, mat: Matrix) -> Matrix:
-        forms = [[(i, v) for i, v in enumerate(col) if v] for col in mat.cols()]
-        cols, height = _monomial_rows(forms, mat.nrows, self.power)
-        return Matrix.from_cols(cols, height)
+        cols, height = _monomial_rows(mat.transpose().sparse_rows, mat.nrows, self.power)
+        return Matrix(cols, height).transpose()
 
 
 class Ext(_Power):
@@ -316,10 +314,12 @@ def _flat(mat: Matrix) -> tuple:
 
 
 def _linear_combo(pairs, nrows: int, ncols: int) -> Matrix:
-    total = [(0,) * ncols] * nrows
+    total: list[dict] = [{} for _ in range(nrows)]
     for c, m in pairs:
         if c:
-            total = [tuple(map(add, t, map(mul, repeat(c), r))) for t, r in zip(total, m.rows)]
+            for t, r in zip(total, m.sparse_rows):
+                for j, v in r.items():
+                    t[j] = t.get(j, 0) + c * v
     return Matrix(total, ncols)
 
 
@@ -341,15 +341,13 @@ class PresentedModule:
             if m.shape != (self.generators, self.generators):
                 raise ValueError(f"action matrix for {X} has shape {m.shape}")
         self._relations = Lattice.from_rows(
-            self.generators, presentation.transpose().rows
+            self.generators, presentation.transpose().sparse_rows
         )
-        rel_cols = presentation.cols()
         for X, m in self.action.items():
-            for v in rel_cols:
-                if not self._relations.contains(m.matvec(v)):
-                    raise VerificationError(
-                        f"action of {X} does not preserve the relations"
-                    )
+            if not self.zero_action(m @ presentation):
+                raise VerificationError(
+                    f"action of {X} does not preserve the relations"
+                )
         if not self.identity_action(self.act(unit)):
             raise VerificationError(
                 "the unit of the algebra does not act as the identity"
@@ -370,7 +368,7 @@ class PresentedModule:
             return True
         if not mat.is_integral:
             return False
-        return all(self._relations.contains(col) for col in mat.cols())
+        return all(map(self._relations.contains, mat.transpose().sparse_rows))
 
     def identity_action(self, mat: Matrix) -> bool:
         return self.zero_action(mat - Matrix.identity(self.generators))
@@ -414,10 +412,10 @@ def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:
     per multiset of size <= n, shared by every X."""
     values = {}
     for A in multisets_up_to(n * n, n):
-        entries = [0] * (n * n)
+        rows: list[dict] = [{} for _ in range(n)]
         for u, m in A.pairs:
-            entries[u] = m
-        values[A] = arrow_map(spec, Matrix([entries[r * n : r * n + n] for r in range(n)], n))
+            rows[u // n][u % n] = m
+        values[A] = arrow_map(spec, Matrix(rows, n))
     dim = object_dim(spec, n)
     return {
         X: _linear_combo(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
@@ -457,27 +455,26 @@ def _tensor_relation_rows(
     """
     rows = []
     for y, Y in enumerate(basis):
-        act_cols = [[(g, v) for g, v in enumerate(col) if v] for col in zip(*action[Y].rows)]
+        act_cols = action[Y].transpose().sparse_rows
         for xi in range(left_dim):
             moved = products[xi][y]
             if not moved:
-                rows += [{xi * gens + g: -v for g, v in col} for col in act_cols if col]
+                rows += [{xi * gens + g: -v for g, v in col.items()} for col in act_cols if col]
                 continue
             for j, col in enumerate(act_cols):
                 row = {}
                 for pi, c in moved:
                     k = pi * gens + j
                     row[k] = row.get(k, 0) + c
-                for g, v in col:
+                for g, v in col.items():
                     k = xi * gens + g
                     row[k] = row.get(k, 0) - v
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
-    for col in zip(*presentation.rows):
-        entries = [(g, v) for g, v in enumerate(col) if v]
-        if entries:
-            rows += [{xi * gens + g: v for g, v in entries} for xi in range(left_dim)]
+    for col in presentation.transpose().sparse_rows:
+        if col:
+            rows += [{xi * gens + g: v for g, v in col.items()} for xi in range(left_dim)]
     return rows
 
 
@@ -535,9 +532,11 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
     action = {}
     for A, dev in _unit_word_deviations(spec, n, space.basis).items():
         a_fact = A.factorial
-        if any(v % a_fact for row in dev.rows for v in row):
+        if any(v % a_fact for row in dev.sparse_rows for v in row.values()):
             raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
-        action[A] = Matrix([[v // a_fact for v in row] for row in dev.rows], dev.ncols)
+        action[A] = Matrix(
+            [{j: v // a_fact for j, v in row.items()} for row in dev.sparse_rows], dev.ncols
+        )
     return GammaModuleStruct(n, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
@@ -546,13 +545,12 @@ def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
     map: a basis class acts by its image, expanded in the divided basis."""
     n = struct.n
     algebra = AugAlgebra(n * n, n)
-    gmat = gamma_matrix(n * n, n)
-    space = struct.algebra
+    gamma_cols = gamma_matrix(n * n, n).transpose().sparse_rows
+    divided = [struct.action[A] for A in struct.algebra.basis]
     action = {}
-    for xi, X in enumerate(algebra.basis):
-        col = gmat.col(xi)
+    for X, col in zip(algebra.basis, gamma_cols):
         action[X] = _linear_combo(
-            zip(col, (struct.action[A] for A in space.basis)),
+            ((v, divided[i]) for i, v in col.items()),
             struct.generators,
             struct.generators,
         )
@@ -612,7 +610,7 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     for D, left_d in zip(space.basis, left):
         # left Schur multiplication by D, Kronecker with the identity on the
         # original generators
-        rows_out = [[0] * gens_total for _ in range(gens_total)]
+        rows_out: list[dict] = [{} for _ in range(gens_total)]
         for ai, pairs in enumerate(left_d):
             for ci, v in pairs:
                 for g in range(gens):

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, count
+from itertools import combinations
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -74,7 +74,7 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
         }
         for A in multisets_exactly(rank, degree)
     ]
-    return Matrix.from_sparse(rows, aug_dimension(rank, degree))
+    return Matrix(rows, aug_dimension(rank, degree))
 
 
 def _columns_by_support(rank: int, degree: int) -> dict:
@@ -94,7 +94,7 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
     # the size-degree multisets come last in the basis of B(rank, degree)
     offset = aug_dimension(rank, degree) - len(basis)
     diagonal = [{j: Fraction(1, A.factorial)} for j, A in enumerate(basis)]
-    eps = Matrix.from_sparse([{}] * offset + diagonal, len(basis))
+    eps = Matrix([{}] * offset + diagonal, len(basis))
     gam = gamma_matrix(rank, degree)
     if not _is_section(gam, eps):
         raise VerificationError(
@@ -105,21 +105,8 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
 
 
 def _is_section(gam: Matrix, eps: Matrix) -> bool:
-    """gamma @ epsilon == 1, exactly, one column of epsilon at a time: column
-    j of the product, the sum of v * gamma[:, i] over epsilon's nonzeros v at
-    (i, j), must be the j-th unit vector."""
-    if eps.shape != (gam.ncols, gam.nrows):
-        return False
-    gam_cols = list(zip(*gam.rows))
-    for j, col in enumerate(zip(*eps.rows) if eps.rows else [()] * eps.ncols):
-        acc = [0] * gam.nrows
-        acc[j] = -1
-        for i in compress(count(), col):
-            for r in compress(count(), gam_cols[i]):
-                acc[r] += col[i] * gam_cols[i][r]
-        if any(acc):
-            return False
-    return True
+    """gamma @ epsilon == 1, exactly."""
+    return eps.shape == (gam.ncols, gam.nrows) and gam @ eps == Matrix.identity(gam.nrows)
 
 
 def gamma_epsilon_pair(rank: int, degree: int) -> GammaEpsilonPair:
@@ -185,7 +172,7 @@ def _killed(columns: list, row: dict) -> bool:
 
 
 def _pivot_product(lattice: Lattice) -> int:
-    return prod(next(filter(None, row)) for row in lattice.basis.rows)
+    return prod(row[min(row)] for row in lattice.basis.sparse_rows)
 
 
 def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
@@ -218,10 +205,7 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
     gam = gamma_matrix(rank, degree)
     dim = gam.ncols
     kernel = kernel_lattice(gam)
-    columns = [{} for _ in range(dim)]
-    for i, gamma_row in enumerate(gam.rows):
-        for j in compress(count(), gamma_row):
-            columns[j][i] = gamma_row[j]
+    columns = gam.transpose().sparse_rows
     rows = _scaling_rows(rank, degree)
     generated = Lattice(dim, relation_hermite_form(dim, rows.values()))
     escaped = next((z for z, row in rows.items() if not _killed(columns, row)), None)
@@ -239,7 +223,7 @@ def truncation_matrix(rank: int, degree: int) -> Matrix:
     if degree < 1:
         raise ValueError("need degree >= 1 to truncate")
     units = [{i: 1} for i in range(aug_dimension(rank, degree - 1))]
-    return Matrix.from_sparse(units, aug_dimension(rank, degree))
+    return Matrix(units, aug_dimension(rank, degree))
 
 
 def stacked_pi_gamma(rank: int, degree: int) -> Matrix:
@@ -258,9 +242,7 @@ def products_sublattice(rank: int, degree: int) -> Lattice:
     vectors; so the two lattices agree, and the quotient is the sum of Z/a!.
     """
     basis = GammaModule(rank, degree).basis
-    dim = len(basis)
-    rows = [(0,) * j + (A.factorial,) + (0,) * (dim - j - 1) for j, A in enumerate(basis)]
-    return Lattice.from_rows(dim, rows)
+    return Lattice.from_rows(len(basis), [{j: A.factorial} for j, A in enumerate(basis)])
 
 
 def products_quotient_invariants(rank: int, degree: int) -> CokernelInvariants:
@@ -398,7 +380,7 @@ def image_epsilon_decomposition(rank: int, degree: int) -> DecompositionReport:
     idempotent = (p @ p) == p
     d = pair.epsilon.denominator_lcm()
     eps_int = pair.epsilon.scale(d)
-    image_lattice = Lattice.from_rows(eps_int.nrows, [tuple(c) for c in eps_int.cols()])
+    image_lattice = Lattice.from_rows(eps_int.nrows, eps_int.transpose().sparse_rows)
     one_minus_p = Matrix.identity(p.nrows) - p
     ker_proj_rank = (one_minus_p @ eps_int).rank()
     ker_lat = kernel_lattice(pair.gamma)
@@ -437,7 +419,7 @@ def quadratic_split(rank: int) -> QuadraticReport:
     if surjective:
         support = {Multiset.from_indices(A.support): j for j, A in enumerate(multisets_exactly(rank, 2))}
         rows = [{support[X]: 1} if X in support else {} for X in multisets_up_to(rank, 2)]
-        section = Matrix.from_sparse(rows, gam.nrows)
+        section = Matrix(rows, gam.nrows)
         if gam @ section != Matrix.identity(gam.nrows):
             raise VerificationError("constructed section does not invert gamma")
     return QuadraticReport(surjective, eps.is_integral, section)

@@ -1,20 +1,22 @@
-"""Exact linear algebra over the integers, with rational spillover: dense
+"""Exact linear algebra over the integers, with rational spillover: sparse
 storage, sparse elimination.
 
 Matrices are immutable and carry int or Fraction entries (never floats),
-stored as dense rows.  The constructor checks the types of all entries in
-one pass over the chained rows; only when some entry is not a plain int does
-it look at the rows one by one, keeping an all-int row as given and
-normalizing any other entry by entry (integral Fractions collapse to int,
-anything inexact is a TypeError).  Products skip zero entries.  The integer
-normal forms drive everything downstream:
+stored as sparse rows {column: nonzero} that never hold a zero; no other
+module converts between dense and sparse rows.  The one constructor takes
+each row as a dense sequence or a dict {column: value}, checks the types in
+one C-level pass and only on a non-int entry normalizes entry by entry
+(bools and integral Fractions collapse to int, anything inexact is a
+TypeError).  Arithmetic, products, transposes and stacking run over the
+nonzeros; `rows` is a dense read-out, built on access.  The integer normal
+forms drive everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
   * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
   * relation_invariants, relation_hermite_form - the same for sparse relations
   * kernel_lattice, cokernel_invariants, lattice_intersection, saturation
 
-They share one elimination, `_echelon`, on sparse rows {column: value}: the
+They share one elimination, `_echelon`, on copies of the stored rows: the
 Smith form alternates row Hermite forms of the rows and of their transpose
 (Kannan-Bachem), a kernel is read off the sparse transform rows of the rows
 that reduce to zero, and saturation is the kernel of the kernel.  Rows are
@@ -23,8 +25,8 @@ dense identity or transform is built.  saturation is kept as public API and
 as the tests' oracle for the kernel of gamma; nothing else in the package
 calls it.
 
-Cokernel invariants come from relation_invariants, also for a dense matrix
-(its columns are the relations): before any Smith form, every relation with
+Cokernel invariants come from relation_invariants, also for a matrix (its
+columns are the relations): before any Smith form, every relation with
 a +-1 entry removes its generator by substitution, shortest relation first
 (the unit-pivot reduction for sparse integer Smith forms, Dumas-Saunders-
 Villard 2001), and the Smith form runs only on the sparse remainder.
@@ -35,45 +37,59 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import add, mul, neg, sub
 
 _INT = frozenset((int,))
 
 
 def _norm(v):
-    """Force an exact scalar: ints stay, integral Fractions collapse to int."""
+    """Force an exact scalar: ints stay, bools and integral Fractions
+    collapse to int."""
     if isinstance(v, int):
-        return v
+        return int(v)
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     raise TypeError(f"exact scalar required, got {type(v).__name__}")
 
 
 class Matrix:
-    """Immutable dense matrix with exact entries."""
+    """Immutable matrix with exact entries.  `sparse_rows` holds one dict
+    {column: nonzero} per row, never a zero; read it, never change it."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        data = tuple(map(tuple, rows))
-        if not _INT.issuperset(map(type, chain.from_iterable(data))):
-            data = tuple(
-                row if _INT.issuperset(map(type, row)) else tuple(map(_norm, row))
-                for row in data
-            )
-        if data:
-            widths = set(map(len, data))
-            if len(widths) > 1:
-                raise ValueError("ragged rows")
-            (width,) = widths
+        """Each row is a dense sequence or a dict {column: value}; zeros are
+        dropped.  A matrix of dict rows alone needs `ncols`."""
+        data, widths = [], []
+        for row in rows:
+            if not isinstance(row, dict):
+                row = tuple(row)
+                widths.append(len(row))
+                if not _INT.issuperset(map(type, row)):
+                    row = tuple(map(_norm, row))
+                row = compress(enumerate(row), row)
+            data.append(dict(row))
+        shapes = set(widths)
+        if len(shapes) > 1:
+            raise ValueError("ragged rows")
+        if shapes:
+            (width,) = shapes
             if ncols is not None and ncols != width:
                 raise ValueError(f"declared {ncols} columns, rows have {width}")
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "rows", data)
+        if len(widths) < len(data):  # some rows came as dicts
+            if not _INT.issuperset(map(type, chain.from_iterable(map(dict.values, data)))):
+                data = [{j: _norm(v) for j, v in row.items()} for row in data]
+            if not all(map(all, map(dict.values, data))):
+                data = [dict(compress(row.items(), row.values())) for row in data]
+            cols = list(chain.from_iterable(data))
+            if cols and (min(cols) < 0 or max(cols) >= ncols):
+                raise ValueError(f"a sparse row has a column outside range({ncols})")
+        object.__setattr__(self, "sparse_rows", tuple(data))
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", ncols)
 
@@ -84,31 +100,19 @@ class Matrix:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls(((0,) * ncols for _ in range(nrows)), ncols)
+        return cls([{}] * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
+        return cls([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols, nrows: int | None = None) -> "Matrix":
-        cols = tuple(map(tuple, cols))
-        if not cols:
-            return cls(((),) * (nrows or 0), 0)
+        """Matrix of dense columns."""
+        cols = [tuple(c) for c in cols]
         if len(set(map(len, cols))) > 1:
             raise ValueError("ragged columns")
-        return cls(zip(*cols), len(cols))
-
-    @classmethod
-    def from_sparse(cls, rows, ncols: int) -> "Matrix":
-        """Dense matrix of sparse rows, each a mapping {column: value}."""
-        out = []
-        for row in rows:
-            dense = [0] * ncols
-            for j, v in row.items():
-                dense[j] = v
-            out.append(dense)
-        return cls(out, ncols)
+        return cls(cols, nrows).transpose()
 
     # -- structure ---------------------------------------------------------
 
@@ -116,84 +120,94 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self) -> tuple:
+        """Dense read-out: one tuple per row, zeros filled in."""
+        width = range(self.ncols)
+        return tuple(tuple(map(row.get, width, repeat(0))) for row in self.sparse_rows)
+
+    def _check_cols(self, cols):
+        if not all(0 <= j < self.ncols for j in cols):
+            raise IndexError(f"column index outside 0..{self.ncols - 1}")
+
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
+        self._check_cols((j,))
+        return self.sparse_rows[i].get(j, 0)
 
     def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
+        return tuple(self[i, j] for i in range(self.nrows))
 
     def cols(self) -> tuple:
-        return tuple(self.col(j) for j in range(self.ncols))
+        return self.transpose().rows
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
-        row_idx, col_idx = tuple(row_idx), tuple(col_idx)
-        return Matrix(
-            (tuple(self.rows[i][j] for j in col_idx) for i in row_idx), len(col_idx)
-        )
+        col_idx = tuple(col_idx)
+        self._check_cols(col_idx)
+        picked = (self.sparse_rows[i] for i in row_idx)
+        rows = [{t: r[j] for t, j in enumerate(col_idx) if j in r} for r in picked]
+        return Matrix(rows, len(col_idx))
 
     def to_lists(self) -> list[list]:
         return [list(r) for r in self.rows]
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix(tuple(() for _ in range(self.ncols)), 0)
-        return Matrix(zip(*self.rows), self.nrows)
+        return Matrix(_transpose(self.sparse_rows, self.ncols), self.nrows)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_integral(self) -> bool:
-        if _INT.issuperset(map(type, chain.from_iterable(self.rows))):
-            return True
-        return all(isinstance(v, int) for r in self.rows for v in r)
+        return _INT.issuperset(map(type, chain.from_iterable(map(dict.values, self.sparse_rows))))
 
     @property
     def is_zero(self) -> bool:
-        return all(v == 0 for r in self.rows for v in r)
+        return not any(self.sparse_rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.shape == other.shape and self.sparse_rows == other.sparse_rows
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self.sparse_rows)))
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _zip_with(self, other: "Matrix", op) -> "Matrix":
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return Matrix(
-            (tuple(map(op, r, s)) for r, s in zip(self.rows, other.rows)), self.ncols
-        )
+        out = []
+        for r, s in zip(self.sparse_rows, other.sparse_rows):
+            r = dict(r)
+            for j, v in s.items():
+                r[j] = r.get(j, 0) + sign * v
+            out.append(r)
+        return Matrix(out, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._zip_with(other, add)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._zip_with(other, sub)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix((tuple(map(neg, r)) for r in self.rows), self.ncols)
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = _norm(c)
-        return Matrix((tuple(map(mul, repeat(c), r)) for r in self.rows), self.ncols)
+        return Matrix([{j: c * v for j, v in r.items()} for r in self.sparse_rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"inner dimensions differ: {self.shape} @ {other.shape}")
+        right = other.sparse_rows
         out = []
-        for row in self.rows:
-            acc = (0,) * other.ncols
-            for a, orow in zip(row, other.rows):
-                if a:
-                    acc = tuple(map(add, acc, map(mul, repeat(a), orow)))
+        for row in self.sparse_rows:
+            acc: dict = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
             out.append(acc)
         return Matrix(out, other.ncols)
 
@@ -201,19 +215,20 @@ class Matrix:
         vec = tuple(vec)
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
-        support = [t for t, v in enumerate(vec) if v]
-        values = [vec[t] for t in support]
-        return tuple(sum(map(mul, map(row.__getitem__, support), values)) for row in self.rows)
+        support = dict(compress(enumerate(vec), vec))
+        rows = self.sparse_rows
+        return tuple(sum([v * support[j] for j, v in r.items() if j in support]) for r in rows)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise ValueError("trace needs a square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
+        return sum(row.get(i, 0) for i, row in enumerate(self.sparse_rows))
 
     # -- exact numerics -------------------------------------------------------
 
     def denominator_lcm(self) -> int:
-        return lcm(1, *(v.denominator for r in self.rows for v in r if isinstance(v, Fraction)))
+        values = chain.from_iterable(map(dict.values, self.sparse_rows))
+        return lcm(1, *(v.denominator for v in values if isinstance(v, Fraction)))
 
     def rank(self) -> int:
         """Rank over the rationals (scale to integers, then echelon)."""
@@ -252,35 +267,29 @@ def hstack(*mats: Matrix) -> Matrix:
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("row counts differ")
-    return Matrix(
-        (tuple(v for m in mats for v in m.rows[i]) for i in range(nrows)),
-        sum(m.ncols for m in mats),
-    )
+    return vstack(*(m.transpose() for m in mats)).transpose()
 
 
 def vstack(*mats: Matrix) -> Matrix:
     ncols = mats[0].ncols
     if any(m.ncols != ncols for m in mats):
         raise ValueError("column counts differ")
-    return Matrix((r for m in mats for r in m.rows), ncols)
+    return Matrix([r for m in mats for r in m.sparse_rows], ncols)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
-    total_c = sum(m.ncols for m in mats)
-    rows = []
-    left = 0
+    rows, left = [], 0
     for m in mats:
-        for r in m.rows:
-            rows.append((0,) * left + r + (0,) * (total_c - left - m.ncols))
+        rows += [{left + j: v for j, v in r.items()} for r in m.sparse_rows]
         left += m.ncols
-    return Matrix(rows, total_c)
+    return Matrix(rows, left)
 
 
 def _int_rows(mat: Matrix, form: str = "Hermite") -> list[dict]:
-    """Sparse rows {column: value} of an integer matrix, zeros left out."""
+    """Copies of the sparse rows of an integer matrix, for an elimination."""
     if not mat.is_integral:
         raise ValueError(f"{form} form needs integer entries")
-    return [dict(compress(enumerate(row), row)) for row in mat.rows]
+    return [dict(row) for row in mat.sparse_rows]
 
 
 def _transpose(rows: list[dict], width: int) -> list[dict]:
@@ -378,21 +387,21 @@ def hermite_normal_form(mat: Matrix) -> Matrix:
     Two integer row spans are equal iff their forms are equal.
     """
     rows = _int_rows(mat)
-    return Matrix.from_sparse(rows[: len(_echelon(rows))], mat.ncols)
+    return Matrix(rows[: len(_echelon(rows))], mat.ncols)
 
 
 def relation_hermite_form(width: int, relations) -> Matrix:
     """Hermite form of the span of sparse integer relations {column: value}
     in Z^width, with no dense copy of the relations."""
     rows = _relation_rows(width, relations)
-    return Matrix.from_sparse(rows[: len(_echelon(rows))], width)
+    return Matrix(rows[: len(_echelon(rows))], width)
 
 
 def hnf_with_transform(mat: Matrix) -> tuple[Matrix, Matrix]:
     """Return (H, U) with U unimodular, U @ mat == H, H echelon incl. zero rows."""
     rows, transform = _int_rows(mat), [{i: 1} for i in range(mat.nrows)]
     _echelon(rows, transform)
-    return Matrix.from_sparse(rows, mat.ncols), Matrix.from_sparse(transform, mat.nrows)
+    return Matrix(rows, mat.ncols), Matrix(transform, mat.nrows)
 
 
 def _kernel(rows: list[dict]) -> list[dict]:
@@ -405,7 +414,7 @@ def _kernel(rows: list[dict]) -> list[dict]:
 
 def left_kernel(mat: Matrix) -> Matrix:
     """Canonical basis rows of {y : y @ mat == 0}."""
-    return Matrix.from_sparse(_kernel(_int_rows(mat)), mat.nrows)
+    return Matrix(_kernel(_int_rows(mat)), mat.nrows)
 
 
 @dataclass(frozen=True)
@@ -417,10 +426,7 @@ class Lattice:
 
     @classmethod
     def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
-        mat = Matrix(list(rows), ambient_rank)
-        if mat.ncols != ambient_rank:
-            raise ValueError("row length differs from ambient rank")
-        return cls(ambient_rank, hermite_normal_form(mat))
+        return cls(ambient_rank, hermite_normal_form(Matrix(rows, ambient_rank)))
 
     @classmethod
     def zero(cls, ambient_rank: int) -> "Lattice":
@@ -436,30 +442,46 @@ class Lattice:
 
     @cached_property
     def _pivot_rows(self) -> dict:
-        """Basis row by pivot column, built on the first membership test.
-        Not a field, so equality and hashing still see the basis alone."""
-        return {next(compress(count(), row)): row for row in self.basis.rows}
+        """Sparse basis row by pivot column, built on the first membership
+        test.  Not a field, so equality and hashing still see the basis alone."""
+        return {min(row): row for row in self.basis.sparse_rows}
 
     def contains(self, vec) -> bool:
-        vec = list(vec)
-        if len(vec) != self.ambient_rank:
-            raise ValueError("vector length differs from ambient rank")
+        """Whether the lattice holds the vector, dense or a dict {index: value}.
+
+        Reduces by the basis row of each leading column in increasing order;
+        a Hermite row has no entry left of its pivot, so every column it
+        touches is still to come."""
+        if not isinstance(vec, dict):
+            vec = tuple(vec)
+            if len(vec) != self.ambient_rank:
+                raise ValueError("vector length differs from ambient rank")
+            vec = enumerate(vec)
+        vec = dict(vec)
+        pending = list(vec)
+        heapify(pending)
         pivot_of = self._pivot_rows
-        for j in range(self.ambient_rank):
+        while pending:
+            j = heappop(pending)
             v = vec[j]
             if not v:
                 continue
             row = pivot_of.get(j)
             if row is None or v % row[j]:
                 return False
-            vec[j:] = map(sub, vec[j:], map(mul, repeat(v // row[j]), row[j:]))
+            q = v // row[j]
+            for c, w in row.items():
+                if c not in vec:
+                    vec[c] = 0
+                    heappush(pending, c)
+                vec[c] -= q * w
         return True
 
 
 def kernel_lattice(mat: Matrix) -> Lattice:
     """Integer solutions of mat @ x == 0, as a (saturated) lattice in Z^ncols."""
     cols = _transpose(_int_rows(mat), mat.ncols)
-    return Lattice(mat.ncols, Matrix.from_sparse(_kernel(cols), mat.ncols))
+    return Lattice(mat.ncols, Matrix(_kernel(cols), mat.ncols))
 
 
 @dataclass(frozen=True)
@@ -476,7 +498,7 @@ class CokernelInvariants:
 
 def cokernel_invariants(mat: Matrix) -> CokernelInvariants:
     """Invariants of Z^nrows / (column span of mat)."""
-    return relation_invariants(mat.nrows, (dict(enumerate(col)) for col in zip(*mat.rows)))
+    return relation_invariants(mat.nrows, mat.transpose().sparse_rows)
 
 
 def relation_invariants(width: int, relations) -> CokernelInvariants:
@@ -560,7 +582,7 @@ def smith_normal_form(mat: Matrix) -> Matrix:
     zero past the rank, every other entry zero."""
     diag = _smith_diagonal(_int_rows(mat, "Smith"), mat.ncols)
     rows = [{i: d} for i, d in enumerate(diag)] + [{}] * (mat.nrows - len(diag))
-    return Matrix.from_sparse(rows, mat.ncols)
+    return Matrix(rows, mat.ncols)
 
 
 def _smith_diagonal(rows: list[dict], width: int) -> list[int]:
@@ -589,15 +611,15 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("ambient ranks differ")
     relations = left_kernel(vstack(a.basis, b.basis))
-    coeffs = Matrix((rel[: a.rank] for rel in relations.rows), a.rank)
-    return Lattice(a.ambient_rank, hermite_normal_form(coeffs @ a.basis))
+    coeffs = [{j: v for j, v in rel.items() if j < a.rank} for rel in relations.sparse_rows]
+    return Lattice(a.ambient_rank, hermite_normal_form(Matrix(coeffs, a.rank) @ a.basis))
 
 
 def saturation(lat: Lattice) -> Lattice:
     """Smallest sublattice containing lat whose quotient is torsion-free."""
     amb = lat.ambient_rank
     ortho = _kernel(_transpose(_int_rows(lat.basis), amb))
-    return Lattice(amb, Matrix.from_sparse(_kernel(_transpose(ortho, amb)), amb))
+    return Lattice(amb, Matrix(_kernel(_transpose(ortho, amb)), amb))
 
 
 def lattice_index(lat: Lattice) -> int | None:
@@ -606,7 +628,7 @@ def lattice_index(lat: Lattice) -> int | None:
         return None
     result = 1
     for i in range(lat.ambient_rank):
-        result *= lat.basis.rows[i][i]
+        result *= lat.basis[i, i]
     return result
 
 

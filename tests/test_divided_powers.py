@@ -94,25 +94,31 @@ sparse_forms = st.integers(0, 5).flatmap(
 )
 
 
+def monomial_matrix(forms, nvars: int, degree: int) -> Matrix:
+    """_monomial_rows on forms given as (variable, coefficient) lists."""
+    return Matrix(*_monomial_rows([dict(form) for form in forms], nvars, degree))
+
+
 class TestMonomialRows:
     @settings(max_examples=300, deadline=None)
     @given(sparse_forms)
     def test_matches_sorted_word_expansion(self, case):
         nvars, forms, degree = case
-        assert _monomial_rows(forms, nvars, degree) == brute_monomial_rows(forms, nvars, degree)
+        expected = Matrix(*brute_monomial_rows(forms, nvars, degree))
+        assert monomial_matrix(forms, nvars, degree) == expected
 
     def test_edges(self):
         for nvars in range(4):
             for degree in range(4):
                 for forms in ([], [[]], [[], []], [[(0, -1)]] if nvars else [[]]):
-                    got = _monomial_rows(forms, nvars, degree)
-                    assert got == brute_monomial_rows(forms, nvars, degree)
+                    got = monomial_matrix(forms, nvars, degree)
+                    assert got == Matrix(*brute_monomial_rows(forms, nvars, degree))
 
     def test_repeated_calls_share_the_index_not_the_rows(self):
         forms = [[(0, 2), (1, -1)], [(1, 3)]]
-        first, width = _monomial_rows(forms, 2, 3)
+        first, width = _monomial_rows([dict(form) for form in forms], 2, 3)
         first[0][0] = 99
-        assert _monomial_rows(forms, 2, 3) == brute_monomial_rows(forms, 2, 3)
+        assert monomial_matrix(forms, 2, 3) == Matrix(*brute_monomial_rows(forms, 2, 3))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("q,p", [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)])

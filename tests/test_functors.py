@@ -111,7 +111,7 @@ def brute_reconstruct(module, q: int):
         module.algebra.basis,
         module.presentation,
     )
-    reduced = hermite_normal_form(Matrix.from_sparse(rows, width)).transpose()
+    reduced = hermite_normal_form(Matrix(rows, width)).transpose()
     s = smith_normal_form(reduced)
     diag = [s[i, i] for i in range(min(s.shape))]
     return tuple(d for d in diag if d > 1), width - sum(1 for d in diag if d)
@@ -590,11 +590,11 @@ class TestScalarChange:
         assert inv.free_rank == 0 and inv.torsion == ()
 
     def test_cubic_extension_presentation_of_sym3(self):
-        """The presentation extend_scalars builds for sym^3 at n = 3, without
-        the 165 dense action matrices: the Hermite form of the balanced-product
-        relations over Green's tables (77,295 relations on 1,650 generators)
-        has rank 1,640, and its cokernel is Z^10 = Sym^3(Z^3), also when read
-        off the relations by unit-pivot substitution."""
+        """The presentation extend_scalars builds for sym^3 at n = 3, on its
+        own: the Hermite form of the balanced-product relations over Green's
+        tables (77,295 relations on 1,650 generators) has rank 1,640, and its
+        cokernel is Z^10 = Sym^3(Z^3), also when read off the relations by
+        unit-pivot substitution."""
         module = extract_morita_module(Sym(3), 3)
         products, _ = functors._schur_tables(3)
         rows = functors._tensor_relation_rows(
@@ -609,6 +609,19 @@ class TestScalarChange:
         assert (len(rows), width) == (77295, 1650)
         hermite = relation_hermite_form(width, rows)
         assert hermite.shape == (1640, 1650)
-        inv = relation_invariants(width, ({j: v for j, v in enumerate(r) if v} for r in hermite.rows))
+        inv = relation_invariants(width, hermite.sparse_rows)
         assert (inv.torsion, inv.free_rank) == ((), object_dim(Sym(3), 3)) == ((), 10)
         assert relation_invariants(width, rows) == inv
+
+    def test_cubic_round_trip_of_sym3(self):
+        """extend_scalars at n = 3 with its 165 sparse 1,650 x 1,650 actions,
+        each checked against the relations by one product, then back by
+        restrict_scalars: both sides present Sym^3(Z^3) = Z^10."""
+        module = extract_morita_module(Sym(3), 3)
+        extended = extend_scalars(module)
+        assert extended.presentation.shape == (1650, 1640)
+        assert len(extended.action) == 165
+        assert extended.group_invariants() == extract_gamma_structure(Sym(3), 3).group_invariants()
+        inv = restrict_scalars(extended).group_invariants()
+        assert inv == module.group_invariants()
+        assert (inv.torsion, inv.free_rank) == ((), 10)

@@ -8,7 +8,9 @@ import itertools
 import random
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,8 @@ class TestMatrixBasics:
         m = Matrix([[Fraction(4, 2), 1]], 2)
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
         assert m.is_integral
+        flags = Matrix([[True, False]])
+        assert flags.rows == ((1, 0),) and list(map(type, flags.rows[0])) == [int, int]
 
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
@@ -112,7 +116,8 @@ class TestMatrixBasics:
 
     @pytest.mark.parametrize("bad", [1.0, 0.5, "1", None])
     def test_inexact_entries_rejected_in_any_position(self, bad):
-        for rows in ([[bad]], [[1, bad, 2]], [[1, 2], [3, bad]], [[Fraction(1, 2), bad]]):
+        cases = ([[bad]], [[1, bad, 2]], [[1, 2], [3, bad]], [[Fraction(1, 2), bad]], [{1: 1, 0: bad}])
+        for rows in cases:
             with pytest.raises(TypeError, match=f"exact scalar required, got {type(bad).__name__}$"):
                 Matrix(rows)
 
@@ -203,6 +208,150 @@ class TestMatrixBasics:
         # rational entries, rows with different denominators
         assert Matrix([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], 2).rank() == 1
         assert Matrix([[Fraction(1, 2), 0], [0, Fraction(1, 3)]], 2).rank() == 2
+
+
+# -- the dense arithmetic that Matrix had before its rows became sparse, kept
+# as an oracle on tuples of tuples; every result goes through the per-entry
+# normalization the dense constructor applied.
+
+
+def dense(rows):
+    return tuple(tuple(map(_norm, row)) for row in rows)
+
+
+def dense_zip_with(a, b, op):
+    return dense(tuple(map(op, r, s)) for r, s in zip(a, b))
+
+
+def dense_scale(a, c):
+    return dense(tuple(map(mul, repeat(_norm(c)), r)) for r in a)
+
+
+def dense_matmul(a, b, ncols):
+    out = []
+    for row in a:
+        acc = (0,) * ncols
+        for x, brow in zip(row, b):
+            if x:
+                acc = tuple(map(add, acc, map(mul, repeat(x), brow)))
+        out.append(acc)
+    return dense(out)
+
+
+def dense_matvec(a, vec):
+    support = [t for t, v in enumerate(vec) if v]
+    return tuple(sum(row[t] * vec[t] for t in support) for row in a)
+
+
+def dense_transpose(a, ncols):
+    return dense(zip(*a)) if a else ((),) * ncols
+
+
+def dense_submatrix(a, row_idx, col_idx):
+    return dense(tuple(a[i][j] for j in col_idx) for i in row_idx)
+
+
+def dense_hstack(*mats):
+    return dense(tuple(chain.from_iterable(rows)) for rows in zip(*mats))
+
+
+def dense_vstack(*mats):
+    return dense(chain.from_iterable(mats))
+
+
+def dense_block_diag(*mats_and_widths):
+    total = sum(w for _, w in mats_and_widths)
+    out, left = [], 0
+    for rows, w in mats_and_widths:
+        out += [(0,) * left + tuple(r) + (0,) * (total - left - w) for r in rows]
+        left += w
+    return dense(out)
+
+
+oracle_entry = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+def oracle_rows(nrows, ncols):
+    row = st.lists(oracle_entry, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(dense)
+
+
+shapes = st.tuples(st.integers(0, 3), st.integers(0, 3))
+same_shape_pair = shapes.flatmap(lambda s: st.tuples(st.just(s), oracle_rows(*s), oracle_rows(*s)))
+product_pair = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(st.just(s), oracle_rows(s[0], s[1]), oracle_rows(s[1], s[2]))
+)
+one_matrix = shapes.flatmap(lambda s: st.tuples(st.just(s), oracle_rows(*s)))
+
+
+def assert_oracle(mat, expected, ncols):
+    """Same dense read-out with the same entry types, and no stored zero."""
+    assert mat.shape == (len(expected), ncols)
+    assert mat.rows == expected
+    assert [list(map(type, r)) for r in mat.rows] == [list(map(type, r)) for r in expected]
+    assert all(all(row.values()) for row in mat.sparse_rows)
+
+
+class TestSparseAgainstDense:
+    @settings(max_examples=120)
+    @given(same_shape_pair, oracle_entry)
+    def test_sums_and_scaling(self, case, c):
+        (_, ncols), a, b = case
+        A, B = Matrix(a, ncols), Matrix(b, ncols)
+        assert_oracle(A, a, ncols)
+        assert_oracle(A + B, dense_zip_with(a, b, add), ncols)
+        assert_oracle(A - B, dense_zip_with(a, b, sub), ncols)
+        assert_oracle(-A, dense_scale(a, -1), ncols)
+        assert_oracle(A.scale(c), dense_scale(a, c), ncols)
+
+    @settings(max_examples=120)
+    @given(product_pair)
+    def test_product_and_matvec(self, case):
+        (_, inner, ncols), a, b = case
+        A, B = Matrix(a, inner), Matrix(b, ncols)
+        assert_oracle(A @ B, dense_matmul(a, b, ncols), ncols)
+        # the columns of b: ints, Fractions and zeros.  matvec does not
+        # normalize, so the values agree and an int may meet an integral Fraction
+        for vec in dense_transpose(b, ncols):
+            assert A.matvec(vec) == dense_matvec(a, vec)
+
+    @settings(max_examples=120)
+    @given(one_matrix, st.data())
+    def test_transpose_columns_and_submatrix(self, case, data):
+        (nrows, ncols), a = case
+        A = Matrix(a, ncols)
+        assert_oracle(A.transpose(), dense_transpose(a, ncols), nrows)
+        assert_oracle(Matrix.from_cols(a, ncols), dense_transpose(a, ncols), nrows)
+        assert A.cols() == dense_transpose(a, ncols)
+        row_idx = data.draw(st.lists(st.integers(0, nrows - 1), max_size=3)) if nrows else []
+        col_idx = data.draw(st.lists(st.integers(0, ncols - 1), max_size=3)) if ncols else []
+        assert_oracle(A.submatrix(row_idx, col_idx), dense_submatrix(a, row_idx, col_idx), len(col_idx))
+
+    @settings(max_examples=120)
+    @given(same_shape_pair, one_matrix)
+    def test_stacking(self, case, other):
+        ((nrows, ncols), a, b), ((_, width), c) = case, other
+        A, B, C = Matrix(a, ncols), Matrix(b, ncols), Matrix(c, width)
+        assert_oracle(hstack(A, B), dense_hstack(a, b), 2 * ncols)
+        assert_oracle(vstack(A, B), dense_vstack(a, b), ncols)
+        assert_oracle(block_diag(A, C), dense_block_diag((a, ncols), (c, width)), ncols + width)
+        assert_oracle(block_diag(), (), 0)
+
+    @settings(max_examples=120)
+    @given(same_shape_pair)
+    def test_equality_and_hash(self, case):
+        (_, ncols), a, b = case
+        A, B = Matrix(a, ncols), Matrix(b, ncols)
+        assert (A == B) == (a == b)
+        keyed = Matrix([dict(enumerate(row)) for row in a], ncols)
+        assert keyed == A and hash(keyed) == hash(A)
+        if a == b:
+            assert hash(A) == hash(B)
+        assert Matrix(a + ((0,) * ncols,), ncols) != A
 
 
 class TestHermite:
@@ -379,7 +528,7 @@ def test_hermite_matches_sympy_on_relation_matrices(kind, q):
     )
     width = left_dim * module.generators
     assert len(rows) > width
-    assert_hnf_matches_sympy(Matrix.from_sparse(rows, width).rows, width)
+    assert_hnf_matches_sympy(Matrix(rows, width).rows, width)
 
 
 def test_dense_normal_forms_pinned_with_entry_bits():
@@ -406,7 +555,7 @@ def test_dense_normal_forms_pinned_with_entry_bits():
 def hnf_smith_invariants(width, relations):
     """The dense route: Hermite form of the densified relations, then the
     Smith diagonal of its transpose."""
-    reduced = hermite_normal_form(Matrix.from_sparse(relations, width))
+    reduced = hermite_normal_form(Matrix(relations, width))
     diag = diagonal(smith_normal_form(reduced.transpose()))
     return tuple(d for d in diag if d > 1), width - sum(1 for d in diag if d)
 
@@ -471,7 +620,7 @@ class TestCokernel:
         from sympy.matrices.normalforms import invariant_factors
 
         width, relations = case
-        dense = Matrix.from_sparse(relations, width)
+        dense = Matrix(relations, width)
         factors = ()
         if dense.nrows and width and not dense.is_zero:
             factors = tuple(int(d) for d in invariant_factors(SympyMatrix(dense.to_lists()), domain=ZZ))
@@ -693,7 +842,7 @@ class TestSparseElimination:
     def test_relation_hermite_form_matches_dense_route(self, case):
         width, relations = case
         assert relation_hermite_form(width, relations) == hermite_normal_form(
-            Matrix.from_sparse(relations, width)
+            Matrix(relations, width)
         )
 
     def test_relation_hermite_form_rejects(self):
@@ -719,6 +868,12 @@ class TestLattices:
         lat = Lattice.from_rows(2, [(2, 0), (0, 2)])
         assert lat.contains((4, -2))
         assert not lat.contains((1, 0))
+        assert lat.contains({1: 6}) and not lat.contains({0: 2, 1: 3})
+        for bad in ([(1, 2, 3)], [{2: 1}], [{-1: 1}]):
+            with pytest.raises(ValueError):
+                Lattice.from_rows(2, bad)
+        with pytest.raises(ValueError, match="ambient rank"):
+            lat.contains((1,))
 
     @settings(max_examples=150)
     @given(lattice_and_vectors)
@@ -734,6 +889,7 @@ class TestLattices:
         for vec in inside + free:
             oracle = hermite_normal_form(Matrix(list(lat.basis.rows) + [vec], n)) == lat.basis
             assert lat.contains(vec) == oracle, (lat.basis.rows, vec)
+            assert lat.contains(dict(enumerate(vec))) == oracle
         assert all(lat.contains(v) for v in inside)
 
     def test_pivot_cache_leaves_equality_and_hash(self):
