@@ -1,6 +1,6 @@
 """
-Deviations and the two scaling laws
-===================================
+Deviations and the binomial scaling law
+=======================================
 
 A map between free modules is polynomial of degree <= n when all of its
 (n+1)-st alternating differences vanish, and numerical when on top of that
@@ -47,7 +47,9 @@ report = is_numerical_degree(pow2, 3, SampleSpec.default_for(line, 3))
 print("2^t numerical of degree 3:", report.passed, "witness:", report.witness)
 
 # the same certification can run from a bare table of values at scalar
-# multiples: both scaling laws are rebuilt from the values at 0..n
+# multiples: the scaling law predicts every value from the values at 0..n
+# by one interpolation combination; that it agrees with the binomials times
+# repeated deviations is a binomial identity, checked in the tests
 table = {r: pt(r**3 - 2 * r) for r in range(-5, 7)}
 print("cubic table at degree 3:", cross_check_conditions(table, 3, range(-5, 7)).passed)
 print("cubic table at degree 2:", cross_check_conditions(table, 2, range(-5, 7)).witness)

@@ -34,8 +34,9 @@ from .modules import Hom, MultisetSpace, MultisetVector
 
 
 def aug_dimension(rank: int, degree: int) -> int:
-    """Closed form for the basis count: sum of C(rank + m - 1, m), m <= degree."""
-    return sum(binomial(rank + m - 1, m) for m in range(degree + 1))
+    """Closed form for the basis count: the sum of C(rank + m - 1, m) over
+    m <= degree, which is C(rank + degree, degree) by the hockey stick."""
+    return binomial(rank + degree, degree)
 
 
 def _class_vector(coords, basis, degree: int) -> list[int]:

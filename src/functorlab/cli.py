@@ -73,6 +73,13 @@ class UsageError(Exception):
     pass
 
 
+# Size guards, read off closed forms before anything is built: the entries
+# object_dim(F, rows) * object_dim(F, cols) of a `functor arrow` matrix, and
+# dim B(k, n) = aug_dimension(k, n) of the largest gamma-epsilon cell.
+MAX_ARROW_ENTRIES = 2**21
+MAX_AUG_DIMENSION = 12_000
+
+
 def _jsonable(x):
     if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
         return x
@@ -363,12 +370,12 @@ def _run_suite(args) -> tuple[dict, bool]:
     single = args.k is not None or args.n is not None
     if single and (args.suite != "gamma-epsilon" or args.k is None or args.n is None):
         raise UsageError("--k and --n go together, and only with the gamma-epsilon suite")
-    if single:
-        if args.n < 1:
-            raise UsageError("a gamma-epsilon cell needs --n >= 1")
-        grid = [(args.k, args.n)]
-    else:
-        grid = [(k, n) for k in range(1, max_k + 1) for n in range(1, max_n + 1)]
+    if single and args.n < 1:
+        raise UsageError("a gamma-epsilon cell needs --n >= 1")
+    k, n = (args.k, args.n) if single else (max_k, max_n)
+    if args.suite in ("gamma-epsilon", "all") and aug_dimension(k, n) > MAX_AUG_DIMENSION:
+        raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
+    grid = [(k, n)] if single else [(a, b) for a in range(1, k + 1) for b in range(1, n + 1)]
     summaries: dict = {}
     suites = {
         "deviations": lambda: suite_deviations(max_n, seed),
@@ -520,7 +527,10 @@ def cmd_functor(args) -> int:
     if args.action == "arrow":
         if args.hom is None:
             raise UsageError("arrow needs --hom")
-        mat = arrow_map(spec, _parse_hom(args.hom))
+        hom = _parse_hom(args.hom)
+        if object_dim(spec, hom.nrows) * object_dim(spec, hom.ncols) > MAX_ARROW_ENTRIES:
+            raise UsageError(f"the {spec_label(spec)} arrow exceeds the size limit {MAX_ARROW_ENTRIES}")
+        mat = arrow_map(spec, hom)
         out = {"spec": spec_to_json(spec), "rows": _jsonable(mat)}
         if args.format == "plain":
             for row in mat.rows:

@@ -52,6 +52,7 @@ from .intlinalg import (
     Matrix,
     block_diag,
     cokernel_invariants,
+    linear_combination,
     relation_hermite_form,
     relation_invariants,
 )
@@ -254,7 +255,7 @@ def arrow_map(spec: FunctorSpec, alpha) -> Matrix:
 
 
 def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix, window=None) -> DeviationReport:
-    """Both scaling laws for the table r -> arrow_map(spec, r * alpha)."""
+    """The binomial scaling law for the table r -> arrow_map(spec, r * alpha)."""
     if window is None:
         window = range(-(n + 2), n + 3)
     table = {r: arrow_map(spec, alpha.scale(r)) for r in set(window) | set(range(n + 1))}
@@ -265,7 +266,7 @@ def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix, window=None) -
 def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 3) -> DeviationReport:
     """Certify (by exact sampling) that the functor is numerical of degree <= n.
 
-    Two ingredients: the scaling laws at the identity of the rank-n module on
+    Two ingredients: the scaling law at the identity of the rank-n module on
     the window [-(n+2), n+2], and the vanishing of every (n+1)-st deviation
     of the arrow map on seeded random matrix tuples of assorted shapes.
 
@@ -293,7 +294,7 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 
                 Matrix([[rng.randint(-2, 2) for _ in range(pp)] for _ in range(qq)], pp)
                 for _ in range(n + 1)
             ]
-            dev = _linear_combo(
+            dev = linear_combination(
                 (
                     (sign, arrow_map(spec, s))
                     for sign, s in signed_subset_sums(mats, Matrix.zeros(qq, pp))
@@ -311,16 +312,6 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 
 
 def _flat(mat: Matrix) -> tuple:
     return tuple(v for row in mat.rows for v in row)
-
-
-def _linear_combo(pairs, nrows: int, ncols: int) -> Matrix:
-    total: list[dict] = [{} for _ in range(nrows)]
-    for c, m in pairs:
-        if c:
-            for t, r in zip(total, m.sparse_rows):
-                for j, v in r.items():
-                    t[j] = t.get(j, 0) + c * v
-    return Matrix(total, ncols)
 
 
 class PresentedModule:
@@ -356,7 +347,7 @@ class PresentedModule:
     def act(self, elem) -> Matrix:
         if elem.space != self.algebra:
             raise ValueError("element lives in the wrong algebra")
-        return _linear_combo(
+        return linear_combination(
             ((c, self.action[X]) for X, c in elem.coeffs.items()),
             self.generators,
             self.generators,
@@ -418,7 +409,7 @@ def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:
         values[A] = arrow_map(spec, Matrix(rows, n))
     dim = object_dim(spec, n)
     return {
-        X: _linear_combo(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
+        X: linear_combination(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
         for X in basis
     }
 
@@ -549,7 +540,7 @@ def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
     divided = [struct.action[A] for A in struct.algebra.basis]
     action = {}
     for X, col in zip(algebra.basis, gamma_cols):
-        action[X] = _linear_combo(
+        action[X] = linear_combination(
             ((v, divided[i]) for i, v in col.items()),
             struct.generators,
             struct.generators,

@@ -285,6 +285,19 @@ def block_diag(*mats: Matrix) -> Matrix:
     return Matrix(rows, left)
 
 
+def linear_combination(pairs, nrows: int, ncols: int) -> Matrix:
+    """The sum of c * m over the (c, m) pairs, built as one Matrix."""
+    total: list[dict] = [{} for _ in range(nrows)]
+    for c, m in pairs:
+        if m.shape != (nrows, ncols):
+            raise ValueError(f"shape mismatch {m.shape} vs {(nrows, ncols)}")
+        if c:
+            for t, r in zip(total, m.sparse_rows):
+                for j, v in r.items():
+                    t[j] = t.get(j, 0) + c * v
+    return Matrix(total, ncols)
+
+
 def _int_rows(mat: Matrix, form: str = "Hermite") -> list[dict]:
     """Copies of the sparse rows of an integer matrix, for an elimination."""
     if not mat.is_integral:

@@ -106,7 +106,9 @@ def test_criterion_05_ring_homomorphisms():
 
 
 def test_criterion_06_numericality_equivalences():
-    # both scaling laws, value and functor form, on the full window
+    # the scaling law, value and functor form, on the full window; its
+    # interpolation form is the repeated-deviation form by a binomial
+    # identity, checked in test_deviations.py
     rng = random.Random(6)
     for n in (1, 2, 3):
         for spec in CATALOG[n]:

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -706,3 +707,30 @@ class TestContract:
             assert out.getvalue() == "", argv
         else:
             assert err.getvalue() == "", (argv, err.getvalue())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["functor", "arrow", "--spec", '{"tensor": 12}', "--hom", "[[1, 2], [3, 4]]"],
+            ["verify", "gamma-epsilon", "--k", "30", "--n", "6"],
+            ["verify", "all", "--max-k", "30", "--max-n", "6"],
+        ],
+    )
+    def test_oversized_runs_are_refused_at_once(self, capsys, argv):
+        # built, these would exhaust memory; their size is read off a closed
+        # form first, so they exit 2 at once with a message on stderr and
+        # nothing on stdout
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "size limit" in err
+
+    def test_size_limits_keep_the_reach_cells(self):
+        # the gamma-epsilon cells of the CI reach steps and 12 x 5 stay under
+        # the limit; tensor^12 of a 2 x 2 matrix (4096 x 4096, every entry
+        # nonzero) is past it
+        for k, n in [(9, 2), (9, 4), (6, 6), (4, 8), (4, 9), (4, 10), (12, 5)]:
+            assert augmentation.aug_dimension(k, n) <= cli.MAX_AUG_DIMENSION
+        assert augmentation.aug_dimension(30, 6) > cli.MAX_AUG_DIMENSION
+        assert 4096 * 4096 > cli.MAX_ARROW_ENTRIES

@@ -1,14 +1,17 @@
-"""Alternating differences and the two scaling laws for maps of modules.
+"""Alternating differences and the binomial scaling law for maps of modules.
 
 The running examples are scalar maps: powers are polynomial but not
 numerical-normalized, binomial coefficient maps are the numerical
-prototypes, and exponentials are not polynomial of any degree.
+prototypes, and exponentials are not polynomial of any degree.  The
+repeated-deviation form of the scaling law is the oracle brute_cross_check
+of the interpolation form that cross_check_conditions evaluates.
 """
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from functorlab.combinatorics import Multiset, binomial
 from functorlab.deviations import (
+    DeviationReport,
     SampleSpec,
     alternating_sum,
     condition_b_rhs,
@@ -17,6 +20,7 @@ from functorlab.deviations import (
     is_numerical_degree,
     multiset_deviation,
 )
+from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule, SetMap
 
 LINE = FreeModule(1)
@@ -129,7 +133,7 @@ class TestScalingLaws:
         rep = cross_check_conditions(table, 1, list(range(-4, 7)))
         assert not rep.passed
         kind, r = rep.witness
-        assert kind in ("A", "B") and r not in (0, 1)
+        assert kind == "A" and r not in (0, 1)
 
     def test_missing_point_raises(self):
         with pytest.raises(ValueError):
@@ -163,7 +167,135 @@ class TestScalingLaws:
         assert rep.passed, rep.witness
 
 
-def test_sample_spec_json_round_trip():
-    spec = SampleSpec.default_for(FreeModule(2), 2)
-    again = SampleSpec.from_json(spec.to_json())
-    assert again == spec
+def brute_cross_check(f_on_scalars, n, r_window) -> DeviationReport:
+    """Check the two scaling laws against tabulated values f(r * alpha).
+
+    Law A rebuilds f(r alpha) from binomials times repeated deviations at
+    alpha; law B is the interpolation form.  Both are computed from the
+    values at 0..n only and compared with the table on the whole window.
+    """
+    for m in range(n + 1):
+        if m not in f_on_scalars:
+            raise ValueError(f"missing value at {m}; need all of 0..{n}")
+    # k-th repeated deviation at alpha, out of the scalar table alone
+    devs = []
+    for k in range(n + 1):
+        acc = None
+        for j in range(k + 1):
+            term = f_on_scalars[j].scale((-1) ** (k - j) * binomial(k, j))
+            acc = term if acc is None else acc + term
+        devs.append(acc)
+
+    used = 0
+    for r in r_window:
+        if r not in f_on_scalars:
+            raise ValueError(f"window point {r} missing from the table")
+        used += 1
+        lhs = f_on_scalars[r]
+        rhs_a = None
+        for k in range(n + 1):
+            term = devs[k].scale(binomial(r, k))
+            rhs_a = term if rhs_a is None else rhs_a + term
+        if lhs != rhs_a:
+            return DeviationReport(n, used, False, ("A", r))
+        rhs_b = condition_b_rhs(f_on_scalars, r, n)
+        if lhs != rhs_b:
+            return DeviationReport(n, used, False, ("B", r))
+    return DeviationReport(n, used, True)
+
+
+def _report(rep):
+    return rep.passed, rep.samples_used, rep.witness
+
+
+# a window of points, negative ones and repeats included, and a table on the
+# window and on 0..n whose values are arbitrary: polynomial ones pass and
+# most others fail somewhere, so both verdicts and many witnesses occur
+WINDOWS = st.lists(st.integers(-7, 9), max_size=8)
+SMALL = st.integers(-4, 4)
+
+
+def _table(draw, points, value):
+    return {r: draw(value) for r in points}
+
+
+@st.composite
+def element_tables(draw):
+    n, window = draw(st.integers(0, 4)), draw(WINDOWS)
+    rank = draw(st.integers(1, 2))
+    module = FreeModule(rank)
+    if draw(st.booleans()):
+        # polynomial of degree <= d in r, coordinate by coordinate
+        d = draw(st.integers(0, 5))
+        coeffs = [draw(st.lists(SMALL, min_size=d + 1, max_size=d + 1)) for _ in range(rank)]
+
+        def value(r):
+            return module.element(tuple(sum(c * r**i for i, c in enumerate(cs)) for cs in coeffs))
+
+        table = {r: value(r) for r in set(window) | set(range(n + 1))}
+    else:
+        coords = st.tuples(*[st.integers(-50, 50)] * rank)
+        table = _table(draw, set(window) | set(range(n + 1)), coords.map(module.element))
+    return table, n, window
+
+
+@st.composite
+def matrix_tables(draw):
+    n, window = draw(st.integers(0, 4)), draw(WINDOWS)
+    shape = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    entries = st.lists(
+        st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    ).map(lambda rows: Matrix(rows, shape[1]))
+    points = set(window) | set(range(n + 1))
+    if draw(st.booleans()):
+        # C(r, d) times a fixed matrix plus another fixed matrix
+        d, a, b = draw(st.integers(0, 5)), draw(entries), draw(entries)
+        table = {r: a.scale(binomial(r, d)) + b for r in points}
+    else:
+        table = _table(draw, points, entries)
+    return table, n, window
+
+
+class TestScalingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(element_tables())
+    def test_element_tables_match_both_laws(self, case):
+        table, n, window = case
+        assert _report(cross_check_conditions(table, n, window)) == _report(
+            brute_cross_check(table, n, window)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_tables())
+    def test_matrix_tables_match_both_laws(self, case):
+        table, n, window = case
+        assert _report(cross_check_conditions(table, n, window)) == _report(
+            brute_cross_check(table, n, window)
+        )
+
+    def test_weight_identity(self):
+        # the weight of f(j alpha) in the repeated-deviation form equals the
+        # interpolation weight, for every n <= 8 and r in [-20, 20]; on the
+        # unit vectors f(j alpha) = e_j, condition_b_rhs reads the weights out
+        for n in range(9):
+            space = FreeModule(n + 1)
+            units = {j: space.element(tuple(int(i == j) for i in range(n + 1))) for j in range(n + 1)}
+            for r in range(-20, 21):
+                got = condition_b_rhs(units, r, n).coords
+                for j in range(n + 1):
+                    law_a = sum(
+                        binomial(r, k) * (-1) ** (k - j) * binomial(k, j) for k in range(j, n + 1)
+                    )
+                    law_b = (-1) ** (n - j) * binomial(r, j) * binomial(r - j - 1, n - j)
+                    assert law_a == law_b == got[j], (n, r, j)
+
+    def test_one_failing_point_is_the_witness(self):
+        # the squares with one point off: the first window point where the
+        # table leaves the parabola is the witness, counted in order
+        window = [5, -2, 3, -6, 4]
+        table = {r: pt(r * r) for r in range(-6, 7)}
+        table[-6] = pt(37)
+        assert _report(cross_check_conditions(table, 2, window)) == (False, 4, ("A", -6))
+        assert _report(brute_cross_check(table, 2, window)) == (False, 4, ("A", -6))

@@ -29,6 +29,7 @@ from functorlab.intlinalg import (
     lattice_index,
     lattice_intersection,
     left_kernel,
+    linear_combination,
     rational_inverse,
     relation_hermite_form,
     relation_invariants,
@@ -300,13 +301,17 @@ class TestSparseAgainstDense:
     @settings(max_examples=120)
     @given(same_shape_pair, oracle_entry)
     def test_sums_and_scaling(self, case, c):
-        (_, ncols), a, b = case
+        (nrows, ncols), a, b = case
         A, B = Matrix(a, ncols), Matrix(b, ncols)
         assert_oracle(A, a, ncols)
         assert_oracle(A + B, dense_zip_with(a, b, add), ncols)
         assert_oracle(A - B, dense_zip_with(a, b, sub), ncols)
         assert_oracle(-A, dense_scale(a, -1), ncols)
         assert_oracle(A.scale(c), dense_scale(a, c), ncols)
+        combo = linear_combination([(c, A), (0, B), (-3, B)], nrows, ncols)
+        assert_oracle(combo, dense_zip_with(dense_scale(a, c), dense_scale(b, -3), add), ncols)
+        with pytest.raises(ValueError):
+            linear_combination([(1, A)], nrows + 1, ncols)
 
     @settings(max_examples=120)
     @given(product_pair)
