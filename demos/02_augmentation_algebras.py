@@ -47,5 +47,5 @@ x = (2, -1)
 image = chi(chi.source.element(x))
 print(
     "pushforward tracks classes:",
-    p.matvec(alg.class_of(x).to_vector()) == target.class_of(image).to_vector(),
+    p.matvec(alg.class_of(x).vector) == target.class_of(image).vector,
 )

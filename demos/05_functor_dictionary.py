@@ -24,13 +24,12 @@ from functorlab import (
     quasi_homogeneity_test,
     reconstruct,
     restrict_scalars,
-    spec_label,
 )
 
 # the catalog and its induced matrices
 sigma = Matrix([[1, 2], [3, 4]])
 for spec in (Tensor(2), Sym(2), Ext(2), Div(2)):
-    print(spec_label(spec), "on [[1,2],[3,4]] ->", arrow_map(spec, sigma).rows)
+    print(spec.label(), "on [[1,2],[3,4]] ->", arrow_map(spec, sigma).rows)
 
 # degree certificates: pass at the right degree, fail one below with a witness
 print("sym^2 at degree 2:", degree_certificate(Sym(2), 2).passed)
@@ -45,7 +44,7 @@ for spec in (Tensor(2), Sym(2), Ext(2), Div(2)):
     module = extract_morita_module(spec, 2)
     dims = [reconstruct(module, q).free_rank for q in (1, 2, 3)]
     wanted = [object_dim(spec, q) for q in (1, 2, 3)]
-    print(f"{spec_label(spec):9} reconstructed ranks {dims} expected {wanted}")
+    print(f"{spec.label():9} reconstructed ranks {dims} expected {wanted}")
 
 # homogeneous functors also carry a divided-power structure; restricting it
 # along gamma gives back the numerical module on the nose

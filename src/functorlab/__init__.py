@@ -5,52 +5,19 @@ degree-truncated augmentation algebras, divided power modules with their
 Schur product, the divided power map together with its rational section,
 and the dictionary between degree-n functors on free modules and modules
 over the truncated algebra of n x n matrices.  All arithmetic is exact.
+
+This namespace holds the paper's objects as the demos use them: the
+deviations and the scaling law, B(k, n) and Gamma^n, the map gamma with its
+section epsilon, the kernel and cokernel lattices, and the functor/module
+dictionary.  Every other name is imported from its module.
 """
 
-from .combinatorics import (
-    EMPTY_MULTISET,
-    Multiset,
-    binomial,
-    format_multiset,
-    multiset_binomial,
-    multisets_exactly,
-    multisets_up_to,
-    parse_multiset,
-    stirling2,
-    stirling_sum_identity,
-)
-from .intlinalg import (
-    CokernelInvariants,
-    Lattice,
-    Matrix,
-    block_diag,
-    cokernel_invariants,
-    hermite_normal_form,
-    hnf_with_transform,
-    kernel_lattice,
-    lattice_index,
-    lattice_intersection,
-    left_kernel,
-    rational_inverse,
-    saturation,
-    smith_normal_form,
-    solve_int,
-    solve_rational,
-)
-from .modules import Element, FreeModule, Hom, SetMap, compose, hom
-from .deviations import (
-    DeviationReport,
-    SampleSpec,
-    alternating_sum,
-    condition_b_rhs,
-    cross_check_conditions,
-    deviation,
-    is_numerical_degree,
-    multiset_deviation,
-)
-from .augmentation import AugAlgebra, AugElement, aug_dimension, pushforward
+from .combinatorics import binomial
+from .intlinalg import Matrix
+from .modules import FreeModule, SetMap, hom
+from .deviations import SampleSpec, cross_check_conditions, deviation, is_numerical_degree
+from .augmentation import AugAlgebra, aug_dimension, pushforward
 from .divided_powers import (
-    GammaElement,
     GammaModule,
     gamma_dimension,
     gamma_of_hom,
@@ -59,28 +26,13 @@ from .divided_powers import (
     tensor_readoff,
 )
 from .gamma_section import (
-    CokernelReport,
-    DecompositionReport,
-    GammaEpsilonPair,
-    KernelReport,
-    QuadraticReport,
-    RingHomReport,
-    VerificationError,
-    apply_epsilon,
-    apply_gamma,
     cokernel_of_pi_gamma,
-    epsilon_matrix,
     gamma_epsilon_pair,
     gamma_matrix,
-    image_epsilon_decomposition,
     kernel_of_gamma,
-    products_quotient_invariants,
-    products_sublattice,
     quadratic_split,
     quasi_homogeneity_test,
     ring_hom_checks,
-    stacked_pi_gamma,
-    truncation_matrix,
     verify_section,
 )
 from .functors import (
@@ -88,9 +40,6 @@ from .functors import (
     DirectSum,
     Div,
     Ext,
-    FunctorSpec,
-    GammaModuleStruct,
-    MoritaModule,
     Sym,
     Tensor,
     arrow_map,
@@ -98,113 +47,52 @@ from .functors import (
     extend_scalars,
     extract_gamma_structure,
     extract_morita_module,
-    natural_degree,
     object_dim,
     reconstruct,
     restrict_scalars,
-    scaling_cross_check,
-    spec_from_json,
-    spec_label,
-    spec_to_json,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugAlgebra",
-    "AugElement",
-    "CokernelInvariants",
-    "CokernelReport",
     "Const",
-    "DecompositionReport",
-    "DeviationReport",
     "DirectSum",
     "Div",
-    "EMPTY_MULTISET",
-    "Element",
     "Ext",
     "FreeModule",
-    "FunctorSpec",
-    "GammaElement",
-    "GammaEpsilonPair",
     "GammaModule",
-    "GammaModuleStruct",
-    "Hom",
-    "KernelReport",
-    "Lattice",
     "Matrix",
-    "MoritaModule",
-    "Multiset",
-    "QuadraticReport",
-    "RingHomReport",
     "SampleSpec",
     "SetMap",
     "Sym",
     "Tensor",
-    "VerificationError",
-    "alternating_sum",
-    "apply_epsilon",
-    "apply_gamma",
     "arrow_map",
     "aug_dimension",
     "binomial",
-    "block_diag",
-    "cokernel_invariants",
     "cokernel_of_pi_gamma",
-    "compose",
-    "condition_b_rhs",
     "cross_check_conditions",
     "degree_certificate",
     "deviation",
-    "epsilon_matrix",
     "extend_scalars",
     "extract_gamma_structure",
     "extract_morita_module",
-    "format_multiset",
     "gamma_dimension",
     "gamma_epsilon_pair",
     "gamma_matrix",
     "gamma_of_hom",
-    "hermite_normal_form",
-    "hnf_with_transform",
     "hom",
-    "image_epsilon_decomposition",
     "is_numerical_degree",
-    "kernel_lattice",
     "kernel_of_gamma",
-    "lattice_index",
-    "lattice_intersection",
-    "left_kernel",
-    "multiset_binomial",
-    "multiset_deviation",
-    "multisets_exactly",
-    "multisets_up_to",
-    "natural_degree",
     "object_dim",
-    "parse_multiset",
-    "products_quotient_invariants",
-    "products_sublattice",
     "pushforward",
     "quadratic_split",
     "quasi_homogeneity_test",
-    "rational_inverse",
     "reconstruct",
     "restrict_scalars",
     "ring_hom_checks",
-    "saturation",
-    "scaling_cross_check",
     "schur_product",
-    "smith_normal_form",
-    "solve_int",
-    "solve_rational",
-    "spec_from_json",
-    "spec_label",
-    "spec_to_json",
-    "stacked_pi_gamma",
-    "stirling2",
-    "stirling_sum_identity",
     "tensor_embedding",
     "tensor_readoff",
-    "truncation_matrix",
     "verify_section",
 ]

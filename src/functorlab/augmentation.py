@@ -199,5 +199,5 @@ def pushforward(chi: Hom, source_alg: AugAlgebra, target_alg: AugAlgebra) -> Mat
     cols = []
     for X in source_alg.basis:
         args = [chi(chi.source.basis_vector(i)) for i in X.indices()]
-        cols.append(target_alg.class_of_deviation(args).to_vector())
+        cols.append(target_alg.class_of_deviation(args).vector)
     return Matrix.from_cols(cols, target_alg.dimension())

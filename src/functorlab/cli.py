@@ -19,6 +19,7 @@ import math
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache, partial
 from operator import attrgetter
@@ -53,8 +54,6 @@ from .functors import (
     restrict_scalars,
     scaling_cross_check,
     spec_from_json,
-    spec_label,
-    spec_to_json,
 )
 from .gamma_section import (
     VerificationError,
@@ -159,7 +158,7 @@ def suite_deviations(max_n: int, seed: int) -> list:
         cells.append(
             _cell(
                 "functor-scaling-laws",
-                {"functor": spec_label(spec), "n": m},
+                {"functor": spec.label(), "n": m},
                 lambda: _passed(scaling_cross_check(spec, m, Matrix.identity(m))),
             )
         )
@@ -303,7 +302,7 @@ def suite_schur(max_n: int, seed: int) -> list:
 
         for spec in _catalog(n):
             draws = [partial(functorial, spec)] * 5
-            at_n = {"functor": spec_label(spec), "n": n}
+            at_n = {"functor": spec.label(), "n": n}
             cells.append(_cell("arrow-functoriality", at_n, partial(_sampled, draws)))
 
         space = GammaModule(4, n)
@@ -324,7 +323,7 @@ def suite_morita(seed: int, max_q: int) -> list:
     skipped."""
     cells = []
     for spec in _catalog(2):
-        at2 = {"functor": spec_label(spec), "n": 2}
+        at2 = {"functor": spec.label(), "n": 2}
         module = cache(lambda: extract_morita_module(spec, 2, seed=seed))
         certify = partial(degree_certificate, spec, seed=seed)
         cells += [
@@ -355,7 +354,7 @@ def suite_morita(seed: int, max_q: int) -> list:
     cells.append(
         _cell(
             "kernel-annihilation-mixed",
-            {"functor": spec_label(mixed), "n": 2},
+            {"functor": mixed.label(), "n": 2},
             lambda: not quasi_homogeneity_test(extract_morita_module(mixed, 2, seed=seed), 2),
         )
     )
@@ -408,6 +407,23 @@ def _write_csv(header: list, rows: list):
     writer.writerows(rows)
 
 
+@contextmanager
+def _exact_ints():
+    """Lift Python's limit on digits in int-to-str conversion, and restore it
+    on exit.  The integers of a report were computed here, not parsed from
+    input, and print whole: the index at (6, 9) has over 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_exact_ints()
 def _print_cells(report: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -442,6 +458,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- tables
 
 
+@_exact_ints()
 def cmd_table(args) -> int:
     rows = []
     grid = [
@@ -514,12 +531,12 @@ def cmd_functor(args) -> int:
     if args.action == "dims":
         if args.q is None:
             raise UsageError("dims needs --q")
-        out = {"spec": spec_to_json(spec), "q": args.q, "dim": object_dim(spec, args.q)}
+        out = {"spec": spec.to_json(), "q": args.q, "dim": object_dim(spec, args.q)}
         try:
             text = str(out["dim"]) if args.format == "plain" else json.dumps(out, sort_keys=True)
         except ValueError as exc:  # Python's limit on digits in int-to-str conversion
             raise UsageError(
-                f"dimension of {spec_label(spec)} at q={args.q} has too many digits to print"
+                f"dimension of {spec.label()} at q={args.q} has too many digits to print"
             ) from exc
         print(text)
         return 0
@@ -529,9 +546,9 @@ def cmd_functor(args) -> int:
             raise UsageError("arrow needs --hom")
         hom = _parse_hom(args.hom)
         if object_dim(spec, hom.nrows) * object_dim(spec, hom.ncols) > MAX_ARROW_ENTRIES:
-            raise UsageError(f"the {spec_label(spec)} arrow exceeds the size limit {MAX_ARROW_ENTRIES}")
+            raise UsageError(f"the {spec.label()} arrow exceeds the size limit {MAX_ARROW_ENTRIES}")
         mat = arrow_map(spec, hom)
-        out = {"spec": spec_to_json(spec), "rows": _jsonable(mat)}
+        out = {"spec": spec.to_json(), "rows": _jsonable(mat)}
         if args.format == "plain":
             for row in mat.rows:
                 print(" ".join(str(v) for v in row))
@@ -554,7 +571,7 @@ def cmd_functor(args) -> int:
             expected = object_dim(spec, args.q)
             passed = inv.free_rank == expected and not inv.torsion
             out = {"q": args.q, "expected_rank": expected, "matches": passed}
-        out.update(spec=spec_to_json(spec), n=n, free_rank=inv.free_rank, torsion=list(inv.torsion))
+        out.update(spec=spec.to_json(), n=n, free_rank=inv.free_rank, torsion=list(inv.torsion))
         return passed, out
 
     # as in a verify cell, a check that raises is a failure with its message

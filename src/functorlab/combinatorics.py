@@ -144,17 +144,8 @@ class Multiset:
         """Expanded sorted word, each index repeated by its multiplicity."""
         return tuple(i for i, m in self.pairs for _ in range(m))
 
-    def count(self, i: int) -> int:
-        for j, m in self.pairs:
-            if j == i:
-                return m
-        return 0
-
     def __str__(self):
         return format_multiset(self)
-
-
-EMPTY_MULTISET = Multiset()
 
 
 @lru_cache(maxsize=None)
@@ -179,24 +170,7 @@ def format_multiset(X: Multiset) -> str:
     return ",".join(f"{i + 1}^{m}" if m > 1 else f"{i + 1}" for i, m in X.pairs)
 
 
-def parse_multiset(text: str) -> Multiset:
-    if not text:
-        return EMPTY_MULTISET
-    pairs = []
-    for chunk in text.split(","):
-        if "^" in chunk:
-            i, m = chunk.split("^")
-            pairs.append((int(i) - 1, int(m)))
-        else:
-            pairs.append((int(chunk) - 1, 1))
-    return Multiset.from_pairs(pairs)
-
-
 def format_rational(v) -> str:
     v = Fraction(v)
     return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
-
-def parse_rational(text: str):
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f

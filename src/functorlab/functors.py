@@ -3,9 +3,8 @@
 A functor spec is a value of one class per functor kind: Tensor, Sym, Ext
 and Div (the powers, sharing one base and one power check), Const and
 DirectSum.  Each class holds its JSON key, label, degree, object dimension
-`dim(q)` and arrow map `arrow(mat)`; the module-level functions
-(spec_to_json, spec_label, natural_degree, object_dim, arrow_map) dispatch
-to them once, object_dim and arrow_map after validating their input.  Sym
+`dim(q)` and arrow map `arrow(mat)`; the module-level functions object_dim
+and arrow_map dispatch to them after validating their input.  Sym
 and Div share the monomial expansion of divided_powers.gamma_of_hom, Sym
 on alpha's columns.
 
@@ -215,10 +214,6 @@ class DirectSum(FunctorSpec):
 _KINDS = {kind.key: kind for kind in (Tensor, Sym, Ext, Div, Const)}
 
 
-def spec_to_json(spec: FunctorSpec):
-    return spec.to_json()
-
-
 def spec_from_json(data) -> FunctorSpec:
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError(f"functor spec must be a one-key object, got {data!r}")
@@ -228,15 +223,6 @@ def spec_from_json(data) -> FunctorSpec:
     if key == DirectSum.key:
         return DirectSum(tuple(spec_from_json(p) for p in value))
     raise ValueError(f"unknown functor kind {key!r}")
-
-
-def spec_label(spec: FunctorSpec) -> str:
-    return spec.label()
-
-
-def natural_degree(spec: FunctorSpec) -> int:
-    """Degree the functor is homogeneous (or, for sums, bounded) of."""
-    return spec.degree()
 
 
 def object_dim(spec: FunctorSpec, q: int) -> int:
@@ -421,7 +407,7 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
     cert = degree_certificate(spec, n, seed=seed)
     if not cert.passed:
         raise ValueError(
-            f"functor {spec_label(spec)} fails the degree-{n} certificate: {cert.witness}"
+            f"functor {spec.label()} fails the degree-{n} certificate: {cert.witness}"
         )
     algebra = AugAlgebra(n * n, n)
     action = _unit_word_deviations(spec, n, algebra.basis)
@@ -517,7 +503,7 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
             spec, Matrix.identity(n)
         ).scale(r**n):
             raise ValueError(
-                f"functor {spec_label(spec)} is not homogeneous of degree {n}"
+                f"functor {spec.label()} is not homogeneous of degree {n}"
             )
     space = GammaModule(n * n, n)
     action = {}

@@ -119,12 +119,12 @@ def verify_section(pair: GammaEpsilonPair) -> bool:
 
 def apply_gamma(pair: GammaEpsilonPair, u: AugElement) -> GammaElement:
     space = GammaModule(pair.rank, pair.degree)
-    return space.from_vector(pair.gamma.matvec(u.to_vector()))
+    return space.from_vector(pair.gamma.matvec(u.vector))
 
 
 def apply_epsilon(pair: GammaEpsilonPair, g: GammaElement) -> AugElement:
     alg = AugAlgebra(pair.rank, pair.degree)
-    return alg.from_vector(pair.epsilon.matvec(g.to_vector()))
+    return alg.from_vector(pair.epsilon.matvec(g.vector))
 
 
 @dataclass(frozen=True)

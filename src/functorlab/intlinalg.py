@@ -135,12 +135,6 @@ class Matrix:
         self._check_cols((j,))
         return self.sparse_rows[i].get(j, 0)
 
-    def col(self, j: int) -> tuple:
-        return tuple(self[i, j] for i in range(self.nrows))
-
-    def cols(self) -> tuple:
-        return self.transpose().rows
-
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         col_idx = tuple(col_idx)
         self._check_cols(col_idx)
@@ -218,11 +212,6 @@ class Matrix:
         support = dict(compress(enumerate(vec), vec))
         rows = self.sparse_rows
         return tuple(sum([v * support[j] for j, v in r.items() if j in support]) for r in rows)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ValueError("trace needs a square matrix")
-        return sum(row.get(i, 0) for i, row in enumerate(self.sparse_rows))
 
     # -- exact numerics -------------------------------------------------------
 
@@ -440,14 +429,6 @@ class Lattice:
     @classmethod
     def from_rows(cls, ambient_rank: int, rows) -> "Lattice":
         return cls(ambient_rank, hermite_normal_form(Matrix(rows, ambient_rank)))
-
-    @classmethod
-    def zero(cls, ambient_rank: int) -> "Lattice":
-        return cls(ambient_rank, Matrix((), ambient_rank))
-
-    @classmethod
-    def full(cls, ambient_rank: int) -> "Lattice":
-        return cls(ambient_rank, Matrix.identity(ambient_rank))
 
     @property
     def rank(self) -> int:

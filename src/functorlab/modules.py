@@ -25,8 +25,6 @@ from .combinatorics import (
     Multiset,
     format_multiset,
     format_rational,
-    parse_multiset,
-    parse_rational,
     signed_subset_sums,
 )
 from .intlinalg import Matrix
@@ -50,9 +48,6 @@ class FreeModule:
 
     def element(self, coords) -> "Element":
         return Element(self, tuple(coords))
-
-    def basis(self) -> tuple["Element", ...]:
-        return tuple(self.basis_vector(i) for i in range(self.rank))
 
 
 @dataclass(frozen=True)
@@ -87,9 +82,6 @@ class Element:
 
     def scale(self, c: int) -> "Element":
         return Element(self.module, tuple(c * a for a in self.coords))
-
-    def __rmul__(self, c: int) -> "Element":
-        return self.scale(c)
 
     @property
     def is_zero(self) -> bool:
@@ -286,13 +278,6 @@ class MultisetVector:
     def is_integral(self) -> bool:
         return all(isinstance(c, int) for c in self.vector)
 
-    def to_vector(self) -> tuple:
-        return self.vector
-
     def to_json(self) -> dict:
         # basis order is size first, then lex on the expanded word
         return {format_multiset(X): format_rational(c) for X, c in self.coeffs.items()}
-
-    @classmethod
-    def from_json(cls, space: MultisetSpace, data: dict) -> "MultisetVector":
-        return space.element({parse_multiset(k): parse_rational(v) for k, v in data.items()})

@@ -526,7 +526,7 @@ class TestFunctor:
         for i, a in enumerate(powers):
             for b in powers[i + 1 :]:
                 assert a != b
-        keyed = {spec: cli.spec_label(spec) for spec in powers}
+        keyed = {spec: spec.label() for spec in powers}
         assert len(keyed) == 4
         assert [keyed[spec] for spec in powers] == ["tensor^2", "sym^2", "ext^2", "div^2"]
 
@@ -725,6 +725,26 @@ class TestContract:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "size limit" in err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_exact_integers_print_under_a_low_digit_limit(self, capsys):
+        # the index at (4, 9) has 652 digits: under a 640-digit limit on
+        # int-to-str conversion both commands print the bytes they print at
+        # the default limit, and leave the limit as they found it
+        formats = ("json", "plain", "csv")
+        runs = [["verify", "gamma-epsilon", "--k", "4", "--n", "9", "--format", f] for f in formats]
+        runs += [["table", "index", "--max-k", "4", "--max-n", "9", "--format", f] for f in formats]
+        expected = [run(capsys, argv) for argv in runs]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for argv, want in zip(runs, expected):
+                assert want[0] == 0 and want[2] == "", argv
+                assert run(capsys, argv) == want, argv
+                assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert sys.get_int_max_str_digits() == old
 
     def test_size_limits_keep_the_reach_cells(self):
         # the gamma-epsilon cells of the CI reach steps and 12 x 5 stay under

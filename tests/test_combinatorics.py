@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from functorlab.combinatorics import (
-    EMPTY_MULTISET,
     Multiset,
     binomial,
     format_multiset,
@@ -16,8 +15,6 @@ from functorlab.combinatorics import (
     multiset_binomial,
     multisets_exactly,
     multisets_up_to,
-    parse_multiset,
-    parse_rational,
     signed_subset_sums,
     stirling2,
     stirling_sum_identity,
@@ -109,13 +106,12 @@ class TestMultiset:
         assert X.pairs == ((0, 2), (1, 1), (3, 2))
         assert X.size == 5
         assert X.support == (0, 1, 3)
-        assert X.count(0) == 2 and X.count(2) == 0
         assert X.indices() == (0, 0, 1, 3, 3)
 
     def test_empty(self):
-        assert EMPTY_MULTISET.size == 0
-        assert EMPTY_MULTISET.indices() == ()
-        assert Multiset.from_indices(()) == EMPTY_MULTISET
+        assert Multiset().size == 0
+        assert Multiset().indices() == ()
+        assert Multiset.from_indices(()) == Multiset()
 
     def test_enumeration_counts(self):
         for k in range(1, 5):
@@ -140,19 +136,22 @@ class TestMultiset:
     def test_serialization_one_based(self):
         X = Multiset(((0, 2), (2, 1)))
         assert format_multiset(X) == "1^2,3"
-        assert parse_multiset("1^2,3") == X
-        assert format_multiset(EMPTY_MULTISET) == ""
-        assert parse_multiset("") == EMPTY_MULTISET
+        assert format_multiset(Multiset()) == ""
 
     @given(st.lists(st.integers(0, 6), max_size=6))
     def test_serialization_round_trip(self, idx):
+        # read back: "i^m" is the 1-based index i taken m times, "i" once
         X = Multiset.from_indices(idx)
-        assert parse_multiset(format_multiset(X)) == X
+        word = []
+        for chunk in filter(None, format_multiset(X).split(",")):
+            i, _, m = chunk.partition("^")
+            word += [int(i) - 1] * int(m or 1)
+        assert word == sorted(idx)
 
     def test_multiset_binomial(self):
         X = Multiset(((0, 2), (1, 1)))
         assert multiset_binomial((3, -1), X) == binomial(3, 2) * binomial(-1, 1)
-        assert multiset_binomial((5, 5), EMPTY_MULTISET) == 1
+        assert multiset_binomial((5, 5), Multiset()) == 1
         with pytest.raises(IndexError):
             multiset_binomial((3,), X)
 
@@ -160,8 +159,8 @@ class TestMultiset:
 def test_rational_serialization():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(4, 2)) == "2"
-    assert parse_rational("-3/4") == Fraction(-3, 4)
-    assert parse_rational("7") == 7
+    assert format_rational(Fraction(-3, 4)) == "-3/4"
+    assert format_rational(7) == "7"
 
 
 def _add_tuples(s, a):

@@ -159,7 +159,7 @@ class TestMatrixBasics:
         assert Matrix.from_cols([]).shape == (0, 0)
         assert Matrix.from_cols([(), ()], 0).shape == (0, 2)
         m = Matrix([[1, -2, 0], [3, 1, 2]], 3)
-        assert Matrix.from_cols(m.cols(), m.nrows) == m
+        assert Matrix.from_cols(m.transpose().rows, m.nrows) == m
 
     def test_shape_arithmetic(self):
         a = Matrix([[1, 2], [3, 4]], 2)
@@ -170,7 +170,6 @@ class TestMatrixBasics:
         assert a.scale(2).rows == ((2, 4), (6, 8))
         assert (a @ b).rows == ((2, 1), (4, 3))
         assert a.matvec((1, 1)) == (3, 7)
-        assert a.trace() == 5
 
     def test_empty_transpose_keeps_shape(self):
         z = Matrix.zeros(0, 3)
@@ -331,7 +330,6 @@ class TestSparseAgainstDense:
         A = Matrix(a, ncols)
         assert_oracle(A.transpose(), dense_transpose(a, ncols), nrows)
         assert_oracle(Matrix.from_cols(a, ncols), dense_transpose(a, ncols), nrows)
-        assert A.cols() == dense_transpose(a, ncols)
         row_idx = data.draw(st.lists(st.integers(0, nrows - 1), max_size=3)) if nrows else []
         col_idx = data.draw(st.lists(st.integers(0, ncols - 1), max_size=3)) if ncols else []
         assert_oracle(A.submatrix(row_idx, col_idx), dense_submatrix(a, row_idx, col_idx), len(col_idx))
@@ -830,7 +828,7 @@ class TestSparseElimination:
             h, u = hnf_with_transform(mat)
             assert h == mat and u == Matrix.identity(nrows)
             assert left_kernel(mat) == Matrix.identity(nrows)
-            assert kernel_lattice(mat) == Lattice.full(ncols)
+            assert kernel_lattice(mat) == Lattice.from_rows(ncols, Matrix.identity(ncols).rows)
             assert smith_normal_form(mat) == mat
             assert mat.rank() == 0
             assert solve_int(mat, (0,) * nrows) == (0,) * ncols
@@ -937,13 +935,13 @@ class TestLattices:
         assert cokernel_invariants(sat.basis.transpose()).torsion == ()
 
     def test_saturation_edge_cases(self):
-        assert saturation(Lattice.zero(3)) == Lattice.zero(3)
-        assert saturation(Lattice.from_rows(2, [(2, 1), (1, 3)])) == Lattice.full(2)
+        assert saturation(Lattice.from_rows(3, [])) == Lattice.from_rows(3, [])
+        assert saturation(Lattice.from_rows(2, [(2, 1), (1, 3)])) == Lattice.from_rows(2, [(1, 0), (0, 1)])
 
     def test_index(self):
         assert lattice_index(Lattice.from_rows(2, [(2, 0), (0, 3)])) == 6
         assert lattice_index(Lattice.from_rows(2, [(1, 0)])) is None
-        assert lattice_index(Lattice.full(3)) == 1
+        assert lattice_index(Lattice.from_rows(3, Matrix.identity(3).rows)) == 1
 
 
 class TestSolvers:
