@@ -9,7 +9,6 @@ below is exact integer arithmetic.
 """
 from functorlab import (
     FreeModule,
-    SampleSpec,
     SetMap,
     binomial,
     cross_check_conditions,
@@ -37,13 +36,13 @@ print("third deviation:", deviation(square, [pt(1), pt(2), pt(3)]).coords[0])
 
 # binomial coefficient maps are the numerical prototypes
 choose2 = scalar_map(lambda t: binomial(t, 2))
-report = is_numerical_degree(choose2, 2, SampleSpec.default_for(line, 2))
+report = is_numerical_degree(choose2, 2)
 print("C(t,2) numerical of degree 2:", report.passed)
 
 # an exponential is not polynomial of any small degree; the report carries
 # a concrete witness tuple
 pow2 = scalar_map(lambda t: 2 ** max(t, 0))
-report = is_numerical_degree(pow2, 3, SampleSpec.default_for(line, 3))
+report = is_numerical_degree(pow2, 3)
 print("2^t numerical of degree 3:", report.passed, "witness:", report.witness)
 
 # the same certification can run from a bare table of values at scalar

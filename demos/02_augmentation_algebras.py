@@ -7,7 +7,7 @@ degree-n relations.  The deviation classes of basis vectors form an
 integral basis indexed by multisets of size <= n, and any [x] expands with
 binomial coefficients.
 """
-from functorlab import AugAlgebra, Matrix, aug_dimension, hom, pushforward
+from functorlab import AugAlgebra, Matrix, aug_dimension, pushforward
 
 alg = AugAlgebra(2, 2)
 print("dimension of B(2,2):", alg.dimension(), "==", aug_dimension(2, 2))
@@ -38,13 +38,14 @@ t = (0, 1, 1, 0)
 st = (1, 1, 1, 0)  # rows of the 2x2 product
 print("[s][t] == [st]:", end2.class_of(s).product_mul(end2.class_of(t)) == end2.class_of(st))
 
-# a linear map of modules pushes classes forward; the matrix acts on the
-# deviation basis and is functorial
-chi = hom(Matrix([[1, 2], [0, 1], [1, 1]]))
+# a linear map of modules (an integer matrix, columns the images of the
+# basis vectors) pushes classes forward; the matrix acts on the deviation
+# basis and is functorial
+chi = Matrix([[1, 2], [0, 1], [1, 1]])
 target = AugAlgebra(3, 2)
 p = pushforward(chi, alg, target)
 x = (2, -1)
-image = chi(chi.source.element(x))
+image = chi.matvec(x)
 print(
     "pushforward tracks classes:",
     p.matvec(alg.class_of(x).vector) == target.class_of(image).vector,

@@ -14,8 +14,8 @@ dictionary.  Every other name is imported from its module.
 
 from .combinatorics import binomial
 from .intlinalg import Matrix
-from .modules import FreeModule, SetMap, hom
-from .deviations import SampleSpec, cross_check_conditions, deviation, is_numerical_degree
+from .modules import FreeModule, SetMap
+from .deviations import cross_check_conditions, deviation, is_numerical_degree
 from .augmentation import AugAlgebra, aug_dimension, pushforward
 from .divided_powers import (
     GammaModule,
@@ -63,7 +63,6 @@ __all__ = [
     "FreeModule",
     "GammaModule",
     "Matrix",
-    "SampleSpec",
     "SetMap",
     "Sym",
     "Tensor",
@@ -81,7 +80,6 @@ __all__ = [
     "gamma_epsilon_pair",
     "gamma_matrix",
     "gamma_of_hom",
-    "hom",
     "is_numerical_degree",
     "kernel_of_gamma",
     "object_dim",

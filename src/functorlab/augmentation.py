@@ -30,7 +30,7 @@ from math import comb, prod
 
 from .combinatorics import Multiset, binomial, multisets_up_to
 from .intlinalg import Matrix
-from .modules import Hom, MultisetSpace, MultisetVector
+from .modules import MultisetSpace, MultisetVector, _int_coords
 
 
 def aug_dimension(rank: int, degree: int) -> int:
@@ -139,7 +139,7 @@ class AugAlgebra(MultisetSpace):
 
     def class_of(self, x) -> "AugElement":
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
-        vec = _class_vector(self._coords_of(x), self.basis, self.degree)
+        vec = _class_vector(_int_coords(x, self.rank), self.basis, self.degree)
         return AugElement(self, tuple(vec))
 
     def class_of_deviation(self, xs) -> "AugElement":
@@ -186,18 +186,20 @@ class AugAlgebra(MultisetSpace):
             raise ValueError("factors live in a different algebra")
 
 
-def pushforward(chi: Hom, source_alg: AugAlgebra, target_alg: AugAlgebra) -> Matrix:
-    """Matrix of the induced algebra map [x] -> [chi(x)] on deviation bases.
+def pushforward(chi: Matrix, source_alg: AugAlgebra, target_alg: AugAlgebra) -> Matrix:
+    """Matrix of the induced algebra map [x] -> [chi x] on deviation bases.
 
-    Needs matching truncation degrees; the basis class of X goes to the
-    deviation class of the images of its expanded word.
+    chi is an integer matrix whose columns are the images of the source
+    basis vectors.  Needs matching truncation degrees; the basis class of X
+    goes to the deviation class of the images of its expanded word.
     """
     if source_alg.degree != target_alg.degree:
         raise ValueError("truncation degrees differ")
-    if chi.source.rank != source_alg.rank or chi.target.rank != target_alg.rank:
-        raise ValueError("map ranks do not match the algebras")
-    cols = []
-    for X in source_alg.basis:
-        args = [chi(chi.source.basis_vector(i)) for i in X.indices()]
-        cols.append(target_alg.class_of_deviation(args).vector)
+    if chi.shape != (target_alg.rank, source_alg.rank):
+        raise ValueError(f"matrix shape {chi.shape} does not fit the algebras' ranks")
+    if not chi.is_integral:
+        raise ValueError("linear maps need integer matrices")
+    images = chi.transpose().rows
+    words = ([images[i] for i in X.indices()] for X in source_alg.basis)
+    cols = [target_alg.class_of_deviation(w).vector for w in words]
     return Matrix.from_cols(cols, target_alg.dimension())

@@ -26,12 +26,7 @@ from operator import attrgetter
 
 from .augmentation import AugAlgebra, aug_dimension
 from .combinatorics import Multiset, binomial, format_multiset, multisets_up_to
-from .deviations import (
-    SampleSpec,
-    deviation,
-    is_numerical_degree,
-    multiset_deviation,
-)
+from .deviations import deviation, is_numerical_degree, multiset_deviation
 from .divided_powers import (
     GammaModule,
     gamma_dimension,
@@ -73,10 +68,13 @@ class UsageError(Exception):
 
 
 # Size guards, read off closed forms before anything is built: the entries
-# object_dim(F, rows) * object_dim(F, cols) of a `functor arrow` matrix, and
-# dim B(k, n) = aug_dimension(k, n) of the largest gamma-epsilon cell.
+# object_dim(F, rows) * object_dim(F, cols) of a `functor arrow` matrix,
+# dim B(k, n) = aug_dimension(k, n) of the largest gamma-epsilon or table
+# cell, and the n^n rows (and nonzeros) of the tensor^n arrow of the n x n
+# identity, the largest object of the deviations suite.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
+MAX_TENSOR_ROWS = 6**6
 
 
 def _jsonable(x):
@@ -142,7 +140,7 @@ def _binomial_degree(n: int, degree: int):
     """is_numerical_degree of x -> C(x, n) on Z, at the given degree."""
     line = FreeModule(1)
     phi = SetMap(line, line, lambda x: line.element((binomial(x.coords[0], n),)))
-    return is_numerical_degree(phi, degree, SampleSpec.default_for(line, degree))
+    return is_numerical_degree(phi, degree)
 
 
 def suite_deviations(max_n: int, seed: int) -> list:
@@ -364,6 +362,12 @@ def suite_morita(seed: int, max_q: int) -> list:
 _SUITES = ("deviations", "aug-algebra", "gamma-epsilon", "schur", "morita", "all")
 
 
+def _check_aug_dimension(k: int, n: int):
+    """Refuse a grid whose largest cell, dim B(k, n), is past the limit."""
+    if aug_dimension(k, n) > MAX_AUG_DIMENSION:
+        raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
+
+
 def _run_suite(args) -> tuple[dict, bool]:
     seed, max_k, max_n = args.seed, args.max_k, args.max_n
     single = args.k is not None or args.n is not None
@@ -372,8 +376,12 @@ def _run_suite(args) -> tuple[dict, bool]:
     if single and args.n < 1:
         raise UsageError("a gamma-epsilon cell needs --n >= 1")
     k, n = (args.k, args.n) if single else (max_k, max_n)
-    if args.suite in ("gamma-epsilon", "all") and aug_dimension(k, n) > MAX_AUG_DIMENSION:
-        raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
+    if args.suite in ("gamma-epsilon", "all"):
+        _check_aug_dimension(k, n)
+    # past n > MAX_TENSOR_ROWS, n^n is both too large and too costly to compute
+    tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
+    if args.suite in ("deviations", "all") and tensor_rows_past:
+        raise UsageError(f"the tensor^{max_n} arrow exceeds the size limit {MAX_TENSOR_ROWS}")
     grid = [(k, n)] if single else [(a, b) for a in range(1, k + 1) for b in range(1, n + 1)]
     summaries: dict = {}
     suites = {
@@ -460,6 +468,8 @@ def cmd_verify(args) -> int:
 
 @_exact_ints()
 def cmd_table(args) -> int:
+    if args.what != "dims":
+        _check_aug_dimension(args.max_k, args.max_n)
     rows = []
     grid = [
         (k, n)

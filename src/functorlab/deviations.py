@@ -5,7 +5,8 @@ phi over all subset sums; phi has degree <= n exactly when every (n+1)-st
 deviation vanishes and the binomial scaling law holds.  The scaling law is
 checked once, in its interpolation form (condition_b_rhs); that this is the
 repeated-deviation form sum_k C(r, k) Delta^k phi(alpha, ..., alpha) is a
-binomial identity, checked in the tests.
+binomial identity, checked in the tests.  Certification samples the unit
+vectors of the source and the scalars -(n+2)..n+2.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .combinatorics import Multiset, binomial, signed_subset_sums
 from .intlinalg import Matrix, linear_combination
-from .modules import Element, FreeModule, SetMap
+from .modules import Element, SetMap
 
 
 def alternating_sum(fn, args: Sequence, zero):
@@ -51,24 +52,6 @@ def multiset_deviation(phi: SetMap, xs: Sequence[Element], X: Multiset) -> Eleme
 
 
 @dataclass(frozen=True)
-class SampleSpec:
-    """Sampling plan for numericality certification: generator coordinate
-    vectors and an inclusive scalar window."""
-
-    generators: tuple[tuple[int, ...], ...]
-    scalar_window: tuple[int, int]
-
-    @classmethod
-    def default_for(cls, module: FreeModule, n: int) -> "SampleSpec":
-        gens = tuple(tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank))
-        return cls(gens, (-(n + 2), n + 2))
-
-    def scalars(self):
-        lo, hi = self.scalar_window
-        return range(lo, hi + 1)
-
-
-@dataclass(frozen=True)
 class DeviationReport:
     degree_tested: int
     samples_used: int
@@ -76,16 +59,16 @@ class DeviationReport:
     witness: Optional[tuple] = None
 
 
-def is_numerical_degree(phi: SetMap, n: int, sample: SampleSpec) -> DeviationReport:
+def is_numerical_degree(phi: SetMap, n: int) -> DeviationReport:
     """Certify (by sampling) that phi is numerical of degree <= n.
 
-    Checks every (n+1)-tuple drawn from the generators for vanishing
-    deviation, and the scaling law of cross_check_conditions on the table
-    r -> phi(r x) over the window, for each generator x.
+    Checks every (n+1)-tuple drawn from the unit vectors of phi.source for
+    vanishing deviation, and, for each unit vector x, the scaling law of
+    r -> phi(r x) on the window of scaling_law.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    gens = [phi.source.element(g) for g in sample.generators]
+    gens = [phi.source.basis_vector(i) for i in range(phi.source.rank)]
     used = 0
 
     for combo in combinations_with_replacement(gens, n + 1):
@@ -94,10 +77,8 @@ def is_numerical_degree(phi: SetMap, n: int, sample: SampleSpec) -> DeviationRep
             witness = ("deviation", tuple(x.coords for x in combo))
             return DeviationReport(n, used, False, witness)
 
-    window = list(sample.scalars())
     for x in gens:
-        table = {r: phi(x.scale(r)) for r in set(window) | set(range(n + 1))}
-        rep = cross_check_conditions(table, n, window)
+        rep = scaling_law(lambda r: phi(x.scale(r)), n)
         used += rep.samples_used
         if not rep.passed:
             return DeviationReport(n, used, False, ("scaling", x.coords, rep.witness[1]))
@@ -151,3 +132,10 @@ def cross_check_conditions(
         if f_on_scalars[r] != condition_b_rhs(f_on_scalars, r, n):
             return DeviationReport(n, used, False, ("A", r))
     return DeviationReport(n, used, True)
+
+
+def scaling_law(value_at, n: int) -> DeviationReport:
+    """cross_check_conditions on the table r -> value_at(r) over the window
+    -(n+2)..n+2, which holds the points 0..n the law interpolates from."""
+    window = range(-(n + 2), n + 3)
+    return cross_check_conditions({r: value_at(r) for r in window}, n, window)

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .combinatorics import binomial, multisets_exactly
 from .intlinalg import Matrix
-from .modules import Hom, MultisetSpace, MultisetVector
+from .modules import MultisetSpace, MultisetVector, _int_coords
 
 
 def gamma_dimension(rank: int, degree: int) -> int:
@@ -48,8 +48,8 @@ class GammaModule(MultisetSpace):
         super().__init__(rank, degree, multisets_exactly)
 
     def divided_power(self, x) -> "GammaElement":
-        """The degree-th divided power of a module element."""
-        coords = self._coords_of(x)
+        """The degree-th divided power of a point of Z^rank, given as ints."""
+        coords = _int_coords(x, self.rank)
         out = []
         for A in self.basis:
             c = 1
@@ -115,7 +115,7 @@ def _monomial_rows(forms, nvars: int, degree: int):
     return rows, width
 
 
-def gamma_of_hom(alpha, degree: int) -> Matrix:
+def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
     """Matrix of Gamma^degree(alpha) on multiset bases.
 
     Row B, with sorted word b_1..b_n, holds the coefficients of the product
@@ -126,8 +126,7 @@ def gamma_of_hom(alpha, degree: int) -> Matrix:
     Sym^n(alpha), the transpose of Gamma^n(alpha^T) (Roby 1963), expands
     alpha's columns the same way.  Integral by construction.
     """
-    mat = alpha.matrix if isinstance(alpha, Hom) else alpha
-    return Matrix(*_monomial_rows(mat.sparse_rows, mat.ncols, degree))
+    return Matrix(*_monomial_rows(alpha.sparse_rows, alpha.ncols, degree))
 
 
 def _word_index(word, side: int) -> int:

@@ -12,7 +12,7 @@ Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
 multiset X acts by the deviation of the arrow map at X's word of matrix
 units, one arrow evaluation per multiset shared by all the deviations.  The
-certificate is memoized, one per (spec, n, seed, samples), so extraction
+certificate is memoized, one per (spec, n, seed), so extraction
 after an explicit certificate does not sample the functor again.
 Reconstruction goes back through a balanced tensor product, built from the
 one composition table of augmentation.composition_tables as sparse
@@ -42,7 +42,7 @@ from .augmentation import (
     composition_tables,
 )
 from .combinatorics import binomial, multisets_exactly, multisets_up_to, signed_subset_sums
-from .deviations import DeviationReport, cross_check_conditions
+from .deviations import DeviationReport, scaling_law
 from .divided_powers import GammaModule, _monomial_rows, gamma_of_hom, schur_product
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
@@ -55,7 +55,6 @@ from .intlinalg import (
     relation_hermite_form,
     relation_invariants,
 )
-from .modules import Hom
 
 
 class FunctorSpec:
@@ -231,33 +230,30 @@ def object_dim(spec: FunctorSpec, q: int) -> int:
     return spec.dim(q)
 
 
-def arrow_map(spec: FunctorSpec, alpha) -> Matrix:
+def arrow_map(spec: FunctorSpec, alpha: Matrix) -> Matrix:
     """Matrix of the induced map on the chosen bases, each kind's `arrow`
-    after the Hom unwrap and the integrality check."""
-    mat = alpha.matrix if isinstance(alpha, Hom) else alpha
-    if not mat.is_integral:
+    after the integrality check."""
+    if not alpha.is_integral:
         raise ValueError("arrow maps take integer matrices")
-    return spec.arrow(mat)
+    return spec.arrow(alpha)
 
 
-def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix, window=None) -> DeviationReport:
+def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix) -> DeviationReport:
     """The binomial scaling law for the table r -> arrow_map(spec, r * alpha)."""
-    if window is None:
-        window = range(-(n + 2), n + 3)
-    table = {r: arrow_map(spec, alpha.scale(r)) for r in set(window) | set(range(n + 1))}
-    return cross_check_conditions(table, n, list(window))
+    return scaling_law(lambda r: arrow_map(spec, alpha.scale(r)), n)
 
 
 @lru_cache(maxsize=None)
-def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 3) -> DeviationReport:
+def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0) -> DeviationReport:
     """Certify (by exact sampling) that the functor is numerical of degree <= n.
 
     Two ingredients: the scaling law at the identity of the rank-n module on
     the window [-(n+2), n+2], and the vanishing of every (n+1)-st deviation
-    of the arrow map on seeded random matrix tuples of assorted shapes.
+    of the arrow map on three seeded random matrix tuples of each of
+    assorted shapes.
 
-    The report is a pure function of (spec, n, seed, samples), all frozen
-    and hashable, so it is memoized: extract_morita_module reuses the
+    The report is a pure function of (spec, n, seed), all frozen and
+    hashable, so it is memoized: extract_morita_module reuses the
     certificate a caller has just asked for.  A raising call is not cached.
     """
     if n < 0:
@@ -275,7 +271,7 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0, samples: int = 
     rng = random.Random(seed)
     shapes = [(m, m) for m in range(1, n + 2)] + [(2, 1), (1, 2)]
     for qq, pp in shapes:
-        for _ in range(samples):
+        for _ in range(3):
             mats = [
                 Matrix([[rng.randint(-2, 2) for _ in range(pp)] for _ in range(qq)], pp)
                 for _ in range(n + 1)

@@ -302,9 +302,10 @@ class RingHomReport:
         )
 
 
-def ring_hom_checks(side: int, degree: int, pairs: int = 20, seed: int = 0, bound: int = 2) -> RingHomReport:
+def ring_hom_checks(side: int, degree: int, pairs: int = 20, seed: int = 0) -> RingHomReport:
     """Composition-product multiplicativity of gamma and epsilon on random
-    matrix pairs, plus the factorial identity for top deviation classes:
+    matrix pairs with entries in -2..2, plus the factorial identity for top
+    deviation classes:
 
       gamma([a][b])        == gamma([a]) . gamma([b])   (Schur product)
       epsilon((ab)^[n])    == epsilon(a^[n]) [b-product] epsilon(b^[n])
@@ -319,8 +320,8 @@ def ring_hom_checks(side: int, degree: int, pairs: int = 20, seed: int = 0, boun
     gamma_ok = epsilon_ok = deviation_ok = True
     witness = None
     for _ in range(pairs):
-        a = [[rng.randint(-bound, bound) for _ in range(side)] for _ in range(side)]
-        b = [[rng.randint(-bound, bound) for _ in range(side)] for _ in range(side)]
+        a = [[rng.randint(-2, 2) for _ in range(side)] for _ in range(side)]
+        b = [[rng.randint(-2, 2) for _ in range(side)] for _ in range(side)]
         ab = [
             [sum(a[i][t] * b[t][j] for t in range(side)) for j in range(side)]
             for i in range(side)

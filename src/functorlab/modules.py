@@ -1,13 +1,14 @@
-"""Finitely generated free abelian groups, their linear maps, and raw set maps.
+"""Finitely generated free abelian groups and raw set maps between them.
 
-A Hom is a matrix whose columns are the images of the source basis vectors.
 A SetMap is an arbitrary (not necessarily additive) function between free
-modules; the deviation calculus consumes those.
+modules; the deviation calculus consumes those.  A linear map is an integer
+Matrix whose columns are the images of the source basis vectors.
 
 MultisetSpace is a free module whose basis is indexed by multisets over the
 coordinates of Z^rank, and MultisetVector an element of one, stored as the
 tuple of its coefficients in basis order; every identity checked on these
-spaces is a matrix identity on such coordinate vectors.  Both
+spaces is a matrix identity on such coordinate vectors.  A point of Z^rank
+is passed to a space as a sequence of rank ints.  Both
 the truncated augmentation algebra (augmentation.AugAlgebra, AugElement) and
 the divided powers (divided_powers.GammaModule, GammaElement) are built on
 them and add only their own products.
@@ -27,7 +28,16 @@ from .combinatorics import (
     format_rational,
     signed_subset_sums,
 )
-from .intlinalg import Matrix
+
+
+def _int_coords(coords, rank: int) -> tuple[int, ...]:
+    """The coordinates of a point of Z^rank as a tuple, checked to be rank ints."""
+    coords = tuple(coords)
+    if not all(isinstance(c, int) for c in coords):
+        raise TypeError("coordinates must be integers")
+    if len(coords) != rank:
+        raise ValueError("coordinate count differs from rank")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -58,12 +68,7 @@ class Element:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
-        if any(not isinstance(c, int) for c in self.coords):
-            raise TypeError("coordinates must be integers")
-        if len(coords) != self.module.rank:
-            raise ValueError("coordinate count differs from rank")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _int_coords(self.coords, self.module.rank))
 
     def _check(self, other: "Element"):
         if self.module != other.module:
@@ -86,40 +91,6 @@ class Element:
     @property
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-
-@dataclass(frozen=True)
-class Hom:
-    """Linear map, columns of `matrix` being images of source basis vectors."""
-
-    source: FreeModule
-    target: FreeModule
-    matrix: Matrix
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.target.rank, self.source.rank):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not map "
-                f"rank {self.source.rank} into rank {self.target.rank}"
-            )
-        if not self.matrix.is_integral:
-            raise ValueError("linear maps need integer matrices")
-
-    def __call__(self, x: Element) -> Element:
-        if x.module != self.source:
-            raise ValueError("argument lives in the wrong module")
-        return Element(self.target, self.matrix.matvec(x.coords))
-
-
-def hom(matrix: Matrix) -> Hom:
-    """Wrap a matrix as a map between anonymous free modules of fitting ranks."""
-    return Hom(FreeModule(matrix.ncols), FreeModule(matrix.nrows), matrix)
-
-
-def compose(g: Hom, f: Hom) -> Hom:
-    if f.target != g.source:
-        raise ValueError("maps do not compose")
-    return Hom(f.source, g.target, g.matrix @ f.matrix)
 
 
 @dataclass(frozen=True)
@@ -150,7 +121,6 @@ class MultisetSpace:
             raise ValueError("rank and degree must be nonnegative")
         self.rank = rank
         self.degree = degree
-        self.module = FreeModule(rank)
         self.basis: tuple[Multiset, ...] = basis_of(rank, degree)
         self.basis_index = {X: i for i, X in enumerate(self.basis)}
 
@@ -194,20 +164,10 @@ class MultisetSpace:
     def basis_element(self, X: Multiset) -> "MultisetVector":
         return self.element({X: 1})
 
-    def _coords_of(self, x) -> tuple[int, ...]:
-        if isinstance(x, Element):
-            if x.module != self.module:
-                raise ValueError("element lives in the wrong module")
-            return x.coords
-        coords = tuple(int(c) for c in x)
-        if len(coords) != self.rank:
-            raise ValueError("coordinate count differs from rank")
-        return coords
-
     def deviation(self, value_of, xs) -> "MultisetVector":
         """Inclusion-exclusion of value_of over the subset sums of the given
-        module elements: the deviation of the map value_of at xs."""
-        vectors = [self._coords_of(x) for x in xs]
+        points of Z^rank: the deviation of the map value_of at xs."""
+        vectors = [_int_coords(x, self.rank) for x in xs]
         total = [0] * len(self.basis)
         terms = signed_subset_sums(vectors, (0,) * self.rank, lambda s, a: tuple(map(add, s, a)))
         for sign, coords in terms:

@@ -714,6 +714,11 @@ class TestContract:
             ["functor", "arrow", "--spec", '{"tensor": 12}', "--hom", "[[1, 2], [3, 4]]"],
             ["verify", "gamma-epsilon", "--k", "30", "--n", "6"],
             ["verify", "all", "--max-k", "30", "--max-n", "6"],
+            ["table", "index", "--max-k", "30", "--max-n", "6"],
+            ["table", "invariants", "--max-k", "30", "--max-n", "6"],
+            ["verify", "deviations", "--max-n", "7"],
+            ["verify", "all", "--max-k", "2", "--max-n", "7"],
+            ["verify", "deviations", "--max-n", str(10**12)],
         ],
     )
     def test_oversized_runs_are_refused_at_once(self, capsys, argv):
@@ -749,8 +754,16 @@ class TestContract:
     def test_size_limits_keep_the_reach_cells(self):
         # the gamma-epsilon cells of the CI reach steps and 12 x 5 stay under
         # the limit; tensor^12 of a 2 x 2 matrix (4096 x 4096, every entry
-        # nonzero) is past it
+        # nonzero) is past it; the deviations suite reaches max-n 6 (tensor^6
+        # of the 6 x 6 identity has 6^6 rows) and no further
         for k, n in [(9, 2), (9, 4), (6, 6), (4, 8), (4, 9), (4, 10), (12, 5)]:
             assert augmentation.aug_dimension(k, n) <= cli.MAX_AUG_DIMENSION
         assert augmentation.aug_dimension(30, 6) > cli.MAX_AUG_DIMENSION
         assert 4096 * 4096 > cli.MAX_ARROW_ENTRIES
+        assert 6**6 <= cli.MAX_TENSOR_ROWS < 7**7
+
+    def test_table_dims_is_not_guarded(self, capsys):
+        # the dims table reads closed forms only, so any grid prints
+        code, out, err = run(capsys, ["table", "dims", "--max-k", "30", "--max-n", "6"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].split() == ["30", "6", "1947792", "1623160"]

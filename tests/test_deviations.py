@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from functorlab.combinatorics import Multiset, binomial
 from functorlab.deviations import (
     DeviationReport,
-    SampleSpec,
     alternating_sum,
     condition_b_rhs,
     cross_check_conditions,
@@ -76,25 +75,25 @@ class TestDeviation:
 
 class TestNumericalDegree:
     def test_choose2_is_degree_two(self):
-        rep = is_numerical_degree(CHOOSE2, 2, SampleSpec.default_for(LINE, 2))
+        rep = is_numerical_degree(CHOOSE2, 2)
         assert rep.passed, rep.witness
 
     def test_square_is_degree_two(self):
-        rep = is_numerical_degree(SQUARE, 2, SampleSpec.default_for(LINE, 2))
+        rep = is_numerical_degree(SQUARE, 2)
         assert rep.passed, rep.witness
 
     def test_cube_fails_degree_two(self):
-        rep = is_numerical_degree(CUBE, 2, SampleSpec.default_for(LINE, 2))
+        rep = is_numerical_degree(CUBE, 2)
         assert not rep.passed
         assert rep.witness is not None
 
     def test_exponential_fails_every_small_degree(self):
         for n in range(4):
-            rep = is_numerical_degree(POW2, n, SampleSpec.default_for(LINE, n))
+            rep = is_numerical_degree(POW2, n)
             assert not rep.passed
 
     def test_witness_kinds(self):
-        rep = is_numerical_degree(CUBE, 2, SampleSpec.default_for(LINE, 2))
+        rep = is_numerical_degree(CUBE, 2)
         assert rep.witness[0] in ("deviation", "scaling")
 
     @pytest.mark.parametrize(
@@ -102,8 +101,6 @@ class TestNumericalDegree:
         [
             (2, ((1, 0), (0, 1)), (-4, 4), 15, ((0, 1), -3)),
             (3, ((1, 0), (0, 1)), (-5, 5), 19, ((0, 1), -3)),
-            (2, ((1, 0), (0, 1)), (-5, 1), 14, ((0, 1), -3)),
-            (2, ((1, 1), (0, 1)), (-3, -3), 5, ((1, 1), -3)),
         ],
     )
     def test_scaling_law_alone_fails(self, n, generators, window, used, witness):
@@ -118,8 +115,13 @@ class TestNumericalDegree:
             a, b = x.coords
             return LINE.element((a * a + (0 if b == -3 else b * b),))
 
-        rep = is_numerical_degree(SetMap(plane, LINE, f), n, SampleSpec(generators, window))
+        rep = is_numerical_degree(SetMap(plane, LINE, f), n)
         assert (rep.passed, rep.samples_used, rep.witness) == (False, used, ("scaling", *witness))
+        # the plan: the unit vectors, every (n+1)-multiset of them, then the
+        # window -(n+2)..n+2 whole along the first and up to r along the second
+        lo, hi = window
+        assert generators == ((1, 0), (0, 1)) and window == (-(n + 2), n + 2)
+        assert used == binomial(len(generators) + n, n + 1) + (hi - lo + 1) + (witness[1] - lo + 1)
 
 
 class TestScalingLaws:

@@ -6,14 +6,7 @@ from hypothesis import given, strategies as st
 from functorlab.augmentation import AugAlgebra
 from functorlab.combinatorics import format_multiset
 from functorlab.divided_powers import GammaModule
-from functorlab.intlinalg import Matrix
-from functorlab.modules import (
-    FreeModule,
-    Hom,
-    SetMap,
-    compose,
-    hom,
-)
+from functorlab.modules import FreeModule, SetMap
 
 
 def test_element_arithmetic():
@@ -49,22 +42,6 @@ def test_basis():
         M.basis_vector(3)
 
 
-def test_hom_composition_and_apply():
-    f = hom(Matrix([[1, 2], [0, 1]], 2))
-    g = hom(Matrix([[2, 0], [0, 3]], 2))
-    x = f.source.element((1, 1))
-    assert f(x).coords == (3, 1)
-    gf = compose(g, f)
-    assert gf.matrix == g.matrix @ f.matrix
-    assert gf(x).coords == (6, 3)
-    assert hom(Matrix.identity(2))(x).coords == (1, 1)
-
-
-def test_hom_shape_must_match_modules():
-    with pytest.raises(ValueError):
-        Hom(FreeModule(2), FreeModule(2), Matrix([[1, 2, 3]], 3))
-
-
 def test_setmap_validates_membership():
     M = FreeModule(1)
     doubler = SetMap(M, M, lambda x: M.element((2 * x.coords[0],)))
@@ -78,6 +55,23 @@ def test_setmap_validates_membership():
 
 
 MULTISET_SPACES = [AugAlgebra(2, 2), AugAlgebra(3, 1), GammaModule(2, 3), GammaModule(3, 2)]
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), "1"])
+def test_points_take_integer_coordinates(bad):
+    # a point of Z^rank is a sequence of ints: a non-int coordinate is
+    # refused, not truncated (1.5 once read as 1, Fraction(1, 2) as 0)
+    alg, space = AugAlgebra(2, 2), GammaModule(2, 2)
+    calls = [
+        lambda: alg.class_of((bad, 2)),
+        lambda: space.divided_power((bad, 2)),
+        lambda: alg.class_of_deviation([(1, 0), (bad, 2)]),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="coordinates must be integers"):
+            call()
+    with pytest.raises(ValueError, match="coordinate count"):
+        alg.class_of((1, 2, 3))
 
 # ints and Fractions, integral ones such as Fraction(4, 2) included
 COEFFICIENTS = st.one_of(
