@@ -20,19 +20,19 @@ line = FreeModule(1)
 
 
 def scalar_map(f):
-    return SetMap(line, line, lambda x: line.element((f(x.coords[0]),)))
+    return SetMap(line, line, lambda x: line.from_vector((f(x.vector[0]),)))
 
 
 def pt(v):
-    return line.element((v,))
+    return line.from_vector((v,))
 
 
 # the square map: its second deviation at (a, b) is the cross term 2ab
 square = scalar_map(lambda t: t * t)
-print("deviation of t^2 at (3, 5):", deviation(square, [pt(3), pt(5)]).coords[0])
+print("deviation of t^2 at (3, 5):", deviation(square, [pt(3), pt(5)]).vector[0])
 
 # third deviations of a quadratic vanish
-print("third deviation:", deviation(square, [pt(1), pt(2), pt(3)]).coords[0])
+print("third deviation:", deviation(square, [pt(1), pt(2), pt(3)]).vector[0])
 
 # binomial coefficient maps are the numerical prototypes
 choose2 = scalar_map(lambda t: binomial(t, 2))

@@ -18,7 +18,7 @@ print("[ (3,-1) ] =", u.to_json())
 
 # the sum product realizes [x][y] = [x+y]
 v = alg.class_of((1, 2))
-print("[x][y] == [x+y]:", u.sum_mul(v) == alg.class_of((4, 1)))
+print("[x][y] == [x+y]:", alg.sum_mul(u, v) == alg.class_of((4, 1)))
 
 # scaling relation: [r z] is a binomial combination of repeated deviations
 z = (2, 1)
@@ -36,7 +36,7 @@ end2 = AugAlgebra(4, 2)
 s = (1, 1, 0, 1)
 t = (0, 1, 1, 0)
 st = (1, 1, 1, 0)  # rows of the 2x2 product
-print("[s][t] == [st]:", end2.class_of(s).product_mul(end2.class_of(t)) == end2.class_of(st))
+print("[s][t] == [st]:", end2.product_mul(end2.class_of(s), end2.class_of(t)) == end2.class_of(st))
 
 # a linear map of modules (an integer matrix, columns the images of the
 # basis vectors) pushes classes forward; the matrix acts on the deviation

@@ -20,7 +20,7 @@ algebra and by functors.reconstruct.
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
 modules.MultisetVector; this module adds the normal form and the two
-products.
+products, methods of the algebra that take two elements.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ from math import comb, prod
 
 from .combinatorics import Multiset, binomial, multisets_up_to
 from .intlinalg import Matrix
-from .modules import MultisetSpace, MultisetVector, _int_coords
+from .deviations import deviation
+from .modules import FreeModule, MultisetSpace, MultisetVector, SetMap, _int_coords
 
 
 def aug_dimension(rank: int, degree: int) -> int:
@@ -115,40 +116,31 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     return tuple(tuple(relation_sum(word, *Y) for Y in right) for word in words)
 
 
-class AugElement(MultisetVector):
-    """Element of an AugAlgebra, with its two products."""
-
-    def sum_mul(self, other: "AugElement") -> "AugElement":
-        return self.space.sum_mul(self, other)
-
-    def product_mul(self, other: "AugElement") -> "AugElement":
-        return self.space.product_mul(self, other)
-
-
 class AugAlgebra(MultisetSpace):
     """Degree-truncated augmentation algebra of Z^rank."""
-
-    element_type = AugElement
 
     def __init__(self, rank: int, degree: int):
         super().__init__(rank, degree, multisets_up_to)
 
-    def one(self) -> "AugElement":
+    def one(self) -> MultisetVector:
         """Unit of the sum product: the class of the zero element."""
         return self.basis_element(Multiset())
 
-    def class_of(self, x) -> "AugElement":
+    def class_of(self, x) -> MultisetVector:
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
         vec = _class_vector(_int_coords(x, self.rank), self.basis, self.degree)
-        return AugElement(self, tuple(vec))
+        return MultisetVector(self, tuple(vec))
 
-    def class_of_deviation(self, xs) -> "AugElement":
-        """Normal form of the deviation class at the given module elements."""
-        return self.deviation(self.class_of, xs)
+    def class_of_deviation(self, xs) -> MultisetVector:
+        """Normal form of the deviation class at the given points of Z^rank:
+        the deviation of the set map x -> [x]."""
+        points = FreeModule(self.rank)
+        phi = SetMap(points, self, lambda x: self.class_of(x.vector))
+        return deviation(phi, [points.from_vector(x) for x in xs])
 
     # -- multiplication -------------------------------------------------------
 
-    def sum_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
+    def sum_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:
         """Bilinear extension of [x][y] = [x + y]: the basis classes of X and
         Y multiply to that of X + Y, or to zero past the degree."""
         self._check_pair(u, v)
@@ -163,7 +155,7 @@ class AugAlgebra(MultisetSpace):
                     out[self.basis_index[Multiset.from_pairs(X.pairs + Y.pairs)]] += c * d
         return self.from_vector(out)
 
-    def product_mul(self, u: "AugElement", v: "AugElement") -> "AugElement":
+    def product_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:
         """Bilinear extension of [s][t] = [s composed with t] (square rank only)."""
         # the table is sparse: skip empty entries before touching coefficients,
         # which may be Fractions
@@ -181,7 +173,7 @@ class AugAlgebra(MultisetSpace):
                         out[t] += cd * w
         return self.from_vector(out)
 
-    def _check_pair(self, u: "AugElement", v: "AugElement"):
+    def _check_pair(self, u: MultisetVector, v: MultisetVector):
         if u.space != self or v.space != self:
             raise ValueError("factors live in a different algebra")
 

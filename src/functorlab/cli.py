@@ -70,10 +70,16 @@ class UsageError(Exception):
 # Size guards, read off closed forms before anything is built: the entries
 # object_dim(F, rows) * object_dim(F, cols) of a `functor arrow` matrix,
 # dim B(k, n) = aug_dimension(k, n) of the largest gamma-epsilon or table
-# cell, and the n^n rows (and nonzeros) of the tensor^n arrow of the n x n
-# identity, the largest object of the deviations suite.
+# cell, dim B(k, n) * 2^n of the largest gamma-epsilon cell, and the n^n rows
+# (and nonzeros) of the tensor^n arrow of the n x n identity, the largest
+# object of the deviations suite.  The kernel of gamma costs far more per
+# basis class as n grows, hence the 2^n: at the limit (4, 10) and (5, 9)
+# take 3-4 s, and past it (7, 8) takes 13 s, (5, 10) 17 s, (2, 18) 23 s and
+# (3, 12) 31 s, while (4, 11) does not end.  Below k = 3 the limit is
+# conservative: (2, 17) takes 5.5 s and (1, 100) 12 s.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
+MAX_KERNEL_WEIGHT = 2**20
 MAX_TENSOR_ROWS = 6**6
 
 
@@ -139,7 +145,7 @@ def _catalog(power: int):
 def _binomial_degree(n: int, degree: int):
     """is_numerical_degree of x -> C(x, n) on Z, at the given degree."""
     line = FreeModule(1)
-    phi = SetMap(line, line, lambda x: line.element((binomial(x.coords[0], n),)))
+    phi = SetMap(line, line, lambda x: line.from_vector((binomial(x.vector[0], n),)))
     return is_numerical_degree(phi, degree)
 
 
@@ -164,12 +170,12 @@ def suite_deviations(max_n: int, seed: int) -> list:
     # alternating differences of a cubic map at scaled arguments, rebuilt
     # from binomial coefficients times the word differences
     line = FreeModule(1)
-    cube = SetMap(line, line, lambda x: line.element((x.coords[0] ** 3,)))
+    cube = SetMap(line, line, lambda x: line.from_vector((x.vector[0] ** 3,)))
     rng = random.Random(seed)
 
     def expansion(nargs):
         scalars = [rng.randint(-3, 3) for _ in range(nargs)]
-        points = [line.element((rng.randint(-2, 2),)) for _ in range(nargs)]
+        points = [line.from_vector((rng.randint(-2, 2),)) for _ in range(nargs)]
         lhs = deviation(cube, [x.scale(a) for a, x in zip(scalars, points)])
         rhs = line.zero()
         for X in multisets_up_to(nargs, 3):
@@ -178,7 +184,7 @@ def suite_deviations(max_n: int, seed: int) -> list:
             coeff = math.prod(binomial(scalars[i], m) for i, m in X.pairs)
             if coeff:
                 rhs = rhs + multiset_deviation(cube, points, X).scale(coeff)
-        return lhs == rhs, {"scalars": scalars, "points": [p.coords for p in points]}
+        return lhs == rhs, {"scalars": scalars, "points": [p.vector for p in points]}
 
     draws = [partial(expansion, nargs) for nargs in (1, 2, 3) for _ in range(4)]
     cells.append(_cell("scaled-argument-expansion", {"n": 3}, partial(_sampled, draws)))
@@ -204,12 +210,13 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
                 u, v, w = rand_elem(), rand_elem(), rand_elem()
                 x = tuple(rng.randint(-2, 2) for _ in range(k))
                 y = tuple(rng.randint(-2, 2) for _ in range(k))
+                mul = alg.sum_mul
                 holds = (
-                    alg.class_of(x).sum_mul(alg.class_of(y))
+                    mul(alg.class_of(x), alg.class_of(y))
                     == alg.class_of(tuple(a + b for a, b in zip(x, y)))
-                    and u.sum_mul(v) == v.sum_mul(u)
-                    and u.sum_mul(v).sum_mul(w) == u.sum_mul(v.sum_mul(w))
-                    and alg.one().sum_mul(u) == u
+                    and mul(u, v) == mul(v, u)
+                    and mul(mul(u, v), w) == mul(u, mul(v, w))
+                    and mul(alg.one(), u) == u
                 )
                 return holds, {"u": u.vector, "v": v.vector, "w": w.vector, "x": x, "y": y}
 
@@ -225,10 +232,11 @@ def suite_aug_algebra(max_k: int, max_n: int, seed: int) -> list:
 
             def composition_ring():
                 u, v, w = rand_elem(), rand_elem(), rand_elem()
+                mul = alg.product_mul
                 holds = (
-                    u.product_mul(v).product_mul(w) == u.product_mul(v.product_mul(w))
-                    and one.product_mul(u) == u
-                    and u.product_mul(one) == u
+                    mul(mul(u, v), w) == mul(u, mul(v, w))
+                    and mul(one, u) == u
+                    and mul(u, one) == u
                 )
                 return holds, {"u": u.vector, "v": v.vector, "w": w.vector}
 
@@ -382,6 +390,9 @@ def _run_suite(args) -> tuple[dict, bool]:
     tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
     if args.suite in ("deviations", "all") and tensor_rows_past:
         raise UsageError(f"the tensor^{max_n} arrow exceeds the size limit {MAX_TENSOR_ROWS}")
+    # shift the limit, not the dimension, so that a large n builds no large int
+    if args.suite in ("gamma-epsilon", "all") and aug_dimension(k, n) > MAX_KERNEL_WEIGHT >> n:
+        raise UsageError(f"dim B({k}, {n}) * 2^{n} exceeds the size limit {MAX_KERNEL_WEIGHT}")
     grid = [(k, n)] if single else [(a, b) for a in range(1, k + 1) for b in range(1, n + 1)]
     summaries: dict = {}
     suites = {

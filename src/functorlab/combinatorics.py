@@ -4,8 +4,7 @@ Everything here is integer arithmetic: binomial coefficients with arbitrary
 integer upper index, Stirling numbers of the second kind, and the finite
 multisets that index the deviation and divided-power bases used elsewhere, and
 signed_subset_sums, the one walk over the 2^m subsets behind every
-deviation: deviations.alternating_sum and MultisetSpace.deviation both fold
-its terms.
+deviation, which deviations.alternating_sum folds.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
-from operator import add
 
 
 def binomial(r: int, k: int) -> int:
@@ -46,19 +44,18 @@ def multiset_binomial(coords, X: "Multiset") -> int:
     return result
 
 
-def signed_subset_sums(args, zero, plus=add) -> list:
+def signed_subset_sums(args, zero) -> list:
     """(sign, sum of args over I) for every subset I of the m arguments, sign
     (-1)^(m - |I|): the terms of an inclusion-exclusion, subset I at the
     position whose bit i is set exactly when args[i] is in I.
 
     Built by doubling: the terms over args[:i+1] are those over args[:i],
     then each of them with args[i] added and its sign flipped, so every
-    subset costs one `plus`.  `zero` is the empty sum; `plus` adds an
-    argument to a partial sum (default +).
+    subset costs one +.  `zero` is the empty sum.
     """
     terms = [((-1) ** len(args), zero)]
     for a in args:
-        terms += [(-sign, plus(s, a)) for sign, s in terms]
+        terms += [(-sign, s + a) for sign, s in terms]
     return terms
 
 

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from .combinatorics import Multiset, binomial, signed_subset_sums
 from .intlinalg import Matrix, linear_combination
-from .modules import Element, SetMap
+from .modules import MultisetVector, SetMap
 
 
 def alternating_sum(fn, args: Sequence, zero):
@@ -34,15 +34,15 @@ def alternating_sum(fn, args: Sequence, zero):
     return total
 
 
-def deviation(phi: SetMap, args: Sequence[Element]) -> Element:
+def deviation(phi: SetMap, args: Sequence[MultisetVector]) -> MultisetVector:
     """Deviation of phi at the given arguments; deviation(phi, []) is phi(0)."""
     for x in args:
-        if x.module != phi.source:
+        if x.space != phi.source:
             raise ValueError("argument lives in the wrong module")
     return alternating_sum(phi, list(args), phi.source.zero())
 
 
-def multiset_deviation(phi: SetMap, xs: Sequence[Element], X: Multiset) -> Element:
+def multiset_deviation(phi: SetMap, xs: Sequence[MultisetVector], X: Multiset) -> MultisetVector:
     """Deviation at the arguments xs[i] repeated with the multiplicities of X."""
     xs = list(xs)
     for i in X.support:
@@ -74,14 +74,14 @@ def is_numerical_degree(phi: SetMap, n: int) -> DeviationReport:
     for combo in combinations_with_replacement(gens, n + 1):
         used += 1
         if not deviation(phi, combo).is_zero:
-            witness = ("deviation", tuple(x.coords for x in combo))
+            witness = ("deviation", tuple(x.vector for x in combo))
             return DeviationReport(n, used, False, witness)
 
     for x in gens:
         rep = scaling_law(lambda r: phi(x.scale(r)), n)
         used += rep.samples_used
         if not rep.passed:
-            return DeviationReport(n, used, False, ("scaling", x.coords, rep.witness[1]))
+            return DeviationReport(n, used, False, ("scaling", x.vector, rep.witness[1]))
 
     return DeviationReport(n, used, True)
 

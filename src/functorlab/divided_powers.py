@@ -20,7 +20,8 @@ from itertools import combinations_with_replacement, permutations
 
 from .combinatorics import binomial, multisets_exactly
 from .intlinalg import Matrix
-from .modules import MultisetSpace, MultisetVector, _int_coords
+from .deviations import deviation
+from .modules import FreeModule, MultisetSpace, MultisetVector, SetMap, _int_coords
 
 
 def gamma_dimension(rank: int, degree: int) -> int:
@@ -32,22 +33,13 @@ def distinct_permutations(word):
     return sorted(set(permutations(word)))
 
 
-class GammaElement(MultisetVector):
-    """Element of a GammaModule, with the Schur product."""
-
-    def schur_product(self, other: "GammaElement") -> "GammaElement":
-        return schur_product(self, other)
-
-
 class GammaModule(MultisetSpace):
     """Gamma^degree of Z^rank with its multiset basis."""
-
-    element_type = GammaElement
 
     def __init__(self, rank: int, degree: int):
         super().__init__(rank, degree, multisets_exactly)
 
-    def divided_power(self, x) -> "GammaElement":
+    def divided_power(self, x) -> MultisetVector:
         """The degree-th divided power of a point of Z^rank, given as ints."""
         coords = _int_coords(x, self.rank)
         out = []
@@ -58,9 +50,9 @@ class GammaModule(MultisetSpace):
                 if not c:
                     break
             out.append(c)
-        return GammaElement(self, tuple(out))
+        return MultisetVector(self, tuple(out))
 
-    def product_of_elements(self, xs) -> "GammaElement":
+    def product_of_elements(self, xs) -> MultisetVector:
         """Deviation of the divided power map at exactly `degree` elements.
 
         This is the product x_1 * ... * x_n of the arguments inside the
@@ -69,7 +61,9 @@ class GammaModule(MultisetSpace):
         xs = list(xs)
         if len(xs) != self.degree:
             raise ValueError(f"need exactly {self.degree} factors")
-        return self.deviation(self.divided_power, xs)
+        points = FreeModule(self.rank)
+        phi = SetMap(points, self, lambda x: self.divided_power(x.vector))
+        return deviation(phi, [points.from_vector(x) for x in xs])
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +130,7 @@ def _word_index(word, side: int) -> int:
     return idx
 
 
-def tensor_embedding(elem: GammaElement) -> Matrix:
+def tensor_embedding(elem: MultisetVector) -> Matrix:
     """Orbit-sum embedding of Gamma^n(End Z^m) into End of the n-fold tensor
     power of Z^m; basis classes go to sums over distinct unit words."""
     space = elem.space
@@ -152,7 +146,7 @@ def tensor_embedding(elem: GammaElement) -> Matrix:
     return Matrix(t, dim)
 
 
-def tensor_readoff(space: GammaModule, tensor: Matrix) -> GammaElement:
+def tensor_readoff(space: GammaModule, tensor: Matrix) -> MultisetVector:
     """Inverse of the embedding on its image: read each basis coefficient at
     the matrix position of the sorted unit word."""
     side = space.matrix_side
@@ -165,7 +159,7 @@ def tensor_readoff(space: GammaModule, tensor: Matrix) -> GammaElement:
     return space.from_vector(out)
 
 
-def schur_product(u: GammaElement, v: GammaElement) -> GammaElement:
+def schur_product(u: MultisetVector, v: MultisetVector) -> MultisetVector:
     """Composition product on Gamma^n of a matrix algebra.
 
     Embed both factors as endomorphisms of the tensor power, compose, and

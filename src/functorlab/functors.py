@@ -36,7 +36,6 @@ from itertools import combinations
 
 from .augmentation import (
     AugAlgebra,
-    AugElement,
     _sub_multisets,
     aug_dimension,
     composition_tables,
@@ -374,7 +373,7 @@ class MoritaModule(PresentedModule):
 
     def check_multiplicativity(self, pairs: int = 20, seed: int = 0) -> bool:
         """act(u v) == act(u) act(v) for the composition product."""
-        return self._multiplicative(AugElement.product_mul, pairs, seed)
+        return self._multiplicative(self.algebra.product_mul, pairs, seed)
 
 
 def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:

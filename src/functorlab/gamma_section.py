@@ -24,9 +24,9 @@ from itertools import combinations
 from math import comb, factorial, prod
 from typing import Optional
 
-from .augmentation import AugAlgebra, AugElement, aug_dimension
+from .augmentation import AugAlgebra, aug_dimension
 from .combinatorics import Multiset, multisets_exactly, multisets_up_to, stirling_sum_identity
-from .divided_powers import GammaElement, GammaModule, schur_product
+from .divided_powers import GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
     Lattice,
@@ -38,6 +38,7 @@ from .intlinalg import (
     relation_invariants,
     vstack,
 )
+from .modules import MultisetVector
 
 
 class VerificationError(ArithmeticError):
@@ -117,12 +118,12 @@ def verify_section(pair: GammaEpsilonPair) -> bool:
     return _is_section(pair.gamma, pair.epsilon)
 
 
-def apply_gamma(pair: GammaEpsilonPair, u: AugElement) -> GammaElement:
+def apply_gamma(pair: GammaEpsilonPair, u: MultisetVector) -> MultisetVector:
     space = GammaModule(pair.rank, pair.degree)
     return space.from_vector(pair.gamma.matvec(u.vector))
 
 
-def apply_epsilon(pair: GammaEpsilonPair, g: GammaElement) -> AugElement:
+def apply_epsilon(pair: GammaEpsilonPair, g: MultisetVector) -> MultisetVector:
     alg = AugAlgebra(pair.rank, pair.degree)
     return alg.from_vector(pair.epsilon.matvec(g.vector))
 
@@ -411,19 +412,17 @@ def quadratic_split(rank: int) -> QuadraticReport:
     and e^[A] -> the basis class of the set supp A splits it integrally: by
     gamma_matrix, gamma of the class of a set S is the sum of e^[B] over
     |B| = 2 with supp B = S, and at degree 2 only B = A has that support.
-    Whether the canonical rational section is itself integral is reported,
-    not assumed."""
+    The identity gamma @ s == 1, checked exactly, is the proof that gamma is
+    onto.  Whether the canonical rational section is itself integral is
+    reported, not assumed."""
     gam = gamma_matrix(rank, 2)
     eps = epsilon_matrix(rank, 2)
-    surjective = cokernel_invariants(gam).trivial
-    section = None
-    if surjective:
-        support = {Multiset.from_indices(A.support): j for j, A in enumerate(multisets_exactly(rank, 2))}
-        rows = [{support[X]: 1} if X in support else {} for X in multisets_up_to(rank, 2)]
-        section = Matrix(rows, gam.nrows)
-        if gam @ section != Matrix.identity(gam.nrows):
-            raise VerificationError("constructed section does not invert gamma")
-    return QuadraticReport(surjective, eps.is_integral, section)
+    support = {Multiset.from_indices(A.support): j for j, A in enumerate(multisets_exactly(rank, 2))}
+    rows = [{support[X]: 1} if X in support else {} for X in multisets_up_to(rank, 2)]
+    section = Matrix(rows, gam.nrows)
+    if gam @ section != Matrix.identity(gam.nrows):
+        raise VerificationError("constructed section does not invert gamma")
+    return QuadraticReport(True, eps.is_integral, section)
 
 
 def quasi_homogeneity_test(module, degree: int) -> bool:

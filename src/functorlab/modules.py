@@ -1,33 +1,30 @@
-"""Finitely generated free abelian groups and raw set maps between them.
-
-A SetMap is an arbitrary (not necessarily additive) function between free
-modules; the deviation calculus consumes those.  A linear map is an integer
-Matrix whose columns are the images of the source basis vectors.
+"""Free modules with a basis indexed by multisets, their elements, and raw
+set maps between them.
 
 MultisetSpace is a free module whose basis is indexed by multisets over the
-coordinates of Z^rank, and MultisetVector an element of one, stored as the
-tuple of its coefficients in basis order; every identity checked on these
-spaces is a matrix identity on such coordinate vectors.  A point of Z^rank
-is passed to a space as a sequence of rank ints.  Both
-the truncated augmentation algebra (augmentation.AugAlgebra, AugElement) and
-the divided powers (divided_powers.GammaModule, GammaElement) are built on
-them and add only their own products.
+coordinates of Z^rank, and MultisetVector, the one element class, stores an
+element as the tuple of its coefficients in basis order; every identity
+checked on these spaces is a matrix identity on such coordinate vectors.
+FreeModule(rank) is Z^rank itself: the space on the one-element multisets
+{i}, whose basis vector is e_i and whose coefficients are ints.  A point of
+Z^rank is passed to a space as a sequence of rank ints.  The truncated
+augmentation algebra (augmentation.AugAlgebra) and the divided powers
+(divided_powers.GammaModule) are spaces too; their products are methods of
+the space that take two elements.
+
+A SetMap is an arbitrary (not necessarily additive) function between spaces;
+the deviation calculus consumes those.  A linear map is an integer Matrix
+whose columns are the images of the source basis vectors.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import add
 from types import MappingProxyType
 from typing import Callable
 
-from .combinatorics import (
-    Multiset,
-    format_multiset,
-    format_rational,
-    signed_subset_sums,
-)
+from .combinatorics import Multiset, format_multiset, format_rational, multisets_exactly
 
 
 def _int_coords(coords, rank: int) -> tuple[int, ...]:
@@ -40,81 +37,9 @@ def _int_coords(coords, rank: int) -> tuple[int, ...]:
     return coords
 
 
-@dataclass(frozen=True)
-class FreeModule:
-    rank: int
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
-
-    def zero(self) -> "Element":
-        return Element(self, (0,) * self.rank)
-
-    def basis_vector(self, i: int) -> "Element":
-        if not 0 <= i < self.rank:
-            raise IndexError(f"basis index {i} out of range")
-        return Element(self, tuple(int(j == i) for j in range(self.rank)))
-
-    def element(self, coords) -> "Element":
-        return Element(self, tuple(coords))
-
-
-@dataclass(frozen=True)
-class Element:
-    """Vector with integer coordinates in a fixed free module."""
-
-    module: FreeModule
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _int_coords(self.coords, self.module.rank))
-
-    def _check(self, other: "Element"):
-        if self.module != other.module:
-            raise ValueError("elements live in different modules")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.module, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.module, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Element":
-        return Element(self.module, tuple(-a for a in self.coords))
-
-    def scale(self, c: int) -> "Element":
-        return Element(self.module, tuple(c * a for a in self.coords))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-
-@dataclass(frozen=True)
-class SetMap:
-    """Arbitrary function between free modules, no additivity assumed."""
-
-    source: FreeModule
-    target: FreeModule
-    evaluator: Callable[[Element], Element]
-
-    def __call__(self, x: Element) -> Element:
-        if x.module != self.source:
-            raise ValueError("argument lives in the wrong module")
-        y = self.evaluator(x)
-        if not isinstance(y, Element) or y.module != self.target:
-            raise ValueError("evaluator returned a value outside the target module")
-        return y
-
-
 class MultisetSpace:
     """Free module on the multisets over range(rank) that `basis_of(rank,
-    degree)` lists; subclasses set `element_type` to their element class."""
-
-    element_type: type
+    degree)` lists."""
 
     def __init__(self, rank: int, degree: int, basis_of):
         if rank < 0 or degree < 0:
@@ -148,7 +73,7 @@ class MultisetSpace:
         )
         if len(vec) != len(self.basis):
             raise ValueError("vector length differs from dimension")
-        return self.element_type(self, vec)
+        return MultisetVector(self, vec)
 
     def element(self, coeffs: dict) -> "MultisetVector":
         vec = [0] * len(self.basis)
@@ -163,16 +88,6 @@ class MultisetSpace:
 
     def basis_element(self, X: Multiset) -> "MultisetVector":
         return self.element({X: 1})
-
-    def deviation(self, value_of, xs) -> "MultisetVector":
-        """Inclusion-exclusion of value_of over the subset sums of the given
-        points of Z^rank: the deviation of the map value_of at xs."""
-        vectors = [_int_coords(x, self.rank) for x in xs]
-        total = [0] * len(self.basis)
-        terms = signed_subset_sums(vectors, (0,) * self.rank, lambda s, a: tuple(map(add, s, a)))
-        for sign, coords in terms:
-            total = [a + sign * b for a, b in zip(total, value_of(coords).vector)]
-        return self.from_vector(total)
 
     @property
     def matrix_side(self) -> int:
@@ -217,7 +132,7 @@ class MultisetVector:
         return self + (-other)
 
     def __neg__(self) -> "MultisetVector":
-        return type(self)(self.space, tuple(-c for c in self.vector))
+        return MultisetVector(self.space, tuple(-c for c in self.vector))
 
     def scale(self, c) -> "MultisetVector":
         return self.space.from_vector(c * v for v in self.vector)
@@ -241,3 +156,36 @@ class MultisetVector:
     def to_json(self) -> dict:
         # basis order is size first, then lex on the expanded word
         return {format_multiset(X): format_rational(c) for X, c in self.coeffs.items()}
+
+
+class FreeModule(MultisetSpace):
+    """Z^rank: the space on the one-element multisets {i}, so that the basis
+    vector of {i} is e_i; its coefficients are ints."""
+
+    def __init__(self, rank: int):
+        super().__init__(rank, 1, multisets_exactly)
+
+    def from_vector(self, vec) -> MultisetVector:
+        return MultisetVector(self, _int_coords(vec, self.rank))
+
+    def basis_vector(self, i: int) -> MultisetVector:
+        if not 0 <= i < self.rank:
+            raise IndexError(f"basis index {i} out of range")
+        return self.basis_element(self.basis[i])
+
+
+@dataclass(frozen=True)
+class SetMap:
+    """Arbitrary function between spaces, no additivity assumed."""
+
+    source: MultisetSpace
+    target: MultisetSpace
+    evaluator: Callable[[MultisetVector], MultisetVector]
+
+    def __call__(self, x: MultisetVector) -> MultisetVector:
+        if x.space != self.source:
+            raise ValueError("argument lives in the wrong module")
+        y = self.evaluator(x)
+        if not isinstance(y, MultisetVector) or y.space != self.target:
+            raise ValueError("evaluator returned a value outside the target module")
+        return y

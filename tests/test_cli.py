@@ -719,17 +719,24 @@ class TestContract:
             ["verify", "deviations", "--max-n", "7"],
             ["verify", "all", "--max-k", "2", "--max-n", "7"],
             ["verify", "deviations", "--max-n", str(10**12)],
+        ]
+        # within the dimension limit, but dim B(k, n) * 2^n is past its own:
+        # each would run for minutes or never end, and the last would be a
+        # 2^(10^12) weight if the limit were not shifted
+        + [
+            ["verify", "gamma-epsilon", "--k", str(k), "--n", str(n)]
+            for k, n in [(2, 20), (3, 12), (4, 11), (1, 200), (3, 30), (4, 19), (2, 90), (0, 10**12)]
         ],
     )
     def test_oversized_runs_are_refused_at_once(self, capsys, argv):
-        # built, these would exhaust memory; their size is read off a closed
-        # form first, so they exit 2 at once with a message on stderr and
-        # nothing on stdout
+        # built, these would exhaust memory or time; their size is read off a
+        # closed form first, so they exit 2 at once with one line on stderr
+        # and nothing on stdout
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "size limit" in err
+        assert err.startswith("error: ") and "size limit" in err and err.count("\n") == 1
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     def test_exact_integers_print_under_a_low_digit_limit(self, capsys):
@@ -758,6 +765,10 @@ class TestContract:
         # of the 6 x 6 identity has 6^6 rows) and no further
         for k, n in [(9, 2), (9, 4), (6, 6), (4, 8), (4, 9), (4, 10), (12, 5)]:
             assert augmentation.aug_dimension(k, n) <= cli.MAX_AUG_DIMENSION
+            assert augmentation.aug_dimension(k, n) << n <= cli.MAX_KERNEL_WEIGHT
+        # the kernel weight never refuses a verify-all grid (n <= 6) that the
+        # dimension limit lets through
+        assert cli.MAX_AUG_DIMENSION << 6 <= cli.MAX_KERNEL_WEIGHT
         assert augmentation.aug_dimension(30, 6) > cli.MAX_AUG_DIMENSION
         assert 4096 * 4096 > cli.MAX_ARROW_ENTRIES
         assert 6**6 <= cli.MAX_TENSOR_ROWS < 7**7

@@ -26,11 +26,11 @@ LINE = FreeModule(1)
 
 
 def scalar_map(f) -> SetMap:
-    return SetMap(LINE, LINE, lambda x: LINE.element((f(x.coords[0]),)))
+    return SetMap(LINE, LINE, lambda x: LINE.from_vector((f(x.vector[0]),)))
 
 
 def val(e) -> int:
-    return e.coords[0]
+    return e.vector[0]
 
 
 SQUARE = scalar_map(lambda t: t * t)
@@ -40,7 +40,7 @@ POW2 = scalar_map(lambda t: 2 ** max(t, 0))
 
 
 def pt(v: int):
-    return LINE.element((v,))
+    return LINE.from_vector((v,))
 
 
 class TestDeviation:
@@ -112,8 +112,8 @@ class TestNumericalDegree:
         plane = FreeModule(2)
 
         def f(x):
-            a, b = x.coords
-            return LINE.element((a * a + (0 if b == -3 else b * b),))
+            a, b = x.vector
+            return LINE.from_vector((a * a + (0 if b == -3 else b * b),))
 
         rep = is_numerical_degree(SetMap(plane, LINE, f), n)
         assert (rep.passed, rep.samples_used, rep.witness) == (False, used, ("scaling", *witness))
@@ -232,12 +232,12 @@ def element_tables(draw):
         coeffs = [draw(st.lists(SMALL, min_size=d + 1, max_size=d + 1)) for _ in range(rank)]
 
         def value(r):
-            return module.element(tuple(sum(c * r**i for i, c in enumerate(cs)) for cs in coeffs))
+            return module.from_vector(sum(c * r**i for i, c in enumerate(cs)) for cs in coeffs)
 
         table = {r: value(r) for r in set(window) | set(range(n + 1))}
     else:
         coords = st.tuples(*[st.integers(-50, 50)] * rank)
-        table = _table(draw, set(window) | set(range(n + 1)), coords.map(module.element))
+        table = _table(draw, set(window) | set(range(n + 1)), coords.map(module.from_vector))
     return table, n, window
 
 
@@ -283,9 +283,9 @@ class TestScalingOracle:
         # unit vectors f(j alpha) = e_j, condition_b_rhs reads the weights out
         for n in range(9):
             space = FreeModule(n + 1)
-            units = {j: space.element(tuple(int(i == j) for i in range(n + 1))) for j in range(n + 1)}
+            units = {j: space.basis_vector(j) for j in range(n + 1)}
             for r in range(-20, 21):
-                got = condition_b_rhs(units, r, n).coords
+                got = condition_b_rhs(units, r, n).vector
                 for j in range(n + 1):
                     law_a = sum(
                         binomial(r, k) * (-1) ** (k - j) * binomial(k, j) for k in range(j, n + 1)

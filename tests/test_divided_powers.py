@@ -289,9 +289,9 @@ class TestSchurProduct:
             for _ in range(3)
         ]
         u, v, w = elems
-        assert one.schur_product(u) == u
-        assert u.schur_product(one) == u
-        assert u.schur_product(v).schur_product(w) == u.schur_product(v.schur_product(w))
+        assert schur_product(one, u) == u
+        assert schur_product(u, one) == u
+        assert schur_product(schur_product(u, v), w) == schur_product(u, schur_product(v, w))
 
     def test_embedding_is_multiplicative(self):
         rng = random.Random(12)

@@ -2,13 +2,14 @@
 cokernel structure, multiplicativity, and the degree-two splitting."""
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra, aug_dimension
-from functorlab.combinatorics import multisets_up_to, stirling2
+from functorlab.combinatorics import Multiset, multisets_up_to, stirling2
 from functorlab.divided_powers import GammaModule
 from functorlab import gamma_section
 from functorlab.gamma_section import (
@@ -55,6 +56,19 @@ def count(X, i):
     return dict(X.pairs).get(i, 0)
 
 
+def brute_space_deviation(space, value_of, xs):
+    """The deviation of value_of at the points xs of Z^rank, folded densely:
+    sign times value_of(subset sum) over every subset of xs, the subset sums
+    as int tuples."""
+    total = [0] * space.dimension()
+    for size in range(len(xs) + 1):
+        for subset in combinations(xs, size):
+            point = tuple(sum(x[i] for x in subset) for i in range(space.rank))
+            sign = (-1) ** (len(xs) - size)
+            total = [a + sign * b for a, b in zip(total, value_of(point).vector)]
+    return space.from_vector(total)
+
+
 def brute_gamma_matrix(rank, degree):
     """gamma as it was built before its closed form: column X is the
     deviation of the divided power map at X's word of unit vectors."""
@@ -62,7 +76,7 @@ def brute_gamma_matrix(rank, degree):
     cols = []
     for X in multisets_up_to(rank, degree):
         vectors = [tuple(int(j == i) for j in range(rank)) for i in X.indices()]
-        cols.append(space.deviation(space.divided_power, vectors).vector)
+        cols.append(brute_space_deviation(space, space.divided_power, vectors).vector)
     return Matrix.from_cols(cols, space.dimension())
 
 
@@ -86,6 +100,45 @@ def brute_products_sublattice(rank, degree):
     combos = combinations_with_replacement(list(product((0, 1), repeat=rank)), degree)
     rows = [space.product_of_elements(combo).vector for combo in combos]
     return Lattice.from_rows(space.dimension(), rows)
+
+
+@st.composite
+def points(draw):
+    """(rank, points of Z^rank): random points or one point repeated."""
+    rank = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-3, 3)] * rank)
+    if draw(st.booleans()):
+        return rank, draw(st.lists(point, max_size=4))
+    return rank, [draw(point)] * draw(st.integers(0, 4))
+
+
+class TestSpaceDeviationOracle:
+    """Both deviations of the multiset spaces, as deviations of set maps,
+    against the dense fold."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(points(), st.integers(0, 3))
+    def test_class_of_deviation(self, drawn, degree):
+        rank, xs = drawn
+        alg = AugAlgebra(rank, degree)
+        assert alg.class_of_deviation(xs) == brute_space_deviation(alg, alg.class_of, xs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(points())
+    def test_product_of_elements(self, drawn):
+        rank, xs = drawn
+        space = GammaModule(rank, len(xs))
+        oracle = brute_space_deviation(space, space.divided_power, xs)
+        assert space.product_of_elements(xs) == oracle
+
+    def test_empty_list(self):
+        for rank in range(4):
+            alg, space = AugAlgebra(rank, 2), GammaModule(rank, 0)
+            assert alg.class_of_deviation([]) == alg.one()
+            assert brute_space_deviation(alg, alg.class_of, []) == alg.one()
+            unit = space.basis_element(Multiset())
+            assert space.product_of_elements([]) == unit
+            assert brute_space_deviation(space, space.divided_power, []) == unit
 
 
 class TestGammaMatrix:
@@ -489,8 +542,16 @@ class TestQuadratic:
             assert rep.surjective
             assert rep.split_integrally
             gam = gamma_matrix(k, 2)
+            assert cokernel_invariants(gam).trivial
             assert gam @ rep.integral_section == Matrix.identity(gam.nrows)
             assert rep.integral_section.is_integral
+
+    def test_a_section_that_does_not_invert_gamma_is_refused(self, monkeypatch):
+        eps, doubled = epsilon_matrix(3, 2), gamma_matrix(3, 2).scale(2)
+        monkeypatch.setattr(gamma_section, "gamma_matrix", lambda rank, degree: doubled)
+        monkeypatch.setattr(gamma_section, "epsilon_matrix", lambda rank, degree: eps)
+        with pytest.raises(VerificationError, match="does not invert gamma"):
+            quadratic_split(3)
 
     def test_canonical_section_is_not_integral(self):
         # the splitting exists integrally even though the canonical rational
