@@ -4,13 +4,15 @@ B(rank, degree) is spanned by classes [x] of module elements subject to the
 degree-n relations; the deviation classes of basis vectors, indexed by
 multisets of size <= degree, form an integral basis.  class_of writes any [x]
 in that basis with multiset-binomial coefficients, read off per-coordinate
-rows C(x_i, 0..degree).
+rows C(x_i, 0..degree), one multiplication per basis multiset.
 
 Two multiplications matter: the sum product [x][y] = [x + y] (always), and,
 when the module is a matrix algebra, the composition product [s][t] = [st].
 The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
-degree, so it needs no table.  The composition product has one table per
+degree, so it needs no table; on integer codes of the multisets the union
+is one addition.  The tables behind class_of and the sum product are built
+once per (rank, degree).  The composition product has one table per
 (a, b, c, degree), for a x b by b x c matrices: entry [i][j] lists the
 nonzero coefficients of the product of two basis classes, a sum over the
 relations between the two words of matrix units (the relation-sum rule of
@@ -40,11 +42,38 @@ def aug_dimension(rank: int, degree: int) -> int:
     return binomial(rank + degree, degree)
 
 
-def _class_vector(coords, basis, degree: int) -> list[int]:
-    """Coefficients of [x] on the basis: the product of C(x_i, m) over the
-    (i, m) pairs of each X, read off per-coordinate rows C(x_i, 0..degree)."""
+@lru_cache(maxsize=None)
+def _class_steps(rank: int, degree: int) -> tuple:
+    """Per basis multiset X after the empty one: (index of X without its
+    last pair, that pair's index i, its multiplicity m).  The shorter
+    multiset comes earlier in the basis order."""
+    basis = multisets_up_to(rank, degree)
+    index = {X: t for t, X in enumerate(basis)}
+    return tuple((index[Multiset(X.pairs[:-1])], *X.pairs[-1]) for X in basis[1:])
+
+
+def _class_vector(coords, rank: int, degree: int) -> list[int]:
+    """Coefficients of [x] on the basis of B(rank, degree): the product of
+    C(x_i, m) over the (i, m) pairs of each X, one multiplication per X from
+    the coefficient of X without its last pair, reading per-coordinate rows
+    C(x_i, 0..degree)."""
     rows = [[binomial(x, m) for m in range(degree + 1)] for x in coords]
-    return [prod(rows[i][m] for i, m in X.pairs) for X in basis]
+    vec = [1]
+    for parent, i, m in _class_steps(rank, degree):
+        vec.append(vec[parent] * rows[i][m])
+    return vec
+
+
+@lru_cache(maxsize=None)
+def _sum_codes(rank: int, degree: int) -> tuple:
+    """(codes, sizes, index) for the basis of B(rank, degree): the code of X
+    is the integer whose base-(degree+1) digits are its multiplicities, so
+    that code(X + Y) = code(X) + code(Y) while |X| + |Y| <= degree, and
+    index maps a code to its basis position."""
+    base = degree + 1
+    basis = multisets_up_to(rank, degree)
+    codes = tuple(sum(m * base**i for i, m in X.pairs) for X in basis)
+    return codes, tuple(X.size for X in basis), {c: t for t, c in enumerate(codes)}
 
 
 def _sub_multisets(X: Multiset):
@@ -128,7 +157,7 @@ class AugAlgebra(MultisetSpace):
 
     def class_of(self, x) -> MultisetVector:
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
-        vec = _class_vector(_int_coords(x, self.rank), self.basis, self.degree)
+        vec = _class_vector(_int_coords(x, self.rank), self.rank, self.degree)
         return MultisetVector(self, tuple(vec))
 
     def class_of_deviation(self, xs) -> MultisetVector:
@@ -142,17 +171,18 @@ class AugAlgebra(MultisetSpace):
 
     def sum_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:
         """Bilinear extension of [x][y] = [x + y]: the basis classes of X and
-        Y multiply to that of X + Y, or to zero past the degree."""
+        Y multiply to that of X + Y, or to zero past the degree.  Works on
+        the basis codes of _sum_codes: the code of X + Y is a sum."""
         self._check_pair(u, v)
-        basis = self.basis
-        terms = v.nonzero()
-        out = [0] * len(basis)
+        codes, sizes, index = _sum_codes(self.rank, self.degree)
+        terms = [(codes[j], sizes[j], d) for j, d in v.nonzero()]
+        out = [0] * len(codes)
         for i, c in u.nonzero():
-            X = basis[i]
-            for j, d in terms:
-                Y = basis[j]
-                if X.size + Y.size <= self.degree:
-                    out[self.basis_index[Multiset.from_pairs(X.pairs + Y.pairs)]] += c * d
+            code, room = codes[i], self.degree - sizes[i]
+            for other, size, d in terms:  # in basis order, so by size
+                if size > room:
+                    break
+                out[index[code + other]] += c * d
         return self.from_vector(out)
 
     def product_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:

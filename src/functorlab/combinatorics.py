@@ -116,13 +116,6 @@ class Multiset:
         counts = Counter(indices)
         return cls(tuple(sorted(counts.items())))
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Multiset":
-        counts: Counter = Counter()
-        for i, m in pairs:
-            counts[i] += m
-        return cls(tuple(sorted((i, m) for i, m in counts.items() if m)))
-
     @cached_property
     def size(self) -> int:
         """Total cardinality |X|, counting multiplicity."""

@@ -78,6 +78,27 @@ def _monomial_columns(nvars: int, degree: int) -> dict:
     }
 
 
+def _word_products(forms, length: int, times, repeat: bool = True) -> list[dict]:
+    """The product of the forms b_1..b_n, as a dict {key: coefficient}, per
+    word b of the given length over the forms: sorted words, or strictly
+    increasing ones without `repeat`, in lexicographic order (the order of
+    multisets_exactly, or of itertools.combinations).  `times(acc, form)`
+    multiplies a product by one form; the empty product is {0: 1}.  The
+    words are expanded depth first, so words sharing a prefix share the
+    product of its forms."""
+    out = []
+
+    def expand(acc: dict, start: int, depth: int):
+        if depth == length:
+            out.append(acc)
+            return
+        for t in range(start, len(forms)):
+            expand(times(acc, forms[t]), t if repeat else t + 1, depth + 1)
+
+    expand({0: 1}, 0, 0)
+    return out
+
+
 def _monomial_rows(forms, nvars: int, degree: int):
     """(rows, width): per sorted word b over the sparse linear forms
     {variable: coefficient}, the sparse row {monomial: coefficient} of the
@@ -86,27 +107,20 @@ def _monomial_rows(forms, nvars: int, degree: int):
 
     A monomial is keyed by the integer whose base-(degree+1) digits are its
     variable multiplicities, so multiplying by variable j adds (degree+1)^j
-    to the key.  The words b are expanded depth first, in lexicographic
-    order, so words sharing a prefix share the product of its forms."""
+    to the key."""
     columns = _monomial_columns(nvars, degree)
-    width = len(columns)
     base = degree + 1
     coded = [[(base**j, v) for j, v in form.items()] for form in forms]
-    rows = []
 
-    def expand(acc: dict, start: int, depth: int):
-        if depth == degree:
-            rows.append({columns[code]: c for code, c in acc.items()})
-            return
-        for t in range(start, len(coded)):
-            nxt: dict = {}
-            for code, c in acc.items():
-                for step, v in coded[t]:
-                    nxt[code + step] = nxt.get(code + step, 0) + c * v
-            expand(nxt, t, depth + 1)
+    def times(acc: dict, form) -> dict:
+        nxt: dict = {}
+        for code, c in acc.items():
+            for step, v in form:
+                nxt[code + step] = nxt.get(code + step, 0) + c * v
+        return nxt
 
-    expand({0: 1}, 0, 0)
-    return rows, width
+    products = _word_products(coded, degree, times)
+    return [{columns[code]: c for code, c in acc.items()} for acc in products], len(columns)
 
 
 def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
@@ -120,7 +134,7 @@ def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
     Sym^n(alpha), the transpose of Gamma^n(alpha^T) (Roby 1963), expands
     alpha's columns the same way.  Integral by construction.
     """
-    return Matrix(*_monomial_rows(alpha.sparse_rows, alpha.ncols, degree))
+    return Matrix._sparse(*_monomial_rows(alpha.sparse_rows, alpha.ncols, degree))
 
 
 def _word_index(word, side: int) -> int:
@@ -143,7 +157,7 @@ def tensor_embedding(elem: MultisetVector) -> Matrix:
             row = t[_word_index([u // side for u in word], side)]
             j = _word_index([u % side for u in word], side)
             row[j] = row.get(j, 0) + c
-    return Matrix(t, dim)
+    return Matrix._sparse(t, dim)
 
 
 def tensor_readoff(space: GammaModule, tensor: Matrix) -> MultisetVector:

@@ -4,9 +4,13 @@ A functor spec is a value of one class per functor kind: Tensor, Sym, Ext
 and Div (the powers, sharing one base and one power check), Const and
 DirectSum.  Each class holds its JSON key, label, degree, object dimension
 `dim(q)` and arrow map `arrow(mat)`; the module-level functions object_dim
-and arrow_map dispatch to them after validating their input.  Sym
-and Div share the monomial expansion of divided_powers.gamma_of_hom, Sym
-on alpha's columns.
+and arrow_map dispatch to them after validating their input.  Sym, Div and
+Ext expand products of linear forms by one walk, _word_products of
+divided_powers: depth first over the words of forms, a prefix's product
+shared by every word that starts with it.  Div multiplies alpha's rows over
+sorted words and Sym alpha's columns, both keyed by monomial code
+(gamma_of_hom); Ext wedges alpha's rows over strictly increasing words,
+keyed by bitmask, so a minor is a coefficient and no determinant is taken.
 
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
@@ -42,12 +46,19 @@ from .augmentation import (
 )
 from .combinatorics import binomial, multisets_exactly, multisets_up_to, signed_subset_sums
 from .deviations import DeviationReport, scaling_law
-from .divided_powers import GammaModule, _monomial_rows, gamma_of_hom, schur_product
+from .divided_powers import (
+    GammaModule,
+    _monomial_rows,
+    _word_products,
+    gamma_of_hom,
+    schur_product,
+)
 from .gamma_section import VerificationError, gamma_matrix
 from .intlinalg import (
     CokernelInvariants,
     Lattice,
     Matrix,
+    _transpose,
     block_diag,
     cokernel_invariants,
     linear_combination,
@@ -106,7 +117,7 @@ class Tensor(_Power):
                 for left in rows
                 for right in mat.sparse_rows
             ]
-        return Matrix(rows, p**self.power)
+        return Matrix._sparse(rows, p**self.power)
 
 
 class Sym(_Power):
@@ -120,12 +131,35 @@ class Sym(_Power):
         return binomial(q + self.power - 1, self.power)
 
     def arrow(self, mat: Matrix) -> Matrix:
-        cols, height = _monomial_rows(mat.transpose().sparse_rows, mat.nrows, self.power)
-        return Matrix(cols, height).transpose()
+        columns = _transpose(mat.sparse_rows, mat.ncols)
+        cols, height = _monomial_rows(columns, mat.nrows, self.power)
+        return Matrix._sparse(_transpose(cols, height), len(cols))
+
+
+@lru_cache(maxsize=None)
+def _wedge_columns(nvars: int, power: int) -> dict:
+    """Column of each wedge e_S, |S| = power, in the order of
+    itertools.combinations, keyed by the bitmask of S."""
+    return {sum(1 << j for j in S): i for i, S in enumerate(combinations(range(nvars), power))}
+
+
+def _wedge(acc: dict, form: dict) -> dict:
+    """acc wedge form, the wedges e_S keyed by the bitmask of S: e_S wedge
+    e_j is e_(S + j), signed by the parity of the members of S above j."""
+    nxt: dict = {}
+    for mask, c in acc.items():
+        for j, v in form.items():
+            if not mask >> j & 1:
+                key = mask | 1 << j
+                w = -c * v if (mask >> j).bit_count() & 1 else c * v
+                nxt[key] = nxt.get(key, 0) + w
+    return nxt
 
 
 class Ext(_Power):
-    """Strictly increasing index tuples; the minors carry the signs."""
+    """Strictly increasing index tuples.  Row J of Ext^n(alpha) is the wedge
+    of alpha's rows j_1..j_n read as linear forms, whose coefficient at e_I
+    is the minor at rows J and columns I."""
 
     key = "ext"
 
@@ -133,9 +167,10 @@ class Ext(_Power):
         return binomial(q, self.power)
 
     def arrow(self, mat: Matrix) -> Matrix:
-        src = tuple(combinations(range(mat.ncols), self.power))
-        tgt = tuple(combinations(range(mat.nrows), self.power))
-        return Matrix([[mat.submatrix(jj, ii).det() for ii in src] for jj in tgt], len(src))
+        columns = _wedge_columns(mat.ncols, self.power)
+        products = _word_products(mat.sparse_rows, self.power, _wedge, repeat=False)
+        rows = [{columns[mask]: c for mask, c in acc.items()} for acc in products]
+        return Matrix._sparse(rows, len(columns))
 
 
 class Div(_Power):
@@ -387,7 +422,7 @@ def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:
         rows: list[dict] = [{} for _ in range(n)]
         for u, m in A.pairs:
             rows[u // n][u % n] = m
-        values[A] = arrow_map(spec, Matrix(rows, n))
+        values[A] = arrow_map(spec, Matrix._sparse(rows, n))
     dim = object_dim(spec, n)
     return {
         X: linear_combination(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
@@ -506,7 +541,7 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
         a_fact = A.factorial
         if any(v % a_fact for row in dev.sparse_rows for v in row.values()):
             raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
-        action[A] = Matrix(
+        action[A] = Matrix._sparse(
             [{j: v // a_fact for j, v in row.items()} for row in dev.sparse_rows], dev.ncols
         )
     return GammaModuleStruct(n, Matrix.zeros(object_dim(spec, n), 0), action)
@@ -587,5 +622,5 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
             for ci, v in pairs:
                 for g in range(gens):
                     rows_out[ci * gens + g][ai * gens + g] = v
-        action[D] = Matrix(rows_out, gens_total)
+        action[D] = Matrix._sparse(rows_out, gens_total)
     return GammaModuleStruct(n, presentation, action)

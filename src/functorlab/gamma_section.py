@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb, factorial, prod
 from typing import Optional
 
@@ -35,7 +35,6 @@ from .intlinalg import (
     kernel_lattice,
     lattice_intersection,
     relation_hermite_form,
-    relation_invariants,
     vstack,
 )
 from .modules import MultisetVector
@@ -75,7 +74,7 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
         }
         for A in multisets_exactly(rank, degree)
     ]
-    return Matrix(rows, aug_dimension(rank, degree))
+    return Matrix._sparse(rows, aug_dimension(rank, degree))
 
 
 def _columns_by_support(rank: int, degree: int) -> dict:
@@ -95,7 +94,7 @@ def epsilon_matrix(rank: int, degree: int) -> Matrix:
     # the size-degree multisets come last in the basis of B(rank, degree)
     offset = aug_dimension(rank, degree) - len(basis)
     diagonal = [{j: Fraction(1, A.factorial)} for j, A in enumerate(basis)]
-    eps = Matrix([{}] * offset + diagonal, len(basis))
+    eps = Matrix._sparse([{}] * offset + diagonal, len(basis))
     gam = gamma_matrix(rank, degree)
     if not _is_section(gam, eps):
         raise VerificationError(
@@ -224,7 +223,7 @@ def truncation_matrix(rank: int, degree: int) -> Matrix:
     if degree < 1:
         raise ValueError("need degree >= 1 to truncate")
     units = [{i: 1} for i in range(aug_dimension(rank, degree - 1))]
-    return Matrix(units, aug_dimension(rank, degree))
+    return Matrix._sparse(units, aug_dimension(rank, degree))
 
 
 def stacked_pi_gamma(rank: int, degree: int) -> Matrix:
@@ -247,10 +246,26 @@ def products_sublattice(rank: int, degree: int) -> Lattice:
 
 
 def products_quotient_invariants(rank: int, degree: int) -> CokernelInvariants:
-    """Invariant factors of Gamma^degree modulo the products sublattice: the
-    relations a! e^[A], one per basis multiset A."""
+    """Invariant factors of Gamma^degree modulo the products sublattice, the
+    sum of Z/a! over the basis multisets A, in closed form.
+
+    The Smith form of a diagonal goes prime by prime: the k-th largest
+    invariant factor holds, at each prime p, the k-th largest exponent of p
+    among the entries.  The exponent of p in a! = prod(a_i!) is the sum of
+    those in the a_i!, and only primes p <= degree divide an entry."""
     basis = multisets_exactly(rank, degree)
-    return relation_invariants(len(basis), ({j: A.factorial} for j, A in enumerate(basis)))
+    top: list[int] = []  # the invariant factors above 1, largest first
+    for p in range(2, degree + 1):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        # the exponent of p in m! is the sum of m // p^j over j >= 1 (Legendre)
+        in_factorial = [sum(m // p**j for j in range(1, m + 1)) for m in range(degree + 1)]
+        exponents = sorted((sum(in_factorial[m] for _, m in A.pairs) for A in basis), reverse=True)
+        for k, v in enumerate(takewhile(bool, exponents)):
+            if k == len(top):
+                top.append(1)
+            top[k] *= p**v
+    return CokernelInvariants(tuple(reversed(top)), 0)
 
 
 @dataclass(frozen=True)
@@ -419,7 +434,7 @@ def quadratic_split(rank: int) -> QuadraticReport:
     eps = epsilon_matrix(rank, 2)
     support = {Multiset.from_indices(A.support): j for j, A in enumerate(multisets_exactly(rank, 2))}
     rows = [{support[X]: 1} if X in support else {} for X in multisets_up_to(rank, 2)]
-    section = Matrix(rows, gam.nrows)
+    section = Matrix._sparse(rows, gam.nrows)
     if gam @ section != Matrix.identity(gam.nrows):
         raise VerificationError("constructed section does not invert gamma")
     return QuadraticReport(True, eps.is_integral, section)

@@ -3,13 +3,22 @@ storage, sparse elimination.
 
 Matrices are immutable and carry int or Fraction entries (never floats),
 stored as sparse rows {column: nonzero} that never hold a zero; no other
-module converts between dense and sparse rows.  The one constructor takes
-each row as a dense sequence or a dict {column: value}, checks the types in
-one C-level pass and only on a non-int entry normalizes entry by entry
-(bools and integral Fractions collapse to int, anything inexact is a
-TypeError).  Arithmetic, products, transposes and stacking run over the
-nonzeros; `rows` is a dense read-out, built on access.  The integer normal
-forms drive everything downstream:
+module converts between dense and sparse rows.  Two constructors:
+
+  * Matrix(rows, ncols), for rows from outside, each a dense sequence or a
+    dict {column: value}, copies the rows and checks ragged rows, the
+    declared width, the entry types (one C-level pass; only on a non-int
+    entry a normalization entry by entry: bools and integral Fractions
+    collapse to int, anything inexact is a TypeError) and the column range
+    of dict rows.
+  * Matrix._sparse(rows, ncols), for sparse rows the package built from
+    checked matrices (arithmetic, products, transposes, stacking, the
+    normal forms, the arrow maps), keeps the type pass and drops zeros but
+    takes the list as it is: no copy, no width bookkeeping, no column scan.
+
+Arithmetic, products, transposes and stacking run over the nonzeros; `rows`
+is a dense read-out, built on access.  The integer normal forms drive
+everything downstream:
 
   * hermite_normal_form  - canonical row form; lattice equality is HNF equality
   * smith_normal_form    - the diagonal form S with d_1 | d_2 | ..., no transforms
@@ -53,6 +62,16 @@ def _norm(v):
     raise TypeError(f"exact scalar required, got {type(v).__name__}")
 
 
+def _exact_nonzero(rows: list) -> list:
+    """Sparse rows with exact entries and no zero: the rows themselves when
+    one C-level pass finds only ints and no zero, else normalized copies."""
+    if not _INT.issuperset(map(type, chain.from_iterable(map(dict.values, rows)))):
+        rows = [{j: _norm(v) for j, v in row.items()} for row in rows]
+    if not all(map(all, map(dict.values, rows))):
+        rows = [dict(compress(row.items(), row.values())) for row in rows]
+    return rows
+
+
 class Matrix:
     """Immutable matrix with exact entries.  `sparse_rows` holds one dict
     {column: nonzero} per row, never a zero; read it, never change it."""
@@ -82,15 +101,15 @@ class Matrix:
         elif ncols is None:
             ncols = 0
         if len(widths) < len(data):  # some rows came as dicts
-            if not _INT.issuperset(map(type, chain.from_iterable(map(dict.values, data)))):
-                data = [{j: _norm(v) for j, v in row.items()} for row in data]
-            if not all(map(all, map(dict.values, data))):
-                data = [dict(compress(row.items(), row.values())) for row in data]
+            data = _exact_nonzero(data)
             cols = list(chain.from_iterable(data))
             if cols and (min(cols) < 0 or max(cols) >= ncols):
                 raise ValueError(f"a sparse row has a column outside range({ncols})")
-        object.__setattr__(self, "sparse_rows", tuple(data))
-        object.__setattr__(self, "nrows", len(data))
+        self._store(data, ncols)
+
+    def _store(self, rows: list, ncols: int):
+        object.__setattr__(self, "sparse_rows", tuple(rows))
+        object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):
@@ -99,12 +118,22 @@ class Matrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _sparse(cls, rows: list, ncols: int) -> "Matrix":
+        """The matrix of sparse rows that the package built itself, their
+        columns in range(ncols): entries made exact and zeros dropped, as
+        for dict rows in the constructor, but the list is taken as it is,
+        with no copy and no column check."""
+        mat = object.__new__(cls)
+        mat._store(_exact_nonzero(rows), ncols)
+        return mat
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([{}] * nrows, ncols)
+        return cls._sparse([{}] * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([{i: 1} for i in range(n)], n)
+        return cls._sparse([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols, nrows: int | None = None) -> "Matrix":
@@ -126,27 +155,17 @@ class Matrix:
         width = range(self.ncols)
         return tuple(tuple(map(row.get, width, repeat(0))) for row in self.sparse_rows)
 
-    def _check_cols(self, cols):
-        if not all(0 <= j < self.ncols for j in cols):
-            raise IndexError(f"column index outside 0..{self.ncols - 1}")
-
     def __getitem__(self, key):
         i, j = key
-        self._check_cols((j,))
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column index outside 0..{self.ncols - 1}")
         return self.sparse_rows[i].get(j, 0)
-
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        col_idx = tuple(col_idx)
-        self._check_cols(col_idx)
-        picked = (self.sparse_rows[i] for i in row_idx)
-        rows = [{t: r[j] for t, j in enumerate(col_idx) if j in r} for r in picked]
-        return Matrix(rows, len(col_idx))
 
     def to_lists(self) -> list[list]:
         return [list(r) for r in self.rows]
 
     def transpose(self) -> "Matrix":
-        return Matrix(_transpose(self.sparse_rows, self.ncols), self.nrows)
+        return Matrix._sparse(_transpose(self.sparse_rows, self.ncols), self.nrows)
 
     # -- predicates ---------------------------------------------------------
 
@@ -177,7 +196,7 @@ class Matrix:
             for j, v in s.items():
                 r[j] = r.get(j, 0) + sign * v
             out.append(r)
-        return Matrix(out, self.ncols)
+        return Matrix._sparse(out, self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, 1)
@@ -190,7 +209,8 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = _norm(c)
-        return Matrix([{j: c * v for j, v in r.items()} for r in self.sparse_rows], self.ncols)
+        rows = [{j: c * v for j, v in r.items()} for r in self.sparse_rows]
+        return Matrix._sparse(rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -203,7 +223,7 @@ class Matrix:
                 for j, b in right[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             out.append(acc)
-        return Matrix(out, other.ncols)
+        return Matrix._sparse(out, other.ncols)
 
     def matvec(self, vec) -> tuple:
         vec = tuple(vec)
@@ -263,7 +283,7 @@ def vstack(*mats: Matrix) -> Matrix:
     ncols = mats[0].ncols
     if any(m.ncols != ncols for m in mats):
         raise ValueError("column counts differ")
-    return Matrix([r for m in mats for r in m.sparse_rows], ncols)
+    return Matrix._sparse([r for m in mats for r in m.sparse_rows], ncols)
 
 
 def block_diag(*mats: Matrix) -> Matrix:
@@ -271,7 +291,7 @@ def block_diag(*mats: Matrix) -> Matrix:
     for m in mats:
         rows += [{left + j: v for j, v in r.items()} for r in m.sparse_rows]
         left += m.ncols
-    return Matrix(rows, left)
+    return Matrix._sparse(rows, left)
 
 
 def linear_combination(pairs, nrows: int, ncols: int) -> Matrix:
@@ -284,7 +304,7 @@ def linear_combination(pairs, nrows: int, ncols: int) -> Matrix:
             for t, r in zip(total, m.sparse_rows):
                 for j, v in r.items():
                     t[j] = t.get(j, 0) + c * v
-    return Matrix(total, ncols)
+    return Matrix._sparse(total, ncols)
 
 
 def _int_rows(mat: Matrix, form: str = "Hermite") -> list[dict]:
@@ -389,21 +409,21 @@ def hermite_normal_form(mat: Matrix) -> Matrix:
     Two integer row spans are equal iff their forms are equal.
     """
     rows = _int_rows(mat)
-    return Matrix(rows[: len(_echelon(rows))], mat.ncols)
+    return Matrix._sparse(rows[: len(_echelon(rows))], mat.ncols)
 
 
 def relation_hermite_form(width: int, relations) -> Matrix:
     """Hermite form of the span of sparse integer relations {column: value}
     in Z^width, with no dense copy of the relations."""
     rows = _relation_rows(width, relations)
-    return Matrix(rows[: len(_echelon(rows))], width)
+    return Matrix._sparse(rows[: len(_echelon(rows))], width)
 
 
 def hnf_with_transform(mat: Matrix) -> tuple[Matrix, Matrix]:
     """Return (H, U) with U unimodular, U @ mat == H, H echelon incl. zero rows."""
     rows, transform = _int_rows(mat), [{i: 1} for i in range(mat.nrows)]
     _echelon(rows, transform)
-    return Matrix(rows, mat.ncols), Matrix(transform, mat.nrows)
+    return Matrix._sparse(rows, mat.ncols), Matrix._sparse(transform, mat.nrows)
 
 
 def _kernel(rows: list[dict]) -> list[dict]:
@@ -416,7 +436,7 @@ def _kernel(rows: list[dict]) -> list[dict]:
 
 def left_kernel(mat: Matrix) -> Matrix:
     """Canonical basis rows of {y : y @ mat == 0}."""
-    return Matrix(_kernel(_int_rows(mat)), mat.nrows)
+    return Matrix._sparse(_kernel(_int_rows(mat)), mat.nrows)
 
 
 @dataclass(frozen=True)
@@ -475,7 +495,7 @@ class Lattice:
 def kernel_lattice(mat: Matrix) -> Lattice:
     """Integer solutions of mat @ x == 0, as a (saturated) lattice in Z^ncols."""
     cols = _transpose(_int_rows(mat), mat.ncols)
-    return Lattice(mat.ncols, Matrix(_kernel(cols), mat.ncols))
+    return Lattice(mat.ncols, Matrix._sparse(_kernel(cols), mat.ncols))
 
 
 @dataclass(frozen=True)
@@ -576,7 +596,7 @@ def smith_normal_form(mat: Matrix) -> Matrix:
     zero past the rank, every other entry zero."""
     diag = _smith_diagonal(_int_rows(mat, "Smith"), mat.ncols)
     rows = [{i: d} for i, d in enumerate(diag)] + [{}] * (mat.nrows - len(diag))
-    return Matrix(rows, mat.ncols)
+    return Matrix._sparse(rows, mat.ncols)
 
 
 def _smith_diagonal(rows: list[dict], width: int) -> list[int]:
@@ -606,14 +626,14 @@ def lattice_intersection(a: Lattice, b: Lattice) -> Lattice:
         raise ValueError("ambient ranks differ")
     relations = left_kernel(vstack(a.basis, b.basis))
     coeffs = [{j: v for j, v in rel.items() if j < a.rank} for rel in relations.sparse_rows]
-    return Lattice(a.ambient_rank, hermite_normal_form(Matrix(coeffs, a.rank) @ a.basis))
+    return Lattice(a.ambient_rank, hermite_normal_form(Matrix._sparse(coeffs, a.rank) @ a.basis))
 
 
 def saturation(lat: Lattice) -> Lattice:
     """Smallest sublattice containing lat whose quotient is torsion-free."""
     amb = lat.ambient_rank
     ortho = _kernel(_transpose(_int_rows(lat.basis), amb))
-    return Lattice(amb, Matrix(_kernel(_transpose(ortho, amb)), amb))
+    return Lattice(amb, Matrix._sparse(_kernel(_transpose(ortho, amb)), amb))
 
 
 def lattice_index(lat: Lattice) -> int | None:

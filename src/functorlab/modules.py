@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .combinatorics import Multiset, format_multiset, format_rational, multisets_exactly
+from .intlinalg import _INT
 
 
 def _int_coords(coords, rank: int) -> tuple[int, ...]:
@@ -68,9 +69,9 @@ class MultisetSpace:
     def from_vector(self, vec) -> "MultisetVector":
         """The element with these coefficients (int or Fraction) in basis
         order; integral Fractions become ints."""
-        vec = tuple(
-            int(c) if type(c) is Fraction and c.denominator == 1 else c for c in vec
-        )
+        vec = tuple(vec)
+        if not _INT.issuperset(map(type, vec)):
+            vec = tuple(int(c) if type(c) is Fraction and c.denominator == 1 else c for c in vec)
         if len(vec) != len(self.basis):
             raise ValueError("vector length differs from dimension")
         return MultisetVector(self, vec)

@@ -1,8 +1,10 @@
 """Truncated augmentation algebras: bases, normal forms, both products,
 and induced maps."""
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,7 +83,64 @@ class TestNormalForm:
         assert alg.from_vector(u.vector) == u
 
 
+def brute_class_vector(coords, rank: int, degree: int) -> list:
+    """The coefficients of [x], one product of C(x_i, m) over the (i, m)
+    pairs per basis multiset X.  Oracle for the one-step recurrence of
+    _class_vector."""
+    basis = multisets_up_to(rank, degree)
+    return [prod(binomial(coords[i], m) for i, m in X.pairs) for X in basis]
+
+
+def brute_sum_mul(alg: AugAlgebra, u, v) -> tuple:
+    """The sum product on basis multisets: X and Y go to the union of their
+    (index, multiplicity) pairs, merged by a Counter, or to zero past the
+    degree.  Oracle for the integer codes of sum_mul."""
+    out = [0] * alg.dimension()
+    for i, c in u.nonzero():
+        X = alg.basis[i]
+        for j, d in v.nonzero():
+            Y = alg.basis[j]
+            if X.size + Y.size <= alg.degree:
+                counts = Counter(dict(X.pairs))
+                counts.update(dict(Y.pairs))
+                out[alg.basis_index[Multiset(tuple(sorted(counts.items())))]] += c * d
+    return tuple(int(c) if c == int(c) else c for c in out)
+
+
+rank_degree = st.tuples(st.integers(0, 4), st.integers(0, 4))
+coefficient = st.one_of(
+    st.just(0), st.integers(-5, 5), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+class TestClassVector:
+    @settings(max_examples=150)
+    @given(rank_degree.flatmap(lambda kn: st.tuples(
+        st.just(kn), st.lists(st.integers(-6, 6), min_size=kn[0], max_size=kn[0])
+    )))
+    def test_matches_the_per_multiset_product(self, case):
+        (k, n), coords = case
+        expected = brute_class_vector(coords, k, n)
+        assert _class_vector(coords, k, n) == expected
+        assert AugAlgebra(k, n).class_of(coords).vector == tuple(expected)
+
+
 class TestSumProduct:
+    @settings(max_examples=150)
+    @given(rank_degree.flatmap(lambda kn: st.tuples(
+        st.just(kn),
+        *[st.lists(coefficient, min_size=aug_dimension(*kn), max_size=aug_dimension(*kn))] * 2,
+    )))
+    def test_matches_the_merged_pairs(self, case):
+        (k, n), a, b = case
+        alg = AugAlgebra(k, n)
+        u, v = alg.from_vector(a), alg.from_vector(b)
+        got = alg.sum_mul(u, v).vector
+        expected = brute_sum_mul(alg, u, v)
+        assert got == expected
+        assert list(map(type, got)) == list(map(type, expected))
+
+
     @settings(max_examples=60)
     @given(st.tuples(*[st.integers(-3, 3)] * 4))
     def test_defining_identity(self, coords):
@@ -205,7 +264,6 @@ def brute_composition_tables(a: int, b: int, c: int, degree: int):
     out_basis = multisets_up_to(a * c, degree)
     left_index = {X: i for i, X in enumerate(left_basis)}
     right_subs = [_sub_multisets(Y) for Y in right_basis]
-    classes: dict = {}
 
     def class_of_product(A: Multiset, B: Multiset) -> list:
         coords = [0] * (a * c)
@@ -213,10 +271,7 @@ def brute_composition_tables(a: int, b: int, c: int, degree: int):
             for v, p in B.pairs:
                 if u % b == v // c:
                     coords[u // b * c + v % c] += m * p
-        key = tuple(coords)
-        if key not in classes:
-            classes[key] = _class_vector(key, out_basis, degree)
-        return classes[key]
+        return _oracle_class(tuple(coords), a * c, degree)
 
     def combine(terms, vector_of) -> list:
         acc = [0] * len(out_basis)

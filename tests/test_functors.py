@@ -3,14 +3,15 @@ functors and modules over the truncated algebras."""
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra, aug_dimension, composition_tables
 from functorlab.combinatorics import Multiset
 from functorlab.deviations import alternating_sum
-from functorlab.divided_powers import GammaModule, schur_product
+from functorlab.divided_powers import GammaModule, gamma_of_hom, schur_product
 from functorlab.functors import (
     Const,
     DirectSum,
@@ -81,6 +82,38 @@ def brute_tensor_arrow_map(mat: Matrix, power: int) -> Matrix:
             row.append(v)
         rows.append(row)
     return Matrix(rows, len(src))
+
+
+def brute_ext_arrow(mat: Matrix, power: int) -> Matrix:
+    """Entry (J, I) of the power-th exterior power is the minor of mat at
+    rows J and columns I, one Bareiss determinant per entry, over
+    strictly increasing index tuples."""
+    dense = mat.rows
+    src = tuple(combinations(range(mat.ncols), power))
+    tgt = tuple(combinations(range(mat.nrows), power))
+    minor = lambda jj, ii: Matrix([[dense[j][i] for i in ii] for j in jj], power).det()
+    return Matrix([[minor(jj, ii) for ii in src] for jj in tgt], len(src))
+
+
+def assert_canonical(mat: Matrix):
+    """What the checking constructor builds from the dense read-out: the same
+    shape and entries, no stored zero, ints stored as int."""
+    fresh = Matrix(mat.rows, mat.ncols)
+    assert mat.shape == fresh.shape
+    typed = lambda m: [sorted((j, type(v), v) for j, v in r.items()) for r in m.sparse_rows]
+    assert typed(mat) == typed(fresh)
+
+
+small_hom = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda qp: st.tuples(
+        st.just(qp),
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=qp[1], max_size=qp[1]),
+            min_size=qp[0],
+            max_size=qp[0],
+        ),
+    )
+)
 
 
 def brute_unit_word_deviation(spec, n: int, X: Multiset) -> Matrix:
@@ -245,6 +278,34 @@ class TestArrowMap:
             for lo in (-1, -3):
                 a = rand_matrix(rng, q, p, lo, -lo) if q else Matrix((), p)
                 assert arrow_map(Tensor(power), a) == brute_tensor_arrow_map(a, power)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_hom, st.integers(0, 4))
+    def test_exterior_powers_are_the_minors(self, case, power):
+        # power may pass min(q, p): then the map or its source is zero
+        (q, p), rows = case
+        alpha = Matrix(rows, p)
+        got = arrow_map(Ext(power), alpha)
+        assert got == brute_ext_arrow(alpha, power)
+        assert got.shape == (object_dim(Ext(power), q), object_dim(Ext(power), p))
+        assert_canonical(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_hom, st.integers(0, 3))
+    def test_symmetric_powers_are_dual_divided_powers(self, case, power):
+        (q, p), rows = case
+        alpha = Matrix(rows, p)
+        got = arrow_map(Sym(power), alpha)
+        assert got == gamma_of_hom(alpha.transpose(), power).transpose()
+        assert got.shape == (object_dim(Sym(power), q), object_dim(Sym(power), p))
+        assert_canonical(got)
+
+    def test_catalog_arrows_are_canonical(self):
+        rng = random.Random(15)
+        specs = CATALOG2 + [Tensor(3), Const(2), DirectSum(Const(1), Ext(2), Sym(3))]
+        for spec in specs:
+            for q, p in [(0, 2), (2, 0), (2, 3), (3, 3)]:
+                assert_canonical(arrow_map(spec, rand_matrix(rng, q, p) if q else Matrix((), p)))
 
     def test_zeroth_powers_are_constant_one(self):
         m = Matrix([[5, 1], [0, 2]])

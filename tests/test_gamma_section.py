@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra, aug_dimension
-from functorlab.combinatorics import Multiset, multisets_up_to, stirling2
+from functorlab.combinatorics import Multiset, multisets_exactly, multisets_up_to, stirling2
 from functorlab.divided_powers import GammaModule
 from functorlab import gamma_section
 from functorlab.gamma_section import (
@@ -38,6 +38,7 @@ from functorlab.intlinalg import (
     cokernel_invariants,
     kernel_lattice,
     lattice_index,
+    relation_invariants,
     saturation,
     solve_int,
 )
@@ -505,6 +506,13 @@ class TestCokernel:
     def test_products_quotient_rank_one_cubes(self):
         inv = products_quotient_invariants(1, 3)
         assert inv.torsion == (6,) and inv.free_rank == 0
+
+    @pytest.mark.parametrize("k,n", GRID + INVARIANT_CELLS + [(10, 5)] + EDGES)
+    def test_products_quotient_is_the_smith_form_of_the_diagonal(self, k, n):
+        # the relations a! e^[A], reduced by the sparse Smith form
+        basis = multisets_exactly(k, n)
+        diagonal = ({j: A.factorial} for j, A in enumerate(basis))
+        assert products_quotient_invariants(k, n) == relation_invariants(len(basis), diagonal)
 
     @pytest.mark.parametrize("k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (2, 5)])
     def test_products_closed_form_against_brute_force(self, k, n):
