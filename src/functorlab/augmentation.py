@@ -6,18 +6,34 @@ multisets of size <= degree, form an integral basis.  class_of writes any [x]
 in that basis with multiset-binomial coefficients, read off per-coordinate
 rows C(x_i, 0..degree), one multiplication per basis multiset.
 
+A multiset X is coded by the integer whose base-(degree+1) digits are its
+multiplicities, sum_i m_i (degree+1)^i.  A multiset within the degree has
+no digit past the degree, so the code of a union X + Y within the degree is
+the sum of the codes, with no carry.
+
 Two multiplications matter: the sum product [x][y] = [x + y] (always), and,
 when the module is a matrix algebra, the composition product [s][t] = [st].
 The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
-degree, so it needs no table; on integer codes of the multisets the union
-is one addition.  The tables behind class_of and the sum product are built
-once per (rank, degree).  The composition product has one table per
-(a, b, c, degree), for a x b by b x c matrices: entry [i][j] lists the
-nonzero coefficients of the product of two basis classes, a sum over the
-relations between the two words of matrix units (the relation-sum rule of
-composition_tables).  It is built once per process and shared by every
-algebra and by functors.reconstruct.
+degree, so it needs no table; on the codes the union is one addition.  The
+tables behind class_of and the sum product are built once per (rank,
+degree).  The composition product has one table per (a, b, c, degree), for
+a x b by b x c matrices: entry [i][j] lists the nonzero coefficients of the
+product of two basis classes, a sum over the relations between the two
+words of matrix units (the relation-sum rule of composition_tables), whose
+product words are carried as codes.  It is built once per process and
+shared by every algebra and by functors.reconstruct.
+
+Deviation classes are products.  As x -> [x] turns sums into sum products,
+[x + y] = [x][y], the deviation of x -> [x] at x_1..x_m is
+
+  sum_S (-1)^(m - |S|) [sum_S x_i] = sum_S (-1)^(m - |S|) prod_{i in S} [x_i]
+                                   = prod_i ([x_i] - 1),
+
+expanding the product over which factors give [x_i] and which give -1
+(Passi, LNM 715).  So class_of_deviation makes m class vectors and m - 1
+sum products, not 2^m classes; [x] - 1 is the class vector of x with its
+coefficient on the empty multiset set to zero.
 
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
@@ -32,8 +48,7 @@ from math import comb, prod
 
 from .combinatorics import Multiset, binomial, multisets_up_to
 from .intlinalg import Matrix
-from .deviations import deviation
-from .modules import FreeModule, MultisetSpace, MultisetVector, SetMap, _int_coords
+from .modules import MultisetSpace, MultisetVector, _int_coords
 
 
 def aug_dimension(rank: int, degree: int) -> int:
@@ -66,10 +81,9 @@ def _class_vector(coords, rank: int, degree: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _sum_codes(rank: int, degree: int) -> tuple:
-    """(codes, sizes, index) for the basis of B(rank, degree): the code of X
-    is the integer whose base-(degree+1) digits are its multiplicities, so
-    that code(X + Y) = code(X) + code(Y) while |X| + |Y| <= degree, and
-    index maps a code to its basis position."""
+    """(codes, sizes, index) for the basis of B(rank, degree): the code
+    (module docstring) and size of each X, and the basis position of each
+    code."""
     base = degree + 1
     basis = multisets_up_to(rank, degree)
     codes = tuple(sum(m * base**i for i, m in X.pairs) for X in basis)
@@ -105,18 +119,23 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     does one with more than `degree` arguments.  R is built position by
     position of X, each taking a nonempty set of composable Y positions while
     |R| stays within the degree; partial relations covering the same Y
-    positions with the same product word are counted together.
+    positions with the same product word are counted together.  A product
+    word is carried as its code (module docstring): a position of X with
+    unit (r, s) adds the code of the chosen Y positions' columns t, the sum
+    of (degree+1)^t, shifted up r * c digits to row r of the product, so a
+    step is one multiply-add.
     """
-    out_index = {W.indices(): i for i, W in enumerate(multisets_up_to(a * c, degree))}
+    base = degree + 1
+    out_index = _sum_codes(a * c, degree)[2]
     right = []
     for Y in multisets_up_to(b * c, degree):
         # per row s of Y's units: the nonempty sets of Y positions in row s,
-        # as (size, mask, columns), smallest first
+        # as (size, mask, code of their columns), smallest first
         by_row: dict = {}
         for pos, v in enumerate(Y.indices()):
             by_row.setdefault(v // c, []).append((pos, v % c))
         options = {
-            s: [(k, sum(1 << p for p, _ in sub), tuple(t for _, t in sub))
+            s: [(k, sum(1 << p for p, _ in sub), sum(base**t for _, t in sub))
                 for k in range(1, len(cells) + 1) for sub in combinations(cells, k)]
             for s, cells in by_row.items()
         }
@@ -126,22 +145,24 @@ def composition_tables(a: int, b: int, c: int, degree: int):
         # onto both ways: X's columns and Y's rows are the same set
         if {s for _, s in word} != options.keys():
             return ()
-        states = {(0, ()): 1}
-        for k, (r, s) in enumerate(word):
+        states = {(0, 0, 0): 1}
+        for k, (shift, s) in enumerate(word):
             room = degree - (len(word) - 1 - k)  # each later position needs a pair
             nxt: dict = {}
-            for (mask, out), count in states.items():
-                for size, m, cols in options[s]:
-                    if len(out) + size > room:
+            for (mask, code, size), count in states.items():
+                for more, m, cols in options[s]:
+                    if size + more > room:
                         break
-                    key = (mask | m, tuple(sorted(out + tuple(r * c + t for t in cols))))
+                    key = (mask | m, code + cols * shift, size + more)
                     nxt[key] = nxt.get(key, 0) + count
             states = nxt
-        return tuple(
-            sorted((out_index[out], count) for (mask, out), count in states.items() if mask == full)
-        )
+        onto = ((out_index[code], count) for (mask, code, _), count in states.items() if mask == full)
+        return tuple(sorted(onto))
 
-    words = [[divmod(u, b) for u in X.indices()] for X in multisets_up_to(a * b, degree)]
+    # per position of X's word, unit (r, s): (the shift to row r, s)
+    words = [
+        [(base ** (u // b * c), u % b) for u in X.indices()] for X in multisets_up_to(a * b, degree)
+    ]
     return tuple(tuple(relation_sum(word, *Y) for Y in right) for word in words)
 
 
@@ -161,11 +182,16 @@ class AugAlgebra(MultisetSpace):
         return MultisetVector(self, tuple(vec))
 
     def class_of_deviation(self, xs) -> MultisetVector:
-        """Normal form of the deviation class at the given points of Z^rank:
-        the deviation of the set map x -> [x]."""
-        points = FreeModule(self.rank)
-        phi = SetMap(points, self, lambda x: self.class_of(x.vector))
-        return deviation(phi, [points.from_vector(x) for x in xs])
+        """Normal form of the deviation class at the given points of Z^rank,
+        the deviation of the set map x -> [x]: the sum product of the
+        [x_i] - 1, the unit on no points."""
+        out = None
+        for x in xs:
+            vec = _class_vector(_int_coords(x, self.rank), self.rank, self.degree)
+            vec[0] = 0
+            factor = MultisetVector(self, tuple(vec))
+            out = factor if out is None else self.sum_mul(out, factor)
+        return self.basis_element(Multiset()) if out is None else out
 
     # -- multiplication -------------------------------------------------------
 

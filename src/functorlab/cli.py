@@ -77,9 +77,18 @@ class UsageError(Exception):
 # take 3-4 s, and past it (7, 8) takes 13 s, (5, 10) 17 s, (2, 18) 23 s and
 # (3, 12) 31 s, while (4, 11) does not end.  Below k = 3 the limit is
 # conservative: (2, 17) takes 5.5 s and (1, 100) 12 s.
+#
+# The composition table of side x side matrices at degree n (aug-algebra
+# builds one per square k, schur the side-2 one) weighs dim B(side^2, n)^2
+# (1 + 4^n / (16 side^2)) relation walks of about 0.75 us (Python 3.11,
+# 2-core Xeon): the walks per entry grow about fourfold per degree and
+# shrink with the share 1/side^2 of composable unit pairs.  Within the limit
+# (2, 6) builds in 2.3 s, (3, 4) 1.0 s, (8, 2) 2.9 s and (1, 10) 4.6 s; past
+# it (9, 2) takes 8.5 s, (5, 3) 9.6 s, (3, 5) 20 s, (2, 7) 26 s, (4, 4) 30 s.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
 MAX_KERNEL_WEIGHT = 2**20
+MAX_TABLE_WEIGHT = 2**23
 MAX_TENSOR_ROWS = 6**6
 
 
@@ -376,6 +385,19 @@ def _check_aug_dimension(k: int, n: int):
         raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
 
 
+def _check_composition_table(side: int, n: int):
+    """Refuse a suite whose largest composition table, of side x side
+    matrices at degree n, weighs past the limit."""
+    dim = aug_dimension(side * side, n)
+    # dim > n, so once dim^2 is within the limit 4^n is a small int
+    scale = 16 * side * side
+    if dim * dim > MAX_TABLE_WEIGHT or dim * dim * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
+        raise UsageError(
+            f"the composition table of {side} x {side} matrices at degree {n}"
+            f" exceeds the size limit {MAX_TABLE_WEIGHT}"
+        )
+
+
 def _run_suite(args) -> tuple[dict, bool]:
     seed, max_k, max_n = args.seed, args.max_k, args.max_n
     single = args.k is not None or args.n is not None
@@ -384,8 +406,13 @@ def _run_suite(args) -> tuple[dict, bool]:
     if single and args.n < 1:
         raise UsageError("a gamma-epsilon cell needs --n >= 1")
     k, n = (args.k, args.n) if single else (max_k, max_n)
-    if args.suite in ("gamma-epsilon", "all"):
+    if args.suite in ("aug-algebra", "gamma-epsilon", "all"):
         _check_aug_dimension(k, n)
+    # aug-algebra composes the matrices of each square k <= max_k, schur 2 x 2 ones
+    if args.suite in ("aug-algebra", "all") and max_k:
+        _check_composition_table(math.isqrt(max_k), max_n)
+    if args.suite in ("schur", "all"):
+        _check_composition_table(2, max_n)
     # past n > MAX_TENSOR_ROWS, n^n is both too large and too costly to compute
     tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
     if args.suite in ("deviations", "all") and tensor_rows_past:

@@ -1,10 +1,12 @@
 """Exact combinatorial scalars and canonical multisets.
 
 Everything here is integer arithmetic: binomial coefficients with arbitrary
-integer upper index, Stirling numbers of the second kind, and the finite
-multisets that index the deviation and divided-power bases used elsewhere, and
-signed_subset_sums, the one walk over the 2^m subsets behind every
-deviation, which deviations.alternating_sum folds.
+integer upper index, Stirling numbers of the second kind, the finite
+multisets that index the deviation and divided-power bases used elsewhere,
+and signed_subset_sums, the walk over the 2^m subsets behind the deviations
+of arbitrary set maps (deviations.alternating_sum) and of arrow maps.  The
+deviations of x -> [x] and of the divided power map have closed forms
+(augmentation, divided_powers) and take no such walk.
 """
 from __future__ import annotations
 

@@ -6,7 +6,14 @@ basis class of A.  The Schur product on Gamma^n of a matrix algebra goes
 through the symmetric-tensor embedding that sends a basis class to the orbit
 sum of its expanded word, with no multinomial prefactor; embedding and
 read-off are mutually inverse on basis classes.  It is the independent side
-of the multiplicativity checks; functors tabulates it by Green's rule.
+of the multiplicativity checks; functors tabulates it by Green's rule.  Both
+read one table per (side, degree): the matrix positions of each basis
+class's distinct unit words, the sorted word first.
+
+The product x_1 ... x_n of n points in Gamma^n, the deviation of the
+divided power map, is read off one product of linear forms: its
+coefficient on the basis class of A is A! times the coefficient of t^A in
+prod_k sum_i x_k[i] t_i, with no sum over the 2^n subsets.
 
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
@@ -20,8 +27,7 @@ from itertools import combinations_with_replacement, permutations
 
 from .combinatorics import binomial, multisets_exactly
 from .intlinalg import Matrix
-from .deviations import deviation
-from .modules import FreeModule, MultisetSpace, MultisetVector, SetMap, _int_coords
+from .modules import MultisetSpace, MultisetVector, _int_coords
 
 
 def gamma_dimension(rank: int, degree: int) -> int:
@@ -56,14 +62,24 @@ class GammaModule(MultisetSpace):
         """Deviation of the divided power map at exactly `degree` elements.
 
         This is the product x_1 * ... * x_n of the arguments inside the
-        divided power algebra, landing in Gamma^n.
+        divided power algebra, landing in Gamma^n: as e_i^[a] e_i^[b] =
+        C(a + b, a) e_i^[a + b], its coefficient on the basis class of A is
+        A! times the coefficient of t^A in prod_k sum_i x_k[i] t_i, one
+        product of linear forms.
         """
         xs = list(xs)
         if len(xs) != self.degree:
             raise ValueError(f"need exactly {self.degree} factors")
-        points = FreeModule(self.rank)
-        phi = SetMap(points, self, lambda x: self.divided_power(x.vector))
-        return deviation(phi, [points.from_vector(x) for x in xs])
+        base = self.degree + 1
+        forms = [
+            [(base**i, v) for i, v in enumerate(_int_coords(x, self.rank)) if v] for x in xs
+        ]
+        (expansion,) = _word_products(forms, self.degree, _times_coded, repeat=False)
+        columns = _monomial_columns(self.rank, self.degree)
+        out = [0] * len(self.basis)
+        for code, c in expansion.items():
+            out[columns[code]] = c * self.basis[columns[code]].factorial
+        return MultisetVector(self, tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -99,6 +115,16 @@ def _word_products(forms, length: int, times, repeat: bool = True) -> list[dict]
     return out
 
 
+def _times_coded(acc: dict, form) -> dict:
+    """The product of a polynomial {monomial code: coefficient} and a linear
+    form given as (code step of its variable, coefficient) pairs."""
+    nxt: dict = {}
+    for code, c in acc.items():
+        for step, v in form:
+            nxt[code + step] = nxt.get(code + step, 0) + c * v
+    return nxt
+
+
 def _monomial_rows(forms, nvars: int, degree: int):
     """(rows, width): per sorted word b over the sparse linear forms
     {variable: coefficient}, the sparse row {monomial: coefficient} of the
@@ -111,15 +137,7 @@ def _monomial_rows(forms, nvars: int, degree: int):
     columns = _monomial_columns(nvars, degree)
     base = degree + 1
     coded = [[(base**j, v) for j, v in form.items()] for form in forms]
-
-    def times(acc: dict, form) -> dict:
-        nxt: dict = {}
-        for code, c in acc.items():
-            for step, v in form:
-                nxt[code + step] = nxt.get(code + step, 0) + c * v
-        return nxt
-
-    products = _word_products(coded, degree, times)
+    products = _word_products(coded, degree, _times_coded)
     return [{columns[code]: c for code, c in acc.items()} for acc in products], len(columns)
 
 
@@ -144,33 +162,41 @@ def _word_index(word, side: int) -> int:
     return idx
 
 
+@lru_cache(maxsize=None)
+def _orbit_positions(side: int, degree: int) -> tuple:
+    """Per basis class A of Gamma^degree(End Z^side): the (row, column)
+    positions, in End of the degree-fold tensor power of Z^side, of every
+    distinct unit word of A, the sorted word first.  A unit word w sits at
+    the row of its row indices and the column of its column indices, so
+    distinct words, of one class or of two, never share a position."""
+    return tuple(
+        tuple(
+            (_word_index([u // side for u in w], side), _word_index([u % side for u in w], side))
+            for w in distinct_permutations(A.indices())
+        )
+        for A in multisets_exactly(side * side, degree)
+    )
+
+
 def tensor_embedding(elem: MultisetVector) -> Matrix:
     """Orbit-sum embedding of Gamma^n(End Z^m) into End of the n-fold tensor
     power of Z^m; basis classes go to sums over distinct unit words."""
     space = elem.space
     side = space.matrix_side
-    n = space.degree
-    dim = side**n
+    positions = _orbit_positions(side, space.degree)
+    dim = side**space.degree
     t: list[dict] = [{} for _ in range(dim)]
-    for A, c in elem.coeffs.items():
-        for word in distinct_permutations(A.indices()):
-            row = t[_word_index([u // side for u in word], side)]
-            j = _word_index([u % side for u in word], side)
-            row[j] = row.get(j, 0) + c
+    for i, c in elem.nonzero():
+        for row, col in positions[i]:
+            t[row][col] = c
     return Matrix._sparse(t, dim)
 
 
 def tensor_readoff(space: GammaModule, tensor: Matrix) -> MultisetVector:
     """Inverse of the embedding on its image: read each basis coefficient at
     the matrix position of the sorted unit word."""
-    side = space.matrix_side
-    out = []
-    for A in space.basis:
-        word = A.indices()
-        rows = tuple(u // side for u in word)
-        colw = tuple(u % side for u in word)
-        out.append(tensor[_word_index(rows, side), _word_index(colw, side)])
-    return space.from_vector(out)
+    positions = _orbit_positions(space.matrix_side, space.degree)
+    return space.from_vector(tensor[orbit[0]] for orbit in positions)
 
 
 def schur_product(u: MultisetVector, v: MultisetVector) -> MultisetVector:

@@ -346,14 +346,12 @@ def ring_hom_checks(side: int, degree: int, pairs: int = 20, seed: int = 0) -> R
         fb = tuple(v for row in b for v in row)
         fab = tuple(v for row in ab for v in row)
 
+        pa, pb = space.divided_power(fa), space.divided_power(fb)
         ua, ub = alg.class_of(fa), alg.class_of(fb)
-        lhs = apply_gamma(pair, alg.product_mul(ua, ub))
-        rhs = schur_product(space.divided_power(fa), space.divided_power(fb))
-        if lhs != rhs:
+        if apply_gamma(pair, alg.product_mul(ua, ub)) != schur_product(pa, pb):
             gamma_ok, witness = False, ("gamma", a, b)
 
-        ea = apply_epsilon(pair, space.divided_power(fa))
-        eb = apply_epsilon(pair, space.divided_power(fb))
+        ea, eb = apply_epsilon(pair, pa), apply_epsilon(pair, pb)
         eab = apply_epsilon(pair, space.divided_power(fab))
         if alg.product_mul(ea, eb) != eab:
             epsilon_ok, witness = False, ("epsilon", a, b)

@@ -18,7 +18,7 @@ from functorlab.augmentation import (
     pushforward,
 )
 from functorlab.combinatorics import Multiset, binomial, multiset_binomial, multisets_up_to
-from functorlab.deviations import is_numerical_degree
+from functorlab.deviations import deviation, is_numerical_degree
 from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule, SetMap
 
@@ -81,6 +81,48 @@ class TestNormalForm:
         alg = AugAlgebra(2, 2)
         u = alg.class_of((3, -2))
         assert alg.from_vector(u.vector) == u
+
+
+def brute_class_of_deviation(alg: AugAlgebra, xs) -> tuple:
+    """The deviation of the set map x -> [x] at the points xs, as the
+    alternating sum of the classes of all 2^m subset sums.  Oracle for the
+    product of the [x_i] - 1 in class_of_deviation."""
+    points = FreeModule(alg.rank)
+    phi = SetMap(points, alg, lambda x: alg.class_of(x.vector))
+    return deviation(phi, [points.from_vector(x) for x in xs]).vector
+
+
+class TestDeviationClass:
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(4) for n in range(4)])
+    def test_no_points_give_the_unit(self, k, n):
+        alg = AugAlgebra(k, n)
+        unit = alg.basis_element(Multiset())
+        assert alg.class_of_deviation([]) == unit
+        assert brute_class_of_deviation(alg, []) == unit.vector
+
+    @pytest.mark.parametrize("k,n", [(1, 0), (1, 3), (2, 2), (2, 4), (3, 3), (4, 2)])
+    def test_repeated_points(self, k, n):
+        # a point repeated past the degree gives zero, as a product of more
+        # than n elements of the augmentation ideal
+        rng = random.Random(10 * k + n)
+        alg = AugAlgebra(k, n)
+        for _ in range(3):
+            x = tuple(rng.randint(-3, 3) for _ in range(k))
+            y = tuple(rng.randint(-3, 3) for _ in range(k))
+            for m in range(n + 3):
+                got = alg.class_of_deviation([x] * m)
+                assert got.vector == brute_class_of_deviation(alg, [x] * m), (x, m)
+                assert got.is_zero or m <= n
+                mixed = [x] * m + [y]
+                assert alg.class_of_deviation(mixed).vector == brute_class_of_deviation(alg, mixed)
+
+    def test_does_not_read_the_unit(self, monkeypatch):
+        # the sampled cells of the CLI tests break AugAlgebra.one on purpose
+        alg = AugAlgebra(2, 2)
+        cases = [[], [(1, 2)], [(1, 2), (0, -1)]]
+        expected = [brute_class_of_deviation(alg, xs) for xs in cases]
+        monkeypatch.setattr(AugAlgebra, "one", lambda self: self.zero())
+        assert [alg.class_of_deviation(xs).vector for xs in cases] == expected
 
 
 def brute_class_vector(coords, rank: int, degree: int) -> list:
@@ -302,7 +344,9 @@ class TestRelationSumRule:
     @pytest.mark.parametrize(
         "shape",
         [(1, 1, 1, 3), (2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 2, 3), (3, 2, 3, 3), (1, 3, 2, 3),
-         (3, 3, 3, 2), (2, 2, 2, 4)] + [(q, 2, 2, 2) for q in range(1, 6)],
+         (3, 3, 3, 2), (2, 2, 2, 4), (1, 2, 2, 4), (2, 2, 1, 4), (1, 1, 1, 5), (1, 2, 1, 5),
+         (2, 1, 2, 5), (1, 2, 2, 5), (2, 2, 1, 5), (2, 2, 2, 5)]
+        + [(q, 2, 2, 2) for q in range(1, 6)] + [(3, 2, 2, 3), (5, 2, 2, 3)],
         ids=lambda shape: "x".join(map(str, shape)),
     )
     def test_tables_equal_the_expansion(self, shape):

@@ -719,6 +719,17 @@ class TestContract:
             ["verify", "deviations", "--max-n", "7"],
             ["verify", "all", "--max-k", "2", "--max-n", "7"],
             ["verify", "deviations", "--max-n", str(10**12)],
+            # composition tables past their weight, and aug-algebra past the
+            # dimension limit
+            ["verify", "schur", "--max-n", "7"],
+            ["verify", "schur", "--max-n", "100"],
+            ["verify", "schur", "--max-n", str(10**12)],
+            ["verify", "aug-algebra", "--max-k", "3", "--max-n", "11"],
+            ["verify", "aug-algebra", "--max-k", "9", "--max-n", "5"],
+            ["verify", "aug-algebra", "--max-k", "81", "--max-n", "2"],
+            ["verify", "aug-algebra", "--max-k", "4", "--max-n", "40"],
+            ["verify", "aug-algebra", "--max-k", "30", "--max-n", "6"],
+            ["verify", "all", "--max-k", "9", "--max-n", "6"],
         ]
         # within the dimension limit, but dim B(k, n) * 2^n is past its own:
         # each would run for minutes or never end, and the last would be a
@@ -772,6 +783,20 @@ class TestContract:
         assert augmentation.aug_dimension(30, 6) > cli.MAX_AUG_DIMENSION
         assert 4096 * 4096 > cli.MAX_ARROW_ENTRIES
         assert 6**6 <= cli.MAX_TENSOR_ROWS < 7**7
+        # the composition tables of the reach steps, `verify schur --max-n 6`
+        # and `verify aug-algebra --max-k 9 --max-n 4`, stay under their limit
+        for side, n in [(2, 6), (3, 4), (1, 10), (8, 2)]:
+            cli._check_composition_table(side, n)
+        for side, n in [(2, 7), (3, 5), (4, 4), (5, 3), (9, 2), (1, 11)]:
+            with pytest.raises(cli.UsageError, match="size limit"):
+                cli._check_composition_table(side, n)
+
+    def test_aug_algebra_names_the_dimension_limit(self, capsys):
+        # a grid past the dimension limit is past the table weight too; the
+        # dimension is checked first, as in gamma-epsilon and all
+        code, out, err = run(capsys, ["verify", "aug-algebra", "--max-k", "30", "--max-n", "6"])
+        assert (code, out) == (2, "")
+        assert "dim B(30, 6) exceeds the size limit" in err
 
     def test_table_dims_is_not_guarded(self, capsys):
         # the dims table reads closed forms only, so any grid prints

@@ -12,6 +12,7 @@ from functorlab.combinatorics import Multiset
 from functorlab.divided_powers import (
     GammaModule,
     _monomial_rows,
+    _word_index,
     distinct_permutations,
     gamma_dimension,
     gamma_of_hom,
@@ -235,7 +236,43 @@ class TestInducedMatrix:
             assert gamma_of_hom(alpha, n) == brute_gamma_of_hom(alpha, n)
 
 
+def brute_tensor_embedding(elem) -> Matrix:
+    """The orbit sum of each basis class, over the distinct rearrangements
+    of its unit word, entry by entry.  Oracle for the cached positions of
+    tensor_embedding."""
+    side, n = elem.space.matrix_side, elem.space.degree
+    rows = [[0] * side**n for _ in range(side**n)]
+    for A, c in elem.coeffs.items():
+        for word in distinct_permutations(A.indices()):
+            r = _word_index([u // side for u in word], side)
+            rows[r][_word_index([u % side for u in word], side)] += c
+    return Matrix(rows, side**n)
+
+
+def brute_tensor_readoff(space, tensor: Matrix) -> tuple:
+    """Each basis coefficient read at the position of the sorted unit word."""
+    side = space.matrix_side
+    return tuple(
+        tensor[_word_index([u // side for u in A.indices()], side),
+               _word_index([u % side for u in A.indices()], side)]
+        for A in space.basis
+    )
+
+
 class TestEmbedding:
+    @pytest.mark.parametrize("side,n", [(1, 3), (2, 0), (2, 1), (2, 2), (2, 4), (3, 2), (3, 3)])
+    def test_matches_the_rearrangement_route(self, side, n):
+        rng = random.Random(40 + 10 * side + n)
+        gm = GammaModule(side * side, n)
+        for _ in range(4):
+            u = gm.from_vector(tuple(rng.randint(-3, 3) for _ in range(gm.dimension())))
+            emb = tensor_embedding(u)
+            assert emb == brute_tensor_embedding(u)
+            # read off a tensor outside the image too: a random one
+            t = rand_matrix(rng, side**n, side**n)
+            assert tensor_readoff(gm, t).vector == brute_tensor_readoff(gm, t)
+            assert tensor_readoff(gm, emb) == u
+
     def test_round_trip_on_random_elements(self):
         rng = random.Random(8)
         for n in (1, 2, 3):

@@ -132,6 +132,19 @@ class TestSpaceDeviationOracle:
         oracle = brute_space_deviation(space, space.divided_power, xs)
         assert space.product_of_elements(xs) == oracle
 
+    @pytest.mark.parametrize("rank,degree", [(r, n) for r in range(1, 5) for n in range(1, 5)])
+    def test_product_of_elements_on_seeded_points(self, rank, degree):
+        # the closed form against the alternating sum over the 2^n subsets,
+        # on distinct points, a repeated point and a zero among them
+        rng = random.Random(100 * rank + degree)
+        space = GammaModule(rank, degree)
+        x = tuple(rng.randint(-3, 3) for _ in range(rank))
+        draws = [[tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(degree)]]
+        draws += [[x] * degree, [(0,) * rank] + [x] * (degree - 1)]
+        for xs in draws:
+            oracle = brute_space_deviation(space, space.divided_power, xs)
+            assert space.product_of_elements(xs) == oracle, xs
+
     def test_empty_list(self):
         for rank in range(4):
             alg, space = AugAlgebra(rank, 2), GammaModule(rank, 0)
