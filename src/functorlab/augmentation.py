@@ -3,25 +3,21 @@
 B(rank, degree) is spanned by classes [x] of module elements subject to the
 degree-n relations; the deviation classes of basis vectors, indexed by
 multisets of size <= degree, form an integral basis.  class_of writes any [x]
-in that basis with multiset-binomial coefficients, read off per-coordinate
-rows C(x_i, 0..degree), one multiplication per basis multiset.
-
-A multiset X is coded by the integer whose base-(degree+1) digits are its
-multiplicities, sum_i m_i (degree+1)^i.  A multiset within the degree has
-no digit past the degree, so the code of a union X + Y within the degree is
-the sum of the codes, with no carry.
+in that basis with multiset-binomial coefficients, the product walk
+combinatorics.multiset_products over the rows C(x_i, 0..degree).  Both
+products below work on the codes of combinatorics.multiset_codes, which
+defines them.
 
 Two multiplications matter: the sum product [x][y] = [x + y] (always), and,
 when the module is a matrix algebra, the composition product [s][t] = [st].
 The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
 degree, so it needs no table; on the codes the union is one addition.  The
-tables behind class_of and the sum product are built once per (rank,
-degree).  The composition product has one table per (a, b, c, degree), for
-a x b by b x c matrices: entry [i][j] lists the nonzero coefficients of the
-product of two basis classes, a sum over the relations between the two
-words of matrix units (the relation-sum rule of composition_tables), whose
-product words are carried as codes.  It is built once per process and
+composition product has one table per (a, b, c, degree), for a x b by b x c
+matrices: entry [i][j] lists the nonzero coefficients of the product of two
+basis classes, a sum over the relations between the two words of matrix
+units (the relation-sum rule of composition_tables), whose product words
+are carried as codes.  It is built once per process and
 shared by every algebra and by functors.reconstruct.
 
 Deviation classes are products.  As x -> [x] turns sums into sum products,
@@ -46,7 +42,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 
-from .combinatorics import Multiset, binomial, multisets_up_to
+from .combinatorics import Multiset, binomial, multiset_codes, multiset_products, multisets_up_to
 from .intlinalg import Matrix
 from .modules import MultisetSpace, MultisetVector, _int_coords
 
@@ -57,37 +53,10 @@ def aug_dimension(rank: int, degree: int) -> int:
     return binomial(rank + degree, degree)
 
 
-@lru_cache(maxsize=None)
-def _class_steps(rank: int, degree: int) -> tuple:
-    """Per basis multiset X after the empty one: (index of X without its
-    last pair, that pair's index i, its multiplicity m).  The shorter
-    multiset comes earlier in the basis order."""
-    basis = multisets_up_to(rank, degree)
-    index = {X: t for t, X in enumerate(basis)}
-    return tuple((index[Multiset(X.pairs[:-1])], *X.pairs[-1]) for X in basis[1:])
-
-
-def _class_vector(coords, rank: int, degree: int) -> list[int]:
-    """Coefficients of [x] on the basis of B(rank, degree): the product of
-    C(x_i, m) over the (i, m) pairs of each X, one multiplication per X from
-    the coefficient of X without its last pair, reading per-coordinate rows
-    C(x_i, 0..degree)."""
-    rows = [[binomial(x, m) for m in range(degree + 1)] for x in coords]
-    vec = [1]
-    for parent, i, m in _class_steps(rank, degree):
-        vec.append(vec[parent] * rows[i][m])
-    return vec
-
-
-@lru_cache(maxsize=None)
-def _sum_codes(rank: int, degree: int) -> tuple:
-    """(codes, sizes, index) for the basis of B(rank, degree): the code
-    (module docstring) and size of each X, and the basis position of each
-    code."""
-    base = degree + 1
-    basis = multisets_up_to(rank, degree)
-    codes = tuple(sum(m * base**i for i, m in X.pairs) for X in basis)
-    return codes, tuple(X.size for X in basis), {c: t for t, c in enumerate(codes)}
+def _class_vector(coords, degree: int) -> list[int]:
+    """Coefficients of [x] on the basis of B(len(coords), degree): the
+    product of C(x_i, m) over the (i, m) pairs of each X."""
+    return multiset_products([[binomial(x, m) for m in range(degree + 1)] for x in coords], degree)
 
 
 def _sub_multisets(X: Multiset):
@@ -120,13 +89,13 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     position of X, each taking a nonempty set of composable Y positions while
     |R| stays within the degree; partial relations covering the same Y
     positions with the same product word are counted together.  A product
-    word is carried as its code (module docstring): a position of X with
+    word is carried as its code (combinatorics): a position of X with
     unit (r, s) adds the code of the chosen Y positions' columns t, the sum
     of (degree+1)^t, shifted up r * c digits to row r of the product, so a
     step is one multiply-add.
     """
     base = degree + 1
-    out_index = _sum_codes(a * c, degree)[2]
+    out_index = multiset_codes(a * c, degree)[2]
     right = []
     for Y in multisets_up_to(b * c, degree):
         # per row s of Y's units: the nonempty sets of Y positions in row s,
@@ -178,7 +147,7 @@ class AugAlgebra(MultisetSpace):
 
     def class_of(self, x) -> MultisetVector:
         """Normal form of [x]: multiset-binomial coefficients on the basis."""
-        vec = _class_vector(_int_coords(x, self.rank), self.rank, self.degree)
+        vec = _class_vector(_int_coords(x, self.rank), self.degree)
         return MultisetVector(self, tuple(vec))
 
     def class_of_deviation(self, xs) -> MultisetVector:
@@ -187,7 +156,7 @@ class AugAlgebra(MultisetSpace):
         [x_i] - 1, the unit on no points."""
         out = None
         for x in xs:
-            vec = _class_vector(_int_coords(x, self.rank), self.rank, self.degree)
+            vec = _class_vector(_int_coords(x, self.rank), self.degree)
             vec[0] = 0
             factor = MultisetVector(self, tuple(vec))
             out = factor if out is None else self.sum_mul(out, factor)
@@ -198,9 +167,9 @@ class AugAlgebra(MultisetSpace):
     def sum_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:
         """Bilinear extension of [x][y] = [x + y]: the basis classes of X and
         Y multiply to that of X + Y, or to zero past the degree.  Works on
-        the basis codes of _sum_codes: the code of X + Y is a sum."""
+        the basis codes of multiset_codes: the code of X + Y is a sum."""
         self._check_pair(u, v)
-        codes, sizes, index = _sum_codes(self.rank, self.degree)
+        codes, sizes, index = multiset_codes(self.rank, self.degree)
         terms = [(codes[j], sizes[j], d) for j, d in v.nonzero()]
         out = [0] * len(codes)
         for i, c in u.nonzero():

@@ -78,13 +78,15 @@ class UsageError(Exception):
 # (3, 12) 31 s, while (4, 11) does not end.  Below k = 3 the limit is
 # conservative: (2, 17) takes 5.5 s and (1, 100) 12 s.
 #
-# The composition table of side x side matrices at degree n (aug-algebra
-# builds one per square k, schur the side-2 one) weighs dim B(side^2, n)^2
-# (1 + 4^n / (16 side^2)) relation walks of about 0.75 us (Python 3.11,
-# 2-core Xeon): the walks per entry grow about fourfold per degree and
-# shrink with the share 1/side^2 of composable unit pairs.  Within the limit
-# (2, 6) builds in 2.3 s, (3, 4) 1.0 s, (8, 2) 2.9 s and (1, 10) 4.6 s; past
-# it (9, 2) takes 8.5 s, (5, 3) 9.6 s, (3, 5) 20 s, (2, 7) 26 s, (4, 4) 30 s.
+# The composition table of a x side by side x side matrices at degree n weighs
+# dim B(a side, n) dim B(side^2, n) (1 + 4^n / (16 side^2)) relation walks of
+# about 0.75 us (Python 3.11, 2-core Xeon): the walks per entry grow about
+# fourfold per degree and shrink with the share 1/side^2 of composable unit
+# pairs.  aug-algebra and schur build side x side ones, functor extract the
+# n x n one, and reconstruct and the morita sweep (summed) q x n by n x n ones.
+# Within the limit (2, 6) builds in 2.3 s, (3, 4) 1.0 s, (8, 2) 2.9 s and
+# (1, 10) 4.6 s; past it (9, 2) takes 8.5 s, (5, 3) 9.6 s, (3, 5) 20 s,
+# (2, 7) 26 s, (4, 4) 30 s.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
 MAX_KERNEL_WEIGHT = 2**20
@@ -381,21 +383,26 @@ _SUITES = ("deviations", "aug-algebra", "gamma-epsilon", "schur", "morita", "all
 
 def _check_aug_dimension(k: int, n: int):
     """Refuse a grid whose largest cell, dim B(k, n), is past the limit."""
-    if aug_dimension(k, n) > MAX_AUG_DIMENSION:
+    # dim B(k, n) > max(k, n) unless one is 0: a large k or n builds no large binomial
+    if min(k, n) and max(k, n) >= MAX_AUG_DIMENSION or aug_dimension(k, n) > MAX_AUG_DIMENSION:
         raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
 
 
-def _check_composition_table(side: int, n: int):
-    """Refuse a suite whose largest composition table, of side x side
-    matrices at degree n, weighs past the limit."""
-    dim = aug_dimension(side * side, n)
-    # dim > n, so once dim^2 is within the limit 4^n is a small int
-    scale = 16 * side * side
-    if dim * dim > MAX_TABLE_WEIGHT or dim * dim * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
-        raise UsageError(
-            f"the composition table of {side} x {side} matrices at degree {n}"
-            f" exceeds the size limit {MAX_TABLE_WEIGHT}"
-        )
+def _check_composition_table(side: int, n: int, heights=None):
+    """Refuse a run whose composition tables, of a x side by side x side
+    matrices at degree n for each a in heights (side alone by default),
+    weigh past the limit together."""
+    right = aug_dimension(side * side, n)
+    scale = 16 * max(side, 1) ** 2  # the table of 0 x 0 matrices has one entry
+    weight = 0
+    for a in (side,) if heights is None else heights:
+        weight += aug_dimension(a * side, n) * right
+        # weight > n, so once it is within the limit 4^n is a small int
+        if weight > MAX_TABLE_WEIGHT or weight * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
+            raise UsageError(
+                f"the composition tables up to {a} x {side} by {side} x {side} matrices"
+                f" at degree {n} exceed the size limit {MAX_TABLE_WEIGHT}"
+            )
 
 
 def _run_suite(args) -> tuple[dict, bool]:
@@ -413,6 +420,9 @@ def _run_suite(args) -> tuple[dict, bool]:
         _check_composition_table(math.isqrt(max_k), max_n)
     if args.suite in ("schur", "all"):
         _check_composition_table(2, max_n)
+    # morita reconstructs at q = 1..--q from the tables of q x 2 by 2 x 2 matrices
+    if args.suite in ("morita", "all") and args.q is not None:
+        _check_composition_table(2, 2, range(1, args.q + 1))
     # past n > MAX_TENSOR_ROWS, n^n is both too large and too costly to compute
     tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
     if args.suite in ("deviations", "all") and tensor_rows_past:
@@ -607,6 +617,9 @@ def cmd_functor(args) -> int:
     if args.action == "reconstruct" and args.q is None:
         raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
+    _check_aug_dimension(n * n, n)
+    # extract multiplies by the table of n x n matrices, reconstruct by that of q x n ones
+    _check_composition_table(n, n, [n if args.action == "extract" else args.q])
 
     def query():
         module = extract_morita_module(spec, n, seed=args.seed)

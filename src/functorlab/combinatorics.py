@@ -3,10 +3,12 @@
 Everything here is integer arithmetic: binomial coefficients with arbitrary
 integer upper index, Stirling numbers of the second kind, the finite
 multisets that index the deviation and divided-power bases used elsewhere,
-and signed_subset_sums, the walk over the 2^m subsets behind the deviations
-of arbitrary set maps (deviations.alternating_sum) and of arrow maps.  The
-deviations of x -> [x] and of the divided power map have closed forms
-(augmentation, divided_powers) and take no such walk.
+their integer codes (multiset_codes) and the per-multiset product walk over
+them (multiset_products), and signed_subset_sums, the walk over the 2^m
+subsets behind the deviations of arbitrary set maps
+(deviations.alternating_sum) and of arrow maps.  The deviations of x -> [x]
+and of the divided power map have closed forms (augmentation,
+divided_powers) and take no such walk.
 """
 from __future__ import annotations
 
@@ -155,6 +157,40 @@ def multisets_up_to(rank: int, degree: int) -> tuple[Multiset, ...]:
     """All multisets over range(rank) of size <= degree, ordered by size then
     lex on the expanded word."""
     return tuple(X for size in range(degree + 1) for X in multisets_exactly(rank, size))
+
+
+@lru_cache(maxsize=None)
+def multiset_codes(rank: int, degree: int) -> tuple:
+    """(codes, sizes, index) for multisets_up_to(rank, degree): the code and
+    size of each X, and the position of each code.  X is coded by the
+    integer whose base-(degree+1) digits are its multiplicities,
+    sum_i m_i (degree+1)^i; no digit passes the degree, so the code of a
+    union within the degree is the sum of the codes, with no carry.  The
+    size-degree multisets, the basis of Gamma^degree, come last."""
+    base = degree + 1
+    basis = multisets_up_to(rank, degree)
+    codes = tuple(sum(m * base**i for i, m in X.pairs) for X in basis)
+    return codes, tuple(X.size for X in basis), {c: t for t, c in enumerate(codes)}
+
+
+@lru_cache(maxsize=None)
+def _product_steps(rank: int, degree: int) -> tuple:
+    """Per X of multisets_up_to(rank, degree) after the empty one, with last
+    pair (i, m): (the earlier position of X without that pair, i, m)."""
+    codes, _, index = multiset_codes(rank, degree)
+    last = (X.pairs[-1] for X in multisets_up_to(rank, degree)[1:])
+    return tuple((index[c - m * (degree + 1) ** i], i, m) for c, (i, m) in zip(codes[1:], last))
+
+
+def multiset_products(rows, degree: int) -> list:
+    """prod_i rows[i][m_i] over the (i, m_i) pairs of each X in
+    multisets_up_to(len(rows), degree), in that order, the empty product 1:
+    one multiplication per X, from the product of X without its last pair.
+    Each row holds the factors at multiplicities 0..degree."""
+    out = [1]
+    for parent, i, m in _product_steps(len(rows), degree):
+        out.append(out[parent] * rows[i][m])
+    return out
 
 
 def format_multiset(X: Multiset) -> str:

@@ -1,14 +1,17 @@
 """Divided power modules Gamma^n(Z^rank) and the composition (Schur) product.
 
-The basis is indexed by multisets of size exactly n over the coordinate set;
-the n-th divided power of sum(c_i e_i) has coefficient prod(c_i^(a_i)) on the
-basis class of A.  The Schur product on Gamma^n of a matrix algebra goes
-through the symmetric-tensor embedding that sends a basis class to the orbit
-sum of its expanded word, with no multinomial prefactor; embedding and
-read-off are mutually inverse on basis classes.  It is the independent side
-of the multiplicativity checks; functors tabulates it by Green's rule.  Both
-read one table per (side, degree): the matrix positions of each basis
-class's distinct unit words, the sorted word first.
+The basis is indexed by multisets of size exactly n over the coordinate set,
+the size-n tail of the basis of B(rank, n); the n-th divided power of
+sum(c_i e_i) has coefficient prod(c_i^(a_i)) on the basis class of A, the
+tail of combinatorics.multiset_products, and a monomial is placed by its
+code, defined in combinatorics.multiset_codes.  The Schur product on
+Gamma^n of a matrix algebra goes through the symmetric-tensor embedding
+that sends a basis class to the orbit sum of its expanded word, with no
+multinomial prefactor; embedding and read-off are mutually inverse on basis
+classes.  It is the independent side of the multiplicativity checks;
+functors tabulates it by Green's rule.  Both read one table per (side,
+degree): the matrix positions of each basis class's distinct unit words,
+the sorted word first.
 
 The product x_1 ... x_n of n points in Gamma^n, the deviation of the
 divided power map, is read off one product of linear forms: its
@@ -23,9 +26,9 @@ product.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
-from .combinatorics import binomial, multisets_exactly
+from .combinatorics import binomial, multiset_codes, multiset_products, multisets_exactly
 from .intlinalg import Matrix
 from .modules import MultisetSpace, MultisetVector, _int_coords
 
@@ -46,17 +49,11 @@ class GammaModule(MultisetSpace):
         super().__init__(rank, degree, multisets_exactly)
 
     def divided_power(self, x) -> MultisetVector:
-        """The degree-th divided power of a point of Z^rank, given as ints."""
-        coords = _int_coords(x, self.rank)
-        out = []
-        for A in self.basis:
-            c = 1
-            for i, m in A.pairs:
-                c *= coords[i] ** m
-                if not c:
-                    break
-            out.append(c)
-        return MultisetVector(self, tuple(out))
+        """The degree-th divided power of a point of Z^rank, given as ints:
+        the size-degree tail of the walk over the rows x_i^0..x_i^degree."""
+        rows = [[v**m for m in range(self.degree + 1)] for v in _int_coords(x, self.rank)]
+        products = multiset_products(rows, self.degree)
+        return MultisetVector(self, tuple(products[len(products) - len(self.basis) :]))
 
     def product_of_elements(self, xs) -> MultisetVector:
         """Deviation of the divided power map at exactly `degree` elements.
@@ -75,23 +72,13 @@ class GammaModule(MultisetSpace):
             [(base**i, v) for i, v in enumerate(_int_coords(x, self.rank)) if v] for x in xs
         ]
         (expansion,) = _word_products(forms, self.degree, _times_coded, repeat=False)
-        columns = _monomial_columns(self.rank, self.degree)
+        index = multiset_codes(self.rank, self.degree)[2]
+        offset = len(index) - len(self.basis)  # the size-degree multisets come last
         out = [0] * len(self.basis)
         for code, c in expansion.items():
-            out[columns[code]] = c * self.basis[columns[code]].factorial
+            t = index[code] - offset
+            out[t] = c * self.basis[t].factorial
         return MultisetVector(self, tuple(out))
-
-
-@lru_cache(maxsize=None)
-def _monomial_columns(nvars: int, degree: int) -> dict:
-    """Column of each monomial of the given degree in nvars variables, in
-    the order of multisets_exactly, keyed by its code sum_t (degree+1)^w_t
-    over its variable word w."""
-    base = degree + 1
-    return {
-        sum(base**j for j in word): i
-        for i, word in enumerate(combinations_with_replacement(range(nvars), degree))
-    }
 
 
 def _word_products(forms, length: int, times, repeat: bool = True) -> list[dict]:
@@ -131,14 +118,15 @@ def _monomial_rows(forms, nvars: int, degree: int):
     product of forms b_1..b_n over the `width` monomials (both words in the
     order of multisets_exactly).
 
-    A monomial is keyed by the integer whose base-(degree+1) digits are its
-    variable multiplicities, so multiplying by variable j adds (degree+1)^j
-    to the key."""
-    columns = _monomial_columns(nvars, degree)
+    A monomial is keyed by the multiset code of its variables, so
+    multiplying by variable j adds (degree+1)^j to the key."""
+    index = multiset_codes(nvars, degree)[2]
+    width = gamma_dimension(nvars, degree)
+    offset = len(index) - width  # the size-degree multisets come last
     base = degree + 1
     coded = [[(base**j, v) for j, v in form.items()] for form in forms]
     products = _word_products(coded, degree, _times_coded)
-    return [{columns[code]: c for code, c in acc.items()} for acc in products], len(columns)
+    return [{index[code] - offset: c for code, c in acc.items()} for acc in products], width
 
 
 def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:

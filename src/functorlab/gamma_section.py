@@ -16,7 +16,6 @@ decomposition of epsilon's image.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -161,16 +160,6 @@ def _scaling_rows(rank: int, degree: int) -> dict:
     return rows
 
 
-def _killed(columns: list, row: dict) -> bool:
-    """gamma @ row == 0, summed over the nonzeros of gamma's columns at the
-    row's nonzeros."""
-    image = defaultdict(int)
-    for j, v in row.items():
-        for i, g in columns[j].items():
-            image[i] += v * g
-    return not any(image.values())
-
-
 def _pivot_product(lattice: Lattice) -> int:
     return prod(row[min(row)] for row in lattice.basis.sparse_rows)
 
@@ -199,16 +188,17 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
     same annihilator, hence the same rank.  The simplex has
     dim B(rank, n - 1) = rank Ker(gamma) points, so the rows are a Q-basis of
     the kernel.  Both conditions are checked here, the containment by the
-    product of gamma with each row and the rank by L's own Hermite form, not
-    assumed; L is in general a proper sublattice of the kernel.
+    product L gamma^T, whose row at z is gamma applied to the class of z, and
+    the rank by L's own Hermite form, not assumed; L is in general a proper
+    sublattice of the kernel.
     """
     gam = gamma_matrix(rank, degree)
     dim = gam.ncols
     kernel = kernel_lattice(gam)
-    columns = gam.transpose().sparse_rows
     rows = _scaling_rows(rank, degree)
     generated = Lattice(dim, relation_hermite_form(dim, rows.values()))
-    escaped = next((z for z, row in rows.items() if not _killed(columns, row)), None)
+    images = Matrix._sparse(list(rows.values()), dim) @ gam.transpose()
+    escaped = next((z for z, image in zip(rows, images.sparse_rows) if image), None)
     if escaped is not None:
         return KernelReport(kernel, generated, False, ("escape", escaped))
     if generated.rank != kernel.rank:

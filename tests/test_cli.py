@@ -730,6 +730,18 @@ class TestContract:
             ["verify", "aug-algebra", "--max-k", "4", "--max-n", "40"],
             ["verify", "aug-algebra", "--max-k", "30", "--max-n", "6"],
             ["verify", "all", "--max-k", "9", "--max-n", "6"],
+            # functor extract past the table weight (n = 4) and the dimension
+            # limit, reconstruct past the table weight of q x n matrices, and
+            # the morita sweep past the table weight summed over q
+            ["functor", "extract", "--spec", '{"sym": 2}', "--n", "4"],
+            ["functor", "extract", "--spec", '{"sym": 2}', "--n", "5"],
+            ["functor", "extract", "--spec", '{"sym": 2}', "--n", str(10**6)],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "5", "--q", "1"],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", "100000"],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", str(10**30)],
+            ["verify", "morita", "--q", "100"],
+            ["verify", "morita", "--q", str(10**12)],
+            ["verify", "all", "--q", "100"],
         ]
         # within the dimension limit, but dim B(k, n) * 2^n is past its own:
         # each would run for minutes or never end, and the last would be a
@@ -790,6 +802,20 @@ class TestContract:
         for side, n in [(2, 7), (3, 5), (4, 4), (5, 3), (9, 2), (1, 11)]:
             with pytest.raises(cli.UsageError, match="size limit"):
                 cli._check_composition_table(side, n)
+        # functor extract at n <= 3, the CI step `functor reconstruct --n 3
+        # --q 3`, `functor reconstruct --n 2 --q 100` and `verify morita --q 30`
+        # stay under both limits
+        for n in (0, 1, 2, 3):
+            cli._check_aug_dimension(n * n, n)
+            cli._check_composition_table(n, n)
+        cli._check_composition_table(3, 3, [3])
+        cli._check_composition_table(2, 2, [100])
+        cli._check_composition_table(2, 2, range(1, 31))
+        # the morita sweep weighs its tables together: q = 87 alone is within
+        # the limit, q = 1..87 is past it
+        cli._check_composition_table(2, 2, [87])
+        with pytest.raises(cli.UsageError, match="size limit"):
+            cli._check_composition_table(2, 2, range(1, 88))
 
     def test_aug_algebra_names_the_dimension_limit(self, capsys):
         # a grid past the dimension limit is past the table weight too; the

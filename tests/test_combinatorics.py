@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,13 +12,17 @@ from functorlab.combinatorics import (
     format_multiset,
     format_rational,
     multiset_binomial,
+    multiset_codes,
+    multiset_products,
     multisets_exactly,
     multisets_up_to,
     signed_subset_sums,
     stirling2,
     stirling_sum_identity,
 )
+from functorlab.augmentation import AugAlgebra
 from functorlab.deviations import alternating_sum
+from functorlab.divided_powers import GammaModule
 from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule
 
@@ -198,3 +202,59 @@ class TestSignedSubsetSums:
         square = lambda s: s @ s.transpose()  # noqa: E731
         zero = Matrix.zeros(2, 3)
         assert alternating_sum(square, [], zero) == square(zero)
+
+
+RANK_DEGREE = list(product(range(5), range(5)))
+
+
+class TestMultisetCodes:
+    @pytest.mark.parametrize("rank, degree", RANK_DEGREE)
+    def test_codes_positions_and_the_size_degree_tail(self, rank, degree):
+        basis = multisets_up_to(rank, degree)
+        codes, sizes, index = multiset_codes(rank, degree)
+        assert codes == tuple(sum(m * (degree + 1) ** i for i, m in X.pairs) for X in basis)
+        assert sizes == tuple(X.size for X in basis)
+        # the codes are distinct and the positions invert them
+        assert len(index) == len(basis)
+        assert [index[c] for c in codes] == list(range(len(basis)))
+        # the basis of Gamma^degree comes last, in its own order
+        tail = multisets_exactly(rank, degree)
+        assert basis[len(basis) - len(tail) :] == tail
+        assert all(size == degree for size in sizes[len(basis) - len(tail) :])
+
+    @pytest.mark.parametrize("rank, degree", RANK_DEGREE)
+    def test_the_code_of_a_union_is_the_sum(self, rank, degree):
+        basis = multisets_up_to(rank, degree)
+        codes, _, index = multiset_codes(rank, degree)
+        for X, cx in zip(basis, codes):
+            for Y, cy in zip(basis, codes):
+                if X.size + Y.size <= degree:
+                    union = Multiset.from_indices(X.indices() + Y.indices())
+                    assert basis[index[cx + cy]] == union
+
+
+def _walk_points(rank, rng):
+    """Points of Z^rank with zero and negative coordinates."""
+    points = [(0,) * rank, (-1,) * rank, tuple((-1) ** i * (i + 2) for i in range(rank))]
+    return points + [tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(6)]
+
+
+class TestMultisetProducts:
+    @pytest.mark.parametrize("rank, degree", RANK_DEGREE)
+    def test_class_vectors_are_multiset_binomials(self, rank, degree):
+        basis = multisets_up_to(rank, degree)
+        for x in _walk_points(rank, random.Random(rank * 5 + degree)):
+            rows = [[binomial(v, m) for m in range(degree + 1)] for v in x]
+            expected = [multiset_binomial(x, X) for X in basis]
+            assert multiset_products(rows, degree) == expected
+            assert AugAlgebra(rank, degree).class_of(x).vector == tuple(expected)
+
+    @pytest.mark.parametrize("rank, degree", RANK_DEGREE)
+    def test_divided_powers_are_monomials(self, rank, degree):
+        basis = multisets_up_to(rank, degree)
+        for x in _walk_points(rank, random.Random(rank * 5 + degree)):
+            rows = [[v**m for m in range(degree + 1)] for v in x]
+            expected = [math.prod(x[i] ** m for i, m in X.pairs) for X in basis]
+            assert multiset_products(rows, degree) == expected
+            divided = [math.prod(x[i] ** m for i, m in A.pairs) for A in multisets_exactly(rank, degree)]
+            assert GammaModule(rank, degree).divided_power(x).vector == tuple(divided)
