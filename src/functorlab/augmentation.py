@@ -18,7 +18,7 @@ matrices: entry [i][j] lists the nonzero coefficients of the product of two
 basis classes, a sum over the relations between the two words of matrix
 units (the relation-sum rule of composition_tables), whose product words
 are carried as codes.  It is built once per process and
-shared by every algebra and by functors.reconstruct.
+shared by every algebra and by functors._schur_tables.
 
 Deviation classes are products.  As x -> [x] turns sums into sum products,
 [x + y] = [x][y], the deviation of x -> [x] at x_1..x_m is

@@ -78,19 +78,19 @@ class UsageError(Exception):
 # (3, 12) 31 s, while (4, 11) does not end.  Below k = 3 the limit is
 # conservative: (2, 17) takes 5.5 s and (1, 100) 12 s.
 #
-# The composition table of a x side by side x side matrices at degree n weighs
-# dim B(a side, n) dim B(side^2, n) (1 + 4^n / (16 side^2)) relation walks of
-# about 0.75 us (Python 3.11, 2-core Xeon): the walks per entry grow about
-# fourfold per degree and shrink with the share 1/side^2 of composable unit
-# pairs.  aug-algebra and schur build side x side ones, functor extract the
-# n x n one, and reconstruct and the morita sweep (summed) q x n by n x n ones.
-# Within the limit (2, 6) builds in 2.3 s, (3, 4) 1.0 s, (8, 2) 2.9 s and
-# (1, 10) 4.6 s; past it (9, 2) takes 8.5 s, (5, 3) 9.6 s, (3, 5) 20 s,
-# (2, 7) 26 s, (4, 4) 30 s.
+# The composition table of side x side matrices at degree n (aug-algebra,
+# schur, functor extract) weighs dim B(side^2, n)^2 (1 + 4^n / (16 side^2))
+# relation walks of about 0.75 us (Python 3.11, 2-core Xeon): the walks per
+# entry grow about fourfold per degree and shrink with the share 1/side^2 of
+# composable unit pairs.  Within the limit (2, 6) builds in 2.3 s, (3, 4)
+# 1.0 s, (8, 2) 2.9 s and (1, 10) 4.6 s; past it (9, 2) takes 8.5 s, (5, 3)
+# 9.6 s, (3, 5) 20 s, (2, 7) 26 s, (4, 4) 30 s.  `verify morita --q Q` adds
+# four reconstruction cells per q <= Q, about 1 ms each: Q = 4096 takes 4.6 s.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
 MAX_KERNEL_WEIGHT = 2**20
 MAX_TABLE_WEIGHT = 2**23
+MAX_MORITA_Q = 2**12
 MAX_TENSOR_ROWS = 6**6
 
 
@@ -388,21 +388,14 @@ def _check_aug_dimension(k: int, n: int):
         raise UsageError(f"dim B({k}, {n}) exceeds the size limit {MAX_AUG_DIMENSION}")
 
 
-def _check_composition_table(side: int, n: int, heights=None):
-    """Refuse a run whose composition tables, of a x side by side x side
-    matrices at degree n for each a in heights (side alone by default),
-    weigh past the limit together."""
-    right = aug_dimension(side * side, n)
+def _check_composition_table(side: int, n: int):
+    """Refuse a run whose side x side composition table at degree n is past the limit."""
+    weight = aug_dimension(side * side, n) ** 2
     scale = 16 * max(side, 1) ** 2  # the table of 0 x 0 matrices has one entry
-    weight = 0
-    for a in (side,) if heights is None else heights:
-        weight += aug_dimension(a * side, n) * right
-        # weight > n, so once it is within the limit 4^n is a small int
-        if weight > MAX_TABLE_WEIGHT or weight * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
-            raise UsageError(
-                f"the composition tables up to {a} x {side} by {side} x {side} matrices"
-                f" at degree {n} exceed the size limit {MAX_TABLE_WEIGHT}"
-            )
+    # weight > n, so once it is within the limit 4^n is a small int
+    if weight > MAX_TABLE_WEIGHT or weight * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
+        table = f"the composition table of {side} x {side} matrices at degree {n}"
+        raise UsageError(f"{table} exceeds the size limit {MAX_TABLE_WEIGHT}")
 
 
 def _run_suite(args) -> tuple[dict, bool]:
@@ -420,9 +413,8 @@ def _run_suite(args) -> tuple[dict, bool]:
         _check_composition_table(math.isqrt(max_k), max_n)
     if args.suite in ("schur", "all"):
         _check_composition_table(2, max_n)
-    # morita reconstructs at q = 1..--q from the tables of q x 2 by 2 x 2 matrices
-    if args.suite in ("morita", "all") and args.q is not None:
-        _check_composition_table(2, 2, range(1, args.q + 1))
+    if args.suite in ("morita", "all") and args.q is not None and args.q > MAX_MORITA_Q:
+        raise UsageError(f"--q {args.q} exceeds the size limit {MAX_MORITA_Q}")
     # past n > MAX_TENSOR_ROWS, n^n is both too large and too costly to compute
     tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
     if args.suite in ("deviations", "all") and tensor_rows_past:
@@ -584,19 +576,23 @@ def _parse_hom(text: str) -> Matrix:
         raise UsageError(f"bad matrix {text!r}: {exc}") from exc
 
 
+def _print_result(args, out: dict, plain=None):
+    """Print out as a JSON line, or plain() with --format plain, whole or not
+    at all: an int past Python's int-to-str digit limit refuses the run."""
+    try:
+        text = plain() if plain and args.format == "plain" else json.dumps(out, sort_keys=True) + "\n"
+    except ValueError as exc:
+        raise UsageError(f"the {args.action} result has too many digits to print") from exc
+    sys.stdout.write(text)
+
+
 def cmd_functor(args) -> int:
     spec = _parse_spec(args.spec)
     if args.action == "dims":
         if args.q is None:
             raise UsageError("dims needs --q")
         out = {"spec": spec.to_json(), "q": args.q, "dim": object_dim(spec, args.q)}
-        try:
-            text = str(out["dim"]) if args.format == "plain" else json.dumps(out, sort_keys=True)
-        except ValueError as exc:  # Python's limit on digits in int-to-str conversion
-            raise UsageError(
-                f"dimension of {spec.label()} at q={args.q} has too many digits to print"
-            ) from exc
-        print(text)
+        _print_result(args, out, lambda: f"{out['dim']}\n")
         return 0
 
     if args.action == "arrow":
@@ -605,21 +601,17 @@ def cmd_functor(args) -> int:
         hom = _parse_hom(args.hom)
         if object_dim(spec, hom.nrows) * object_dim(spec, hom.ncols) > MAX_ARROW_ENTRIES:
             raise UsageError(f"the {spec.label()} arrow exceeds the size limit {MAX_ARROW_ENTRIES}")
-        mat = arrow_map(spec, hom)
-        out = {"spec": spec.to_json(), "rows": _jsonable(mat)}
-        if args.format == "plain":
-            for row in mat.rows:
-                print(" ".join(str(v) for v in row))
-        else:
-            print(json.dumps(out, sort_keys=True))
+        rows = _jsonable(arrow_map(spec, hom))
+        plain = lambda: "".join(" ".join(map(str, row)) + "\n" for row in rows)
+        _print_result(args, {"spec": spec.to_json(), "rows": rows}, plain)
         return 0
 
     if args.action == "reconstruct" and args.q is None:
         raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
     _check_aug_dimension(n * n, n)
-    # extract multiplies by the table of n x n matrices, reconstruct by that of q x n ones
-    _check_composition_table(n, n, [n if args.action == "extract" else args.q])
+    if args.action == "extract":  # its multiplicativity check reads the n x n table
+        _check_composition_table(n, n)
 
     def query():
         module = extract_morita_module(spec, n, seed=args.seed)
@@ -637,7 +629,7 @@ def cmd_functor(args) -> int:
 
     # as in a verify cell, a check that raises is a failure with its message
     passed, out = _verdict(query)
-    print(json.dumps(out if isinstance(out, dict) else {"error": out}, sort_keys=True))
+    _print_result(args, out if isinstance(out, dict) else {"error": out})
     return 0 if passed else 1
 
 

@@ -18,14 +18,12 @@ multiset X acts by the deviation of the arrow map at X's word of matrix
 units, one arrow evaluation per multiset shared by all the deviations.  The
 certificate is memoized, one per (spec, n, seed), so extraction
 after an explicit certificate does not sample the functor again.
-Reconstruction goes back through a balanced tensor product, built from the
-one composition table of augmentation.composition_tables as sparse
-relations whose invariants intlinalg.relation_invariants reads off without
-a Hermite form.  Restriction/extension of scalars moves between that
-algebra and the divided power algebra of matrices, whose Schur products
-Green's rule tabulates once per n.  A homogeneous functor's divided-power
-structure is in closed form: the basis class of A acts by the same
-deviation at A's word, divided by a! = prod(a_i!).
+Reconstruction reads the value on Z^q off the module's n + 1 cross effects,
+at a cost that does not grow with q.  Restriction/extension of scalars
+moves between that algebra and the divided power algebra of matrices, whose
+Schur products Green's rule tabulates once per n.  A homogeneous functor's
+divided-power structure is in closed form: the basis class of A acts by the
+same deviation at A's word, divided by a! = prod(a_i!).
 
 Both kinds of module are a PresentedModule, a cokernel with one action
 matrix per basis multiset; MoritaModule and GammaModuleStruct differ only in
@@ -58,12 +56,13 @@ from .intlinalg import (
     CokernelInvariants,
     Lattice,
     Matrix,
+    _smith_diagonal,
     _transpose,
     block_diag,
     cokernel_invariants,
+    hstack,
     linear_combination,
     relation_hermite_form,
-    relation_invariants,
 )
 
 
@@ -445,15 +444,10 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
 
 
 def _tensor_relation_rows(
-    left_dim: int,
-    gens: int,
-    products,
-    action: dict,
-    basis,
-    presentation: Matrix,
+    gens: int, products, action: dict, basis, presentation: Matrix
 ) -> list[dict]:
     """Sparse rows {index: value} spanning the balanced-product relations
-    inside Z^(left_dim*gens), zero rows left out.
+    inside Z^(len(products)*gens), zero rows left out.
 
     Generator (xi, j) sits at flat index xi*gens + j.  products[xi][y] holds
     the nonzero (index, coefficient) pairs of the xi-th left basis element
@@ -463,7 +457,7 @@ def _tensor_relation_rows(
     rows = []
     for y, Y in enumerate(basis):
         act_cols = action[Y].transpose().sparse_rows
-        for xi in range(left_dim):
+        for xi in range(len(products)):
             moved = products[xi][y]
             if not moved:
                 rows += [{xi * gens + g: -v for g, v in col.items()} for col in act_cols if col]
@@ -481,28 +475,42 @@ def _tensor_relation_rows(
                     rows.append(row)
     for col in presentation.transpose().sparse_rows:
         if col:
-            rows += [{xi * gens + g: v for g, v in col.items()} for xi in range(left_dim)]
+            rows += [{xi * gens + g: v for g, v in col.items()} for xi in range(len(products))]
     return rows
 
 
 def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
-    """Invariants of the balanced product of the module with the degree-n
-    augmentation algebra of q x n matrices; for the module of a degree-n
-    functor this recovers the functor's value on the rank-q module.  They
-    are read off the sparse relations by relation_invariants."""
+    """Invariants of G(Z^q) = P_q (x)_B M, with P_q the degree-n augmentation
+    algebra of q x n matrices, a right module over B = B(n^2, n) by
+    composition: for the module of a degree-n functor, its value on Z^q.
+
+    By cross effects G(Z^q) is the sum over s <= min(q, n) of C(q, s) copies
+    of cr_s = d_s M, d_s the deviation class of the units E_11..E_ss:
+    - G has degree <= n, as [t] -> [alpha t] has degree <= n in alpha;
+    - for s <= n, [t] -> [iota t] (iota: Z^s -> Z^n, p iota = 1) maps P_s
+      injectively onto the right B-module [eps_s]B, eps_s = iota p, so
+      G(Z^s) = [eps_s]M;
+    - cr_s is the image on G(Z^s) of the deviation of the projections e_T
+      onto coordinates T, and [iota e_T t] = [E_T][iota t], E_T = sum_T E_ii,
+      so cr_s = d_s [eps_s]M = d_s M.
+    An idempotent d_s gives d_s M = M / (1 - d_s)M.  Construction does not
+    check multiplicativity, so idempotence is checked here.
+    """
     if q < 0:
         raise ValueError("rank must be nonnegative")
-    n = module.n
-    dimP = aug_dimension(n * q, n)
-    rows = _tensor_relation_rows(
-        dimP,
-        module.generators,
-        composition_tables(q, n, n, n),
-        module.action,
-        module.algebra.basis,
-        module.presentation,
-    )
-    return relation_invariants(dimP * module.generators, rows)
+    n, gens = module.n, module.generators
+    units = Matrix.identity(n * n).rows[:: n + 1]  # E_11, ..., E_nn flattened
+    free, torsion = 0, []
+    for s in range(min(q, n) + 1):
+        idem = module.act(module.algebra.class_of_deviation(units[:s]))
+        if not module.zero_action(idem @ idem - idem):
+            raise VerificationError(f"the deviation class d_{s} does not act as an idempotent")
+        inv = cokernel_invariants(hstack(module.presentation, Matrix.identity(gens) - idem))
+        copies = binomial(q, s)
+        free += copies * inv.free_rank
+        torsion += [t for t in inv.torsion for _ in range(copies)]
+    chain = _smith_diagonal([{i: t} for i, t in enumerate(torsion)], len(torsion))
+    return CokernelInvariants(tuple(d for d in chain if d > 1), free)
 
 
 class GammaModuleStruct(PresentedModule):
@@ -610,7 +618,7 @@ def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
     gens_total = space.dimension() * gens
     products, left = _schur_tables(n)
     presentation = relation_hermite_form(gens_total, _tensor_relation_rows(
-        len(products), gens, products, module.action, module.algebra.basis, module.presentation
+        gens, products, module.action, module.algebra.basis, module.presentation
     )).transpose()
 
     action = {}

@@ -240,6 +240,20 @@ class TestCompositionProduct:
         mul = alg.product_mul
         assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_diagonal_deviation_classes_are_idempotent(self, n):
+        # d_s, the deviation class of E_11..E_ss, is the idempotent whose image
+        # is the s-th cross effect (functors.reconstruct): the d_s are
+        # orthogonal idempotents, and d_s [E_11 + ... + E_ss] = d_s
+        alg = AugAlgebra(n * n, n)
+        units = [tuple(int(u == i * (n + 1)) for u in range(n * n)) for i in range(n)]
+        d = [alg.class_of_deviation(units[:s]) for s in range(n + 1)]
+        for s in range(n + 1):
+            for t in range(n + 1):
+                assert alg.product_mul(d[s], d[t]) == (d[s] if s == t else alg.zero()), (s, t)
+            eps = alg.class_of(tuple(int(u % (n + 1) == 0 and u < s * (n + 1)) for u in range(n * n)))
+            assert alg.product_mul(d[s], eps) == d[s]
+
     def test_non_square_rank_rejected(self):
         alg = AugAlgebra(3, 2)
         with pytest.raises(ValueError):

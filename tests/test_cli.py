@@ -576,6 +576,13 @@ class TestFunctor:
             # 10^5000 has more digits than Python converts to a string
             ["functor", "dims", "--spec", '{"tensor": 5000}', "--q", "10", "--format", "plain"],
             ["functor", "dims", "--spec", '{"tensor": 5000}', "--q", "10"],
+            # an arrow or a reconstruction whose integers are past that limit
+            ["functor", "arrow", "--spec", '{"tensor": 3}', "--hom", f"[[{'9' * 2000}]]"],
+            [
+                "functor", "arrow", "--spec", '{"sym": 3}', "--hom", f"[[{'9' * 2000}]]",
+                "--format", "plain",
+            ],
+            ["functor", "reconstruct", "--spec", '{"sym": 3}', "--n", "3", "--q", "9" * 4000],
         ],
     )
     def test_bad_sizes_and_powers_are_usage_errors(self, capsys, argv):
@@ -731,17 +738,17 @@ class TestContract:
             ["verify", "aug-algebra", "--max-k", "30", "--max-n", "6"],
             ["verify", "all", "--max-k", "9", "--max-n", "6"],
             # functor extract past the table weight (n = 4) and the dimension
-            # limit, reconstruct past the table weight of q x n matrices, and
-            # the morita sweep past the table weight summed over q
+            # limit, reconstruct past the dimension limit, and the morita sweep
+            # past its limit on --q
             ["functor", "extract", "--spec", '{"sym": 2}', "--n", "4"],
             ["functor", "extract", "--spec", '{"sym": 2}', "--n", "5"],
             ["functor", "extract", "--spec", '{"sym": 2}', "--n", str(10**6)],
             ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "5", "--q", "1"],
-            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", "100000"],
-            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", str(10**30)],
-            ["verify", "morita", "--q", "100"],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", str(10**6), "--q", "1"],
+            ["verify", "morita", "--q", "4097"],
+            ["verify", "all", "--q", "4097"],
             ["verify", "morita", "--q", str(10**12)],
-            ["verify", "all", "--q", "100"],
+            ["verify", "all", "--q", str(10**12)],
         ]
         # within the dimension limit, but dim B(k, n) * 2^n is past its own:
         # each would run for minutes or never end, and the last would be a
@@ -760,6 +767,30 @@ class TestContract:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "size limit" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", "100000"],
+            ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "2", "--q", str(10**30)],
+            ["functor", "reconstruct", "--spec", '{"tensor": 3}', "--n", "3", "--q", "17"],
+            ["verify", "morita", "--q", "100"],
+        ],
+    )
+    def test_runs_that_grow_with_q_alone_finish_at_once(self, capsys, argv):
+        # reconstruction reads q off its cross effects and builds nothing that
+        # grows with q, so these end at once; the morita sweep adds four cheap
+        # cells per q
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 2
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        if argv[0] == "functor":
+            assert data["matches"] is True and data["free_rank"] == data["expected_rank"]
+        else:
+            ranks = [c for c in data["cells"] if c["anchor"] == "reconstruction-rank"]
+            assert len(ranks) == 400 and all(c["verdict"] == "pass" for c in ranks)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     def test_exact_integers_print_under_a_low_digit_limit(self, capsys):
@@ -802,20 +833,17 @@ class TestContract:
         for side, n in [(2, 7), (3, 5), (4, 4), (5, 3), (9, 2), (1, 11)]:
             with pytest.raises(cli.UsageError, match="size limit"):
                 cli._check_composition_table(side, n)
-        # functor extract at n <= 3, the CI step `functor reconstruct --n 3
-        # --q 3`, `functor reconstruct --n 2 --q 100` and `verify morita --q 30`
-        # stay under both limits
+        # functor extract at n <= 3 stays under both limits, and functor
+        # reconstruct, which builds no table, under the dimension limit at
+        # n <= 4; the CI step `verify morita --q 30` and `--q 100` stay under
+        # the sweep's limit
         for n in (0, 1, 2, 3):
             cli._check_aug_dimension(n * n, n)
             cli._check_composition_table(n, n)
-        cli._check_composition_table(3, 3, [3])
-        cli._check_composition_table(2, 2, [100])
-        cli._check_composition_table(2, 2, range(1, 31))
-        # the morita sweep weighs its tables together: q = 87 alone is within
-        # the limit, q = 1..87 is past it
-        cli._check_composition_table(2, 2, [87])
+        cli._check_aug_dimension(16, 4)
         with pytest.raises(cli.UsageError, match="size limit"):
-            cli._check_composition_table(2, 2, range(1, 88))
+            cli._check_composition_table(4, 4)
+        assert 100 <= cli.MAX_MORITA_Q < 10**12
 
     def test_aug_algebra_names_the_dimension_limit(self, capsys):
         # a grid past the dimension limit is past the table weight too; the

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from functorlab.augmentation import AugAlgebra, aug_dimension, composition_tables
+from functorlab.augmentation import AugAlgebra, composition_tables
 from functorlab.combinatorics import Multiset
 from functorlab.deviations import alternating_sum
 from functorlab.divided_powers import GammaModule, gamma_of_hom, schur_product
@@ -17,6 +17,7 @@ from functorlab.functors import (
     DirectSum,
     Div,
     Ext,
+    FunctorSpec,
     MoritaModule,
     Sym,
     Tensor,
@@ -44,6 +45,16 @@ from functorlab.intlinalg import (
 )
 
 CATALOG2 = [Tensor(2), Sym(2), Ext(2), Div(2)]
+MIXED2 = [
+    DirectSum(Const(1), Sym(2)),
+    DirectSum(Sym(1), Ext(2)),
+    DirectSum(Const(2), Tensor(1), Div(2)),
+]
+CUBIC3 = [
+    Sym(3), Ext(3), Div(3), Tensor(3), Sym(2),
+    DirectSum(Sym(1), Sym(3)),
+    DirectSum(Const(1), Ext(2), Div(3)),
+]
 
 
 def flat(m: Matrix) -> tuple:
@@ -131,12 +142,11 @@ def brute_reconstruct(module, q: int):
     balanced-product relations, then the Smith diagonal of its transpose.
     Returns (torsion, free rank)."""
     n = module.n
-    left_dim = aug_dimension(n * q, n)
-    width = left_dim * module.generators
+    products = composition_tables(q, n, n, n)
+    width = len(products) * module.generators
     rows = functors._tensor_relation_rows(
-        left_dim,
         module.generators,
-        composition_tables(q, n, n, n),
+        products,
         module.action,
         module.algebra.basis,
         module.presentation,
@@ -489,13 +499,79 @@ class TestReconstruction:
             inv = reconstruct(zero_module(), q)
             assert inv.free_rank == 0 and inv.torsion == ()
 
-    @pytest.mark.parametrize("spec", CATALOG2 + [DirectSum(Const(1), Sym(2))], ids=lambda spec: spec.label())
+    @pytest.mark.parametrize("spec", CATALOG2 + MIXED2, ids=lambda spec: spec.label())
     def test_matches_dense_route(self, spec):
         module = morita(spec)
-        for q in range(1, 6):
+        for q in range(7):
             inv = reconstruct(module, q)
             assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q), q
             assert inv.free_rank == object_dim(spec, q) and inv.torsion == ()
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [(spec, 3) for spec in CUBIC3]
+        + [(Sym(1), 1), (Tensor(1), 1), (Const(2), 1), (Const(2), 0), (Sym(2), 2)],
+        ids=lambda x: x.label() if isinstance(x, FunctorSpec) else str(x),
+    )
+    def test_matches_dense_route_at_other_degrees(self, spec, n):
+        module = extract_morita_module(spec, n)
+        for q in range(4):
+            inv = reconstruct(module, q)
+            assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q), q
+            assert inv.free_rank == object_dim(spec, q) and inv.torsion == ()
+
+    @pytest.mark.parametrize("k", [2, 4, 6, 12])
+    def test_torsion_presentations_match_dense_route(self, k):
+        # Sym^2 with every generator of order k: Z/k in each of dim Sym^2(Z^q)
+        # places, so the chain of cross effects is put back together
+        base = morita(Sym(2))
+        module = MoritaModule(2, base.algebra, Matrix.identity(3).scale(k), base.action)
+        for q in range(4):
+            inv = reconstruct(module, q)
+            assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q), q
+            assert inv.torsion == (k,) * object_dim(Sym(2), q) and inv.free_rank == 0
+
+    @pytest.mark.parametrize("spec", CATALOG2, ids=lambda spec: spec.label())
+    def test_scalar_round_trip_matches_dense_route(self, spec):
+        # restrict(extend(M)) carries the Hermite presentation of the extension
+        module = restrict_scalars(extend_scalars(morita(spec)))
+        for q in range(4):
+            inv = reconstruct(module, q)
+            assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q), q
+
+    def test_coprime_torsion_is_one_chain(self):
+        # Z/2 + (Z/3)^q from const(1) mod 2 and the identity functor mod 3:
+        # cr_0 = Z/2 and cr_1 = Z/3 merge into one chain, (6,) at q = 1 and
+        # (3, 6) at q = 2
+        base = extract_morita_module(DirectSum(Const(1), Sym(1)), 2)
+        presentation = Matrix([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+        module = MoritaModule(2, base.algebra, presentation, base.action)
+        for q, torsion in [(0, (2,)), (1, (6,)), (2, (3, 6))]:
+            inv = reconstruct(module, q)
+            assert (inv.torsion, inv.free_rank) == brute_reconstruct(module, q) == (torsion, 0)
+
+    def test_non_idempotent_cross_effect_is_refused(self):
+        # the unit [I] acts as A_0 + A_{E11} + A_{E22} + A_{E11,E22} = 0 + 2 - 1 + 0,
+        # the identity, so construction passes; d_0 = 0 is idempotent, d_1 = 2 is not
+        alg = AugAlgebra(4, 2)
+        action = {X: Matrix.zeros(1, 1) for X in alg.basis}
+        action[Multiset.from_indices((0,))] = Matrix([[2]])
+        action[Multiset.from_indices((3,))] = Matrix([[-1]])
+        module = MoritaModule(2, alg, Matrix.zeros(1, 0), action)
+        assert reconstruct(module, 0) == reconstruct(zero_module(), 0)
+        with pytest.raises(VerificationError, match="d_1 "):
+            reconstruct(module, 1)
+
+    def test_reads_no_table_and_no_relations(self, monkeypatch):
+        # the cost does not grow with q: no composition table, no relation rows
+        def refuse(*args):
+            raise AssertionError("reconstruct built a balanced product")
+
+        module = morita(Sym(2))
+        monkeypatch.setattr(functors, "composition_tables", refuse)
+        monkeypatch.setattr(functors, "_tensor_relation_rows", refuse)
+        inv = reconstruct(module, 10**30)
+        assert inv.free_rank == object_dim(Sym(2), 10**30) and inv.torsion == ()
 
 
 class TestDividedStructure:
@@ -654,7 +730,6 @@ class TestScalarChange:
         module = extract_morita_module(Sym(3), 3)
         products, _ = functors._schur_tables(3)
         rows = functors._tensor_relation_rows(
-            len(products),
             module.generators,
             products,
             module.action,

@@ -563,22 +563,22 @@ def test_hermite_matches_sympy_on_small_matrices(case):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("kind", ["tensor", "sym", "ext", "div"])
 def test_hermite_matches_sympy_on_relation_matrices(kind, q):
-    """The tall, sparse balanced-product relations that `reconstruct` reduces."""
+    """The tall, sparse balanced-product relations that `extend_scalars` and
+    the test oracle for `reconstruct` reduce."""
     pytest.importorskip("sympy")
-    from functorlab.augmentation import aug_dimension, composition_tables
+    from functorlab.augmentation import composition_tables
     from functorlab.functors import _tensor_relation_rows, extract_morita_module, spec_from_json
 
     module = extract_morita_module(spec_from_json({kind: 2}), 2)
-    left_dim = aug_dimension(2 * q, 2)
+    products = composition_tables(q, 2, 2, 2)
     rows = _tensor_relation_rows(
-        left_dim,
         module.generators,
-        composition_tables(q, 2, 2, 2),
+        products,
         module.action,
         module.algebra.basis,
         module.presentation,
     )
-    width = left_dim * module.generators
+    width = len(products) * module.generators
     assert len(rows) > width
     assert_hnf_matches_sympy(Matrix(rows, width).rows, width)
 
