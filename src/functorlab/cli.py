@@ -70,13 +70,14 @@ class UsageError(Exception):
 # Size guards, read off closed forms before anything is built: the entries
 # object_dim(F, rows) * object_dim(F, cols) of a `functor arrow` matrix,
 # dim B(k, n) = aug_dimension(k, n) of the largest gamma-epsilon or table
-# cell, dim B(k, n) * 2^n of the largest gamma-epsilon cell, and the n^n rows
+# cell, dim B(k, n) * n^2 of the largest gamma-epsilon cell, and the n^n rows
 # (and nonzeros) of the tensor^n arrow of the n x n identity, the largest
-# object of the deviations suite.  The kernel of gamma costs far more per
-# basis class as n grows, hence the 2^n: at the limit (4, 10) and (5, 9)
-# take 3-4 s, and past it (7, 8) takes 13 s, (5, 10) 17 s, (2, 18) 23 s and
-# (3, 12) 31 s, while (4, 11) does not end.  Below k = 3 the limit is
-# conservative: (2, 17) takes 5.5 s and (1, 100) 12 s.
+# object of the deviations suite.  A gamma-epsilon cell builds no kernel of
+# gamma; its scaling classes, their Hermite form and the product L gamma^T
+# cost more per basis class as n grows, hence the n^2.  Whole cells (Python
+# 3.11, 2-core Xeon): within the limit (4, 13) takes 9 s, (7, 8) 7.5 s and
+# (5, 10) 4.3 s; past it (4, 14) takes 14 s, (3, 20) 12 s and (2, 60) 68 s.
+# Below k = 3 it is conservative: (2, 35) takes 3.3 s and (1, 300) 4.6 s.
 #
 # The composition table of side x side matrices at degree n (aug-algebra,
 # schur, functor extract) weighs dim B(side^2, n)^2 (1 + 4^n / (16 side^2))
@@ -88,7 +89,7 @@ class UsageError(Exception):
 # four reconstruction cells per q <= Q, about 1 ms each: Q = 4096 takes 4.6 s.
 MAX_ARROW_ENTRIES = 2**21
 MAX_AUG_DIMENSION = 12_000
-MAX_KERNEL_WEIGHT = 2**20
+MAX_GAMMA_EPSILON_WEIGHT = 2**19
 MAX_TABLE_WEIGHT = 2**23
 MAX_MORITA_Q = 2**12
 MAX_TENSOR_ROWS = 6**6
@@ -419,9 +420,8 @@ def _run_suite(args) -> tuple[dict, bool]:
     tensor_rows_past = max_n > MAX_TENSOR_ROWS or max_n**max_n > MAX_TENSOR_ROWS
     if args.suite in ("deviations", "all") and tensor_rows_past:
         raise UsageError(f"the tensor^{max_n} arrow exceeds the size limit {MAX_TENSOR_ROWS}")
-    # shift the limit, not the dimension, so that a large n builds no large int
-    if args.suite in ("gamma-epsilon", "all") and aug_dimension(k, n) > MAX_KERNEL_WEIGHT >> n:
-        raise UsageError(f"dim B({k}, {n}) * 2^{n} exceeds the size limit {MAX_KERNEL_WEIGHT}")
+    if args.suite in ("gamma-epsilon", "all") and aug_dimension(k, n) * n * n > MAX_GAMMA_EPSILON_WEIGHT:
+        raise UsageError(f"dim B({k}, {n}) * {n}^2 exceeds the size limit {MAX_GAMMA_EPSILON_WEIGHT}")
     grid = [(k, n)] if single else [(a, b) for a in range(1, k + 1) for b in range(1, n + 1)]
     summaries: dict = {}
     suites = {

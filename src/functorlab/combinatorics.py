@@ -1,14 +1,13 @@
 """Exact combinatorial scalars and canonical multisets.
 
 Everything here is integer arithmetic: binomial coefficients with arbitrary
-integer upper index, Stirling numbers of the second kind, the finite
-multisets that index the deviation and divided-power bases used elsewhere,
-their integer codes (multiset_codes) and the per-multiset product walk over
-them (multiset_products), and signed_subset_sums, the walk over the 2^m
-subsets behind the deviations of arbitrary set maps
-(deviations.alternating_sum) and of arrow maps.  The deviations of x -> [x]
-and of the divided power map have closed forms (augmentation,
-divided_powers) and take no such walk.
+integer upper index, the finite multisets that index the deviation and
+divided-power bases used elsewhere, their integer codes (multiset_codes) and
+the per-multiset product walk over them (multiset_products), and
+signed_subset_sums, the walk over the 2^m subsets behind the deviations of
+arbitrary set maps (deviations.alternating_sum) and of arrow maps.  The
+deviations of x -> [x] and of the divided power map have closed forms
+(augmentation, divided_powers) and take no such walk.
 """
 from __future__ import annotations
 
@@ -61,33 +60,6 @@ def signed_subset_sums(args, zero) -> list:
     for a in args:
         terms += [(-sign, s + a) for sign, s in terms]
     return terms
-
-
-def stirling2(n: int, m: int) -> int:
-    """Stirling number of the second kind: set partitions of n into m blocks."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    if m > n:
-        return 0
-    # row-by-row recurrence S(n, m) = m S(n-1, m) + S(n-1, m-1)
-    row = [1]
-    for nn in range(1, n + 1):
-        prev = row
-        row = [
-            (j * prev[j] if j < len(prev) else 0) + (prev[j - 1] if j > 0 else 0)
-            for j in range(nn + 1)
-        ]
-    return row[m]
-
-
-def stirling_sum_identity(n: int, m: int) -> int:
-    """The alternating sum sum_{r=0}^{m} (-1)^(m-r) C(m, r) r^n.
-
-    Equals m! * stirling2(n, m); note the r = 0 term uses 0^0 = 1.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    return sum((-1) ** (m - r) * comb(m, r) * r**n for r in range(m + 1))
 
 
 @dataclass(frozen=True)

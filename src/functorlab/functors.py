@@ -276,30 +276,33 @@ def scaling_cross_check(spec: FunctorSpec, n: int, alpha: Matrix) -> DeviationRe
     return scaling_law(lambda r: arrow_map(spec, alpha.scale(r)), n)
 
 
-@lru_cache(maxsize=None)
 def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0) -> DeviationReport:
     """Certify (by exact sampling) that the functor is numerical of degree <= n.
 
-    Two ingredients: the scaling law at the identity of the rank-n module on
-    the window [-(n+2), n+2], and the vanishing of every (n+1)-st deviation
-    of the arrow map on three seeded random matrix tuples of each of
-    assorted shapes.
+    Two ingredients: the scaling law at the identity of the rank-(n+1)
+    module on the window [-(n+2), n+2], and the vanishing of every (n+1)-st
+    deviation of the arrow map on three seeded random matrix tuples of each
+    of assorted shapes.
 
     The report is a pure function of (spec, n, seed), all frozen and
-    hashable, so it is memoized: extract_morita_module reuses the
-    certificate a caller has just asked for.  A raising call is not cached.
+    hashable, so it is memoized however seed is passed: extract_morita_module
+    reuses the certificate a caller has just asked for.  A raising call is
+    not cached.
     """
+    return _certificate(spec, n, seed)
+
+
+@lru_cache(maxsize=None)
+def _certificate(spec: FunctorSpec, n: int, seed: int) -> DeviationReport:
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    used = 0
-
-    # scaling at identity(n) alone can be vacuous (the functor may vanish on
-    # small ranks), so check it one rank up as well
-    for side in (n, n + 1):
-        report = scaling_cross_check(spec, n, Matrix.identity(side))
-        used += report.samples_used
-        if not report.passed:
-            return DeviationReport(n, used, False, report.witness)
+    # the law at the identity of rank n + 1 gives it at rank n, as
+    # F(r I_n) = F(p) F(r I_(n+1)) F(i) for the projection p and inclusion i;
+    # at rank n alone it can be vacuous (the functor may vanish on small ranks)
+    report = scaling_cross_check(spec, n, Matrix.identity(n + 1))
+    used = report.samples_used
+    if not report.passed:
+        return DeviationReport(n, used, False, report.witness)
 
     rng = random.Random(seed)
     shapes = [(m, m) for m in range(1, n + 2)] + [(2, 1), (1, 2)]

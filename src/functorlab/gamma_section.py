@@ -24,7 +24,7 @@ from math import comb, factorial, prod
 from typing import Optional
 
 from .augmentation import AugAlgebra, aug_dimension
-from .combinatorics import Multiset, multisets_exactly, multisets_up_to, stirling_sum_identity
+from .combinatorics import Multiset, multisets_exactly, multisets_up_to
 from .divided_powers import GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
@@ -60,11 +60,16 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
     Read at e^[A], the deviation factors over coordinates: a sub-word with
     s_i of the x_i copies of e_i adds (-1)^(|X| - |s|) prod_i s_i^(a_i), and
     C(x_i, s_i) sub-words pick that many, so the entry is the product over i
-    of sum_s (-1)^(x_i - s) C(x_i, s) s^(a_i) = stirling_sum_identity(a_i,
-    x_i) = x_i! S(a_i, x_i).  That is 0 when exactly one of a_i, x_i is 0, so
-    a row reads only the columns of its own support.
+    of T[a_i][x_i], where T[a][x] = sum_s (-1)^(x - s) C(x, s) s^a = x! S(a, x)
+    counts the surjections of an a-set onto an x-set.  The recurrence T[a][x]
+    = x (T[a-1][x] + T[a-1][x-1]) builds it: the last point goes to one of x
+    values, which the others do or do not also hit.  T[a][x] is 0 when
+    exactly one of a, x is 0, so a row reads only the columns of its support.
     """
-    table = [[stirling_sum_identity(a, x) for x in range(degree + 1)] for a in range(degree + 1)]
+    table = [[1] + [0] * degree]
+    for _ in range(degree):
+        last = table[-1]
+        table.append([0] + [x * (last[x] + last[x - 1]) for x in range(1, degree + 1)])
     by_support = _columns_by_support(rank, degree)
     rows = [
         {
@@ -126,13 +131,27 @@ def apply_epsilon(pair: GammaEpsilonPair, g: MultisetVector) -> MultisetVector:
     return alg.from_vector(pair.epsilon.matvec(g.vector))
 
 
+@lru_cache(maxsize=None)
+def gamma_kernel(rank: int, degree: int) -> Lattice:
+    """Ker gamma in Hermite form, built once per (rank, degree) and shared."""
+    return kernel_lattice(gamma_matrix(rank, degree))
+
+
 @dataclass(frozen=True)
 class KernelReport:
-    kernel: Lattice
+    rank: int
+    degree: int
     generated: Lattice  # the span L of the scaling classes, not saturated
     match: bool
     witness: Optional[tuple] = None  # ("escape", z) or ("rank", rank L, rank Ker gamma)
-    index: Optional[int] = None  # [Ker gamma : L], when they match
+
+    @property
+    def kernel(self) -> Lattice:
+        return gamma_kernel(self.rank, self.degree)
+
+    @property
+    def index(self) -> Optional[int]:  # [Ker gamma : L], when they match
+        return _pivot_product(self.generated) // _pivot_product(self.kernel) if self.match else None
 
 
 def _scaling_rows(rank: int, degree: int) -> dict:
@@ -165,10 +184,10 @@ def _pivot_product(lattice: Lattice) -> int:
 
 
 def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
-    """Kernel lattice of gamma, compared against the span L of the scaling
-    classes [2z] - 2^n [z], n = degree, over the simplex of z in N^rank with
+    """Ker(gamma), compared against the span L of the scaling classes
+    [2z] - 2^n [z], n = degree, over the simplex of z in N^rank with
     |z| <= n - 1: gamma must kill every class, and rank L must equal
-    rank Ker(gamma).
+    rank Ker(gamma).  Only the report's `kernel` and `index` build Ker(gamma).
 
     Why that decides it.  Ker(gamma) is the kernel of an integer map, so it
     is saturated: it holds every integer vector of its rational span.  If L
@@ -176,6 +195,11 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
     Ker(gamma) is the saturation of L, and the index [Ker(gamma) : L] is
     finite.  Their Hermite forms then share pivot columns, and the index is
     the quotient of their pivot products.
+
+    Why rank Ker(gamma) is read off the shape.  The size-n columns of gamma
+    are diag(a!), which is what gamma @ epsilon == 1 says (certified by the
+    section-identity cell at the same cell), so gamma has full row rank and
+    rank Ker(gamma) is its number of columns less its number of rows.
 
     Why the ranks agree.  A rational linear form on B(rank, n) is a
     polynomial map f of degree <= n (Passi, LNM 715); write f_j for its
@@ -194,17 +218,15 @@ def kernel_of_gamma(rank: int, degree: int) -> KernelReport:
     """
     gam = gamma_matrix(rank, degree)
     dim = gam.ncols
-    kernel = kernel_lattice(gam)
     rows = _scaling_rows(rank, degree)
     generated = Lattice(dim, relation_hermite_form(dim, rows.values()))
     images = Matrix._sparse(list(rows.values()), dim) @ gam.transpose()
     escaped = next((z for z, image in zip(rows, images.sparse_rows) if image), None)
     if escaped is not None:
-        return KernelReport(kernel, generated, False, ("escape", escaped))
-    if generated.rank != kernel.rank:
-        return KernelReport(kernel, generated, False, ("rank", generated.rank, kernel.rank))
-    index = _pivot_product(generated) // _pivot_product(kernel)
-    return KernelReport(kernel, generated, True, None, index)
+        return KernelReport(rank, degree, generated, False, ("escape", escaped))
+    if generated.rank != dim - gam.nrows:
+        return KernelReport(rank, degree, generated, False, ("rank", generated.rank, dim - gam.nrows))
+    return KernelReport(rank, degree, generated, True)
 
 
 def truncation_matrix(rank: int, degree: int) -> Matrix:
@@ -388,8 +410,7 @@ def image_epsilon_decomposition(rank: int, degree: int) -> DecompositionReport:
     image_lattice = Lattice.from_rows(eps_int.nrows, eps_int.transpose().sparse_rows)
     one_minus_p = Matrix.identity(p.nrows) - p
     ker_proj_rank = (one_minus_p @ eps_int).rank()
-    ker_lat = kernel_lattice(pair.gamma)
-    ker_lat_rank = lattice_intersection(ker_lat, image_lattice).rank
+    ker_lat_rank = lattice_intersection(gamma_kernel(rank, degree), image_lattice).rank
     return DecompositionReport(
         idempotent,
         image_lattice.rank,
@@ -438,8 +459,7 @@ def quasi_homogeneity_test(module, degree: int) -> bool:
     alg = module.algebra
     if alg.degree != degree:
         raise ValueError("module algebra degree differs from the requested degree")
-    kernel = kernel_lattice(gamma_matrix(alg.rank, degree))
-    for row in kernel.basis.rows:
+    for row in gamma_kernel(alg.rank, degree).basis.rows:
         elem = alg.from_vector(row)
         if not module.zero_action(module.act(elem)):
             return False

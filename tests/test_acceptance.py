@@ -9,12 +9,7 @@ from itertools import product
 from math import factorial
 
 from functorlab.augmentation import AugAlgebra
-from functorlab.combinatorics import (
-    binomial,
-    multisets_up_to,
-    stirling2,
-    stirling_sum_identity,
-)
+from functorlab.combinatorics import binomial, multisets_up_to
 from functorlab.deviations import alternating_sum
 from functorlab.functors import (
     Const,
@@ -34,6 +29,7 @@ from functorlab.functors import (
 from functorlab.gamma_section import (
     cokernel_of_pi_gamma,
     gamma_epsilon_pair,
+    gamma_matrix,
     kernel_of_gamma,
     quadratic_split,
     quasi_homogeneity_test,
@@ -41,6 +37,7 @@ from functorlab.gamma_section import (
     verify_section,
 )
 from functorlab.intlinalg import Matrix, saturation
+from oracles import stirling2, stirling_sum_identity
 
 CATALOG = {n: [Tensor(n), Sym(n), Ext(n), Div(n)] for n in (1, 2, 3)}
 
@@ -91,9 +88,15 @@ def test_criterion_03_cokernel_invariants():
 
 
 def test_criterion_04_stirling_identity():
+    # the library's table of gamma's coordinate factors, the surjection
+    # counts, equals the alternating sum, which is m! times a Stirling
+    # number: the rank-1 gamma at degree n is its row n
     for n in range(9):
+        row = gamma_matrix(1, n).rows[0]
         for m in range(9):
-            assert stirling_sum_identity(n, m) == factorial(m) * stirling2(n, m), (n, m)
+            want = stirling_sum_identity(n, m)
+            assert want == factorial(m) * stirling2(n, m), (n, m)
+            assert (row[m] if m <= n else 0) == want, (n, m)
 
 
 def test_criterion_05_ring_homomorphisms():

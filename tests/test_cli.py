@@ -750,12 +750,11 @@ class TestContract:
             ["verify", "morita", "--q", str(10**12)],
             ["verify", "all", "--q", str(10**12)],
         ]
-        # within the dimension limit, but dim B(k, n) * 2^n is past its own:
-        # each would run for minutes or never end, and the last would be a
-        # 2^(10^12) weight if the limit were not shifted
+        # within the dimension limit, but dim B(k, n) * n^2 is past its own:
+        # built, (4, 14) takes 14 s and (2, 60) a minute
         + [
             ["verify", "gamma-epsilon", "--k", str(k), "--n", str(n)]
-            for k, n in [(2, 20), (3, 12), (4, 11), (1, 200), (3, 30), (4, 19), (2, 90), (0, 10**12)]
+            for k, n in [(2, 60), (1, 300), (4, 14), (1, 200), (3, 30), (4, 19), (2, 90), (0, 10**12)]
         ],
     )
     def test_oversized_runs_are_refused_at_once(self, capsys, argv):
@@ -767,6 +766,18 @@ class TestContract:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "size limit" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k,n,seconds", [(2, 20, 2), (3, 12, 3), (4, 11, 10)])
+    def test_gamma_epsilon_cells_past_the_old_weight_pass(self, capsys, k, n, seconds):
+        # refused while the cell built the kernel of gamma; without it they
+        # take 0.3 s, 0.7 s and 2.6 s
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["verify", "gamma-epsilon", "--k", str(k), "--n", str(n)])
+        assert time.perf_counter() - start < seconds
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert len(report["cells"]) == 4 and all(c["verdict"] == "pass" for c in report["cells"])
+        assert report["summary"]["kernel_match"] is True
 
     @pytest.mark.parametrize(
         "argv",
@@ -817,12 +828,19 @@ class TestContract:
         # the limit; tensor^12 of a 2 x 2 matrix (4096 x 4096, every entry
         # nonzero) is past it; the deviations suite reaches max-n 6 (tensor^6
         # of the 6 x 6 identity has 6^6 rows) and no further
-        for k, n in [(9, 2), (9, 4), (6, 6), (4, 8), (4, 9), (4, 10), (12, 5)]:
+        reach = [(9, 2), (9, 4), (6, 6), (4, 8), (4, 9), (4, 10), (12, 5), (2, 20), (3, 12), (4, 11)]
+        for k, n in reach + [(7, 8)]:
             assert augmentation.aug_dimension(k, n) <= cli.MAX_AUG_DIMENSION
-            assert augmentation.aug_dimension(k, n) << n <= cli.MAX_KERNEL_WEIGHT
-        # the kernel weight never refuses a verify-all grid (n <= 6) that the
-        # dimension limit lets through
-        assert cli.MAX_AUG_DIMENSION << 6 <= cli.MAX_KERNEL_WEIGHT
+            assert augmentation.aug_dimension(k, n) * n * n <= cli.MAX_GAMMA_EPSILON_WEIGHT
+        # the gamma-epsilon weight never refuses a verify-all grid (n <= 6)
+        # that the dimension limit lets through, nor a cell that the kernel's
+        # weight dim B(k, n) * 2^n <= 2^20 let through
+        assert cli.MAX_AUG_DIMENSION * 6 * 6 <= cli.MAX_GAMMA_EPSILON_WEIGHT
+        for n in range(1, 21):
+            k = 0
+            while (dim := augmentation.aug_dimension(k, n)) <= cli.MAX_AUG_DIMENSION and dim << n <= 2**20:
+                assert dim * n * n <= cli.MAX_GAMMA_EPSILON_WEIGHT
+                k += 1
         assert augmentation.aug_dimension(30, 6) > cli.MAX_AUG_DIMENSION
         assert 4096 * 4096 > cli.MAX_ARROW_ENTRIES
         assert 6**6 <= cli.MAX_TENSOR_ROWS < 7**7

@@ -17,18 +17,17 @@ from functorlab.combinatorics import (
     multisets_exactly,
     multisets_up_to,
     signed_subset_sums,
-    stirling2,
-    stirling_sum_identity,
 )
 from functorlab.augmentation import AugAlgebra
 from functorlab.deviations import alternating_sum
 from functorlab.divided_powers import GammaModule
 from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule
+from oracles import stirling2, stirling_sum_identity
 
 
 def set_partitions(items):
-    """All set partitions, by direct recursion.  Oracle for stirling2."""
+    """All set partitions, by direct recursion.  Oracle for the oracle stirling2."""
     items = list(items)
     if not items:
         yield []

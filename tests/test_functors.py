@@ -353,25 +353,26 @@ class TestDegreeCertificates:
 
 
 class TestCertificateMemo:
-    """degree_certificate is memoized per (spec, n, seed)."""
+    """degree_certificate is memoized per (spec, n, seed), in
+    functors._certificate, however seed is passed."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        degree_certificate.cache_clear()
+        functors._certificate.cache_clear()
         yield
-        degree_certificate.cache_clear()
+        functors._certificate.cache_clear()
 
     def test_repeated_call_returns_the_same_report(self):
         first = degree_certificate(Sym(2), 2, seed=4)
         assert degree_certificate(Sym(2), 2, seed=4) is first
-        info = degree_certificate.cache_info()
+        info = functors._certificate.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
     def test_memo_equals_a_fresh_run(self):
-        fresh = degree_certificate.__wrapped__
+        fresh = functors._certificate.__wrapped__
         for spec in CATALOG2 + [Sym(3), DirectSum(Const(1), Sym(2))]:
             for n in (1, 2):
-                assert degree_certificate(spec, n, seed=2) == fresh(spec, n, seed=2)
+                assert degree_certificate(spec, n, seed=2) == fresh(spec, n, 2)
 
     def test_each_key_has_its_own_entry(self):
         calls = [
@@ -382,28 +383,35 @@ class TestCertificateMemo:
             (Sym(2), 2, 1),
         ]
         reports = [degree_certificate(spec, n, seed=seed) for spec, n, seed in calls]
-        assert degree_certificate.cache_info().currsize == len(calls)
-        assert degree_certificate.cache_info().hits == 0
+        assert functors._certificate.cache_info().currsize == len(calls)
+        assert functors._certificate.cache_info().hits == 0
         assert [r.passed for r in reports] == [True, True, True, False, True]
 
     def test_raising_call_is_not_cached(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="nonnegative"):
                 degree_certificate(Sym(2), -1)
-        info = degree_certificate.cache_info()
+        info = functors._certificate.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
     def test_extraction_reuses_the_certificate(self):
         degree_certificate(Sym(2), 2, seed=3)
         extract_morita_module(Sym(2), 2, seed=3)
-        info = degree_certificate.cache_info()
+        info = functors._certificate.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_a_positional_call_shares_the_entry(self):
+        # extraction passes seed by keyword, the caller here by default
+        degree_certificate(Tensor(2), 2)
+        extract_morita_module(Tensor(2), 2)
+        info = functors._certificate.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
     def test_failed_certificate_raises_on_every_extraction(self):
         for _ in range(3):
             with pytest.raises(ValueError, match="fails the degree-2 certificate"):
                 extract_morita_module(Sym(3), 2, seed=1)
-        info = degree_certificate.cache_info()
+        info = functors._certificate.cache_info()
         assert (info.hits, info.misses) == (2, 1)
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra, aug_dimension
-from functorlab.combinatorics import Multiset, multisets_exactly, multisets_up_to, stirling2
+from functorlab.combinatorics import Multiset, multisets_exactly, multisets_up_to
 from functorlab.divided_powers import GammaModule
-from functorlab import gamma_section
+from functorlab import cli, gamma_section, intlinalg
 from functorlab.gamma_section import (
     GammaEpsilonPair,
     VerificationError,
@@ -21,12 +21,14 @@ from functorlab.gamma_section import (
     cokernel_of_pi_gamma,
     epsilon_matrix,
     gamma_epsilon_pair,
+    gamma_kernel,
     gamma_matrix,
     image_epsilon_decomposition,
     kernel_of_gamma,
     products_quotient_invariants,
     products_sublattice,
     quadratic_split,
+    quasi_homogeneity_test,
     ring_hom_checks,
     stacked_pi_gamma,
     truncation_matrix,
@@ -42,6 +44,8 @@ from functorlab.intlinalg import (
     saturation,
     solve_int,
 )
+from functorlab.functors import Ext, Sym, extract_morita_module
+from oracles import stirling2, stirling_sum_identity
 
 GRID = [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)]
 # the cells of the benchmark's invariants workload
@@ -179,8 +183,17 @@ class TestGammaMatrix:
         assert gam.rows == brute_gamma_matrix(k, n).rows
         assert gam.shape == (len(GammaModule(k, n).basis), aug_dimension(k, n))
 
+    @pytest.mark.parametrize("degree", [0, 1, 2, 5, 12, 30])
+    def test_surjection_table(self, degree):
+        # the rank-1 gamma at degree a is row a of the table off the
+        # recurrence: the alternating sum, which is x! S(a, x)
+        for a in range(degree + 1):
+            row = [stirling_sum_identity(a, x) for x in range(a + 1)]
+            assert gamma_matrix(1, a).rows == (tuple(row),)
+            assert row == [factorial(x) * stirling2(a, x) for x in range(a + 1)]
+
     @pytest.mark.parametrize(
-        "k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (2, 5)]
+        "k,n", [(1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (4, 4), (2, 5), (1, 40), (2, 20)]
     )
     def test_stirling_closed_form(self, k, n):
         # row A, column X holds prod_i x_i! S(a_i, x_i): the deviation of
@@ -310,6 +323,28 @@ def brute_kernel_index(rank, degree):
     return prod(invariants.torsion)
 
 
+def eager_kernel_report(rank, degree):
+    """(match, witness, index, kernel) as kernel_of_gamma read them when it
+    built Ker gamma itself: the rank witness names the kernel's rank, and
+    the index is the quotient of the two pivot products."""
+    gam = gamma_matrix(rank, degree)
+    kernel = kernel_lattice(gam)
+    rows = gamma_section._scaling_rows(rank, degree)
+    dim = gam.ncols
+    generated = Lattice.from_rows(dim, dense_rows(rows.values(), dim))
+    for z, row in zip(rows, dense_rows(rows.values(), dim)):
+        if any(gam.matvec(row)):
+            return False, ("escape", z), None, kernel
+    if generated.rank != kernel.rank:
+        return False, ("rank", generated.rank, kernel.rank), None, kernel
+    pivots = lambda lat: prod(row[min(row)] for row in lat.basis.sparse_rows)
+    return True, None, pivots(generated) // pivots(kernel), kernel
+
+
+def report_fields(rep):
+    return rep.match, rep.witness, rep.index, rep.kernel
+
+
 def inject(monkeypatch, edit):
     """Route kernel_of_gamma through scaling rows changed by edit(rows, dim)."""
     real = gamma_section._scaling_rows
@@ -347,6 +382,42 @@ class TestKernel:
         assert (rep.match, rep.kernel) == (match, kernel)
         dim = aug_dimension(k, n)
         assert rep.generated == Lattice.from_rows(dim, dense_rows(_scaling_rows(k, n).values(), dim))
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(5) for n in range(9)] + [(2, 12), (4, 10)])
+    def test_against_the_eager_kernel(self, k, n):
+        # the rank from the dimension count is the kernel's, and the report
+        # reads what the route that built the kernel first read
+        gam = gamma_matrix(k, n)
+        assert gam.ncols - gam.nrows == kernel_lattice(gam).rank
+        assert report_fields(kernel_of_gamma(k, n)) == eager_kernel_report(k, n)
+
+    def test_the_verdict_builds_no_kernel(self, monkeypatch):
+        # every cell of the gamma-epsilon suite passes without kernel_lattice,
+        # with the summary of a run that may call it
+        grid = [(3, 5), (4, 4)]
+        summaries: dict = {}
+        cells = cli.suite_gamma_epsilon(grid, summaries)
+
+        def refused(mat):
+            raise AssertionError("kernel_lattice called")
+
+        gamma_kernel.cache_clear()
+        monkeypatch.setattr(gamma_section, "kernel_lattice", refused)
+        monkeypatch.setattr(intlinalg, "kernel_lattice", refused)
+        without: dict = {}
+        assert cli.suite_gamma_epsilon(grid, without) == cells
+        assert all(c["verdict"] == "pass" for c in cells)
+        assert without == summaries
+        assert gamma_kernel.cache_info().currsize == 0
+
+    def test_one_kernel_per_cell(self):
+        # two modules over the same algebra read one Ker gamma
+        gamma_kernel.cache_clear()
+        modules = [extract_morita_module(spec, 2) for spec in (Sym(2), Ext(2))]
+        assert all(quasi_homogeneity_test(module, 2) for module in modules)
+        info = gamma_kernel.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert kernel_of_gamma(4, 2).kernel is gamma_kernel(4, 2)
 
     @pytest.mark.parametrize(
         "k,n,index", [(2, 3, 224), (2, 4, 3010560), (3, 4, 2762200842240), (2, 5, 12844233916416)]
@@ -416,6 +487,7 @@ class TestKernel:
         assert not rep.match and rep.index is None
         assert rep.witness == ("rank", 9, 10)
         assert (rep.generated.rank, rep.kernel.rank) == (9, 10)
+        assert report_fields(rep) == eager_kernel_report(2, 4)
 
     def test_witness_on_an_escaping_row(self, monkeypatch):
         # a class that gamma does not kill names its point z
@@ -423,6 +495,7 @@ class TestKernel:
         rep = kernel_of_gamma(2, 4)
         assert not rep.match and rep.index is None
         assert rep.witness == ("escape", (0, 0))
+        assert report_fields(rep) == eager_kernel_report(2, 4)
         gam = gamma_matrix(2, 4)
         rows = gamma_section._scaling_rows(2, 4)
         escaping = [z for z, row in zip(rows, dense_rows(rows.values(), gam.ncols)) if any(gam.matvec(row))]
