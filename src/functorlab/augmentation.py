@@ -39,8 +39,7 @@ products, methods of the algebra that take two elements.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb, prod
+from itertools import combinations
 
 from .combinatorics import Multiset, binomial, multiset_codes, multiset_products, multisets_up_to
 from .intlinalg import Matrix
@@ -57,16 +56,6 @@ def _class_vector(coords, degree: int) -> list[int]:
     """Coefficients of [x] on the basis of B(len(coords), degree): the
     product of C(x_i, m) over the (i, m) pairs of each X."""
     return multiset_products([[binomial(x, m) for m in range(degree + 1)] for x in coords], degree)
-
-
-def _sub_multisets(X: Multiset):
-    """(A, w) over sub-multisets A of X, with the basis class of X equal to
-    the sum of w [A]: w = (-1)^(|X| - |A|) prod C(m_i, a_i)."""
-    out = []
-    for sub in product(*(range(m + 1) for _, m in X.pairs)):
-        w = (-1) ** (X.size - sum(sub)) * prod(comb(m, a) for (_, m), a in zip(X.pairs, sub))
-        out.append((Multiset(tuple((i, a) for (i, _), a in zip(X.pairs, sub) if a)), w))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,11 @@ keyed by bitmask, so a minor is a coefficient and no determinant is taken.
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
 multiset X acts by the deviation of the arrow map at X's word of matrix
-units, one arrow evaluation per multiset shared by all the deviations.  The
-certificate is memoized, one per (spec, n, seed), so extraction
-after an explicit certificate does not sample the functor again.
+units, the Newton forward difference of the arrows at the multiplicity
+matrices of size <= n.  One difference table per (spec, n) and one
+certificate per (spec, n, seed) serve every extraction, so none evaluates
+or samples the functor again (n = 4 on one core of a 2-core Xeon: sym^4
+1.2 s, div^4 1.0 s, tensor^4 9.6 s, about 7 s of it the certificate).
 Reconstruction reads the value on Z^q off the module's n + 1 cross effects,
 at a cost that does not grow with q.  Restriction/extension of scalars
 moves between that algebra and the divided power algebra of matrices, whose
@@ -36,13 +38,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .augmentation import (
-    AugAlgebra,
-    _sub_multisets,
-    aug_dimension,
-    composition_tables,
+from .augmentation import AugAlgebra, aug_dimension, composition_tables
+from .combinatorics import (
+    binomial, multiset_codes, multisets_exactly, multisets_up_to, signed_subset_sums,
 )
-from .combinatorics import binomial, multisets_exactly, multisets_up_to, signed_subset_sums
 from .deviations import DeviationReport, scaling_law
 from .divided_powers import (
     GammaModule,
@@ -413,23 +412,53 @@ class MoritaModule(PresentedModule):
         return self._multiplicative(self.algebra.product_mul, pairs, seed)
 
 
-def _unit_word_deviations(spec: FunctorSpec, n: int, basis) -> dict:
+@lru_cache(maxsize=None)
+def _difference_plan(n: int) -> tuple:
+    """(position, lower position) steps of the forward differences over
+    multisets_up_to(n * n, n): per unit u and level 1..n, each position whose
+    multiplicity of u reaches the level, top code first, with the position
+    of one u fewer."""
+    codes, _, index = multiset_codes(n * n, n)
+    order = sorted(range(len(codes)), key=codes.__getitem__, reverse=True)
+    return tuple(
+        (t, index[codes[t] - e])
+        for e in [(n + 1) ** u for u in range(n * n)]
+        for level in range(1, n + 1)
+        for t in order
+        if codes[t] // e % (n + 1) >= level
+    )
+
+
+@lru_cache(maxsize=None)
+def _difference_table(spec: FunctorSpec, n: int) -> tuple:
     """Deviation of the arrow map at the word of n x n matrix units of each
-    multiset X in `basis`.  A subset of X's word sums to the matrix holding
-    the multiplicities of a sub-multiset A, so the deviation is the sum of
-    w * arrow(A) over augmentation._sub_multisets(X): one arrow evaluation
-    per multiset of size <= n, shared by every X."""
-    values = {}
+    X in multisets_up_to(n * n, n), in that order.  A subset of X's word sums
+    to the multiplicity matrix of a sub-multiset, so the deviation is the
+    forward difference prod_u (E_u - 1)^(x_u) F(0), F(A) the arrow at the
+    multiplicity matrix A and E_u the shift by unit u: one arrow per
+    multiset, then T[A] -= T[A - u] in place by _difference_plan, whose top
+    code first order leaves T[A - u] at the level below.  Entries are kept
+    flat, {row * dim + column: v}."""
+    dim = object_dim(spec, n)
+    table = []
     for A in multisets_up_to(n * n, n):
         rows: list[dict] = [{} for _ in range(n)]
         for u, m in A.pairs:
             rows[u // n][u % n] = m
-        values[A] = arrow_map(spec, Matrix._sparse(rows, n))
-    dim = object_dim(spec, n)
-    return {
-        X: linear_combination(((w, values[A]) for A, w in _sub_multisets(X)), dim, dim)
-        for X in basis
-    }
+        arrow = arrow_map(spec, Matrix._sparse(rows, n)).sparse_rows
+        table.append({i * dim + j: v for i, row in enumerate(arrow) for j, v in row.items()})
+    for t, lower in _difference_plan(n):
+        entry = table[t]
+        for k, v in table[lower].items():
+            entry[k] = entry.get(k, 0) - v
+    out = []
+    for entry in table:
+        rows = [{} for _ in range(dim)]
+        for k, v in entry.items():
+            if v:
+                rows[k // dim][k % dim] = v
+        out.append(Matrix._sparse(rows, dim))
+    return tuple(out)
 
 
 def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaModule:
@@ -442,7 +471,7 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
             f"functor {spec.label()} fails the degree-{n} certificate: {cert.witness}"
         )
     algebra = AugAlgebra(n * n, n)
-    action = _unit_word_deviations(spec, n, algebra.basis)
+    action = dict(zip(algebra.basis, _difference_table(spec, n)))
     return MoritaModule(n, algebra, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
@@ -539,16 +568,14 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
     degree n = |A|, that coefficient is the deviation of the arrow map at A's
     word of units divided by a! = prod(a_i!), a division that must be exact.
     """
+    one = Matrix.identity(object_dim(spec, n))  # F(I), as F is a functor
     for r in (2, 3):
-        if arrow_map(spec, Matrix.identity(n).scale(r)) != arrow_map(
-            spec, Matrix.identity(n)
-        ).scale(r**n):
-            raise ValueError(
-                f"functor {spec.label()} is not homogeneous of degree {n}"
-            )
+        if arrow_map(spec, Matrix.identity(n).scale(r)) != one.scale(r**n):
+            raise ValueError(f"functor {spec.label()} is not homogeneous of degree {n}")
+    table = _difference_table(spec, n)
     space = GammaModule(n * n, n)
     action = {}
-    for A, dev in _unit_word_deviations(spec, n, space.basis).items():
+    for A, dev in zip(space.basis, table[len(table) - len(space.basis) :]):
         a_fact = A.factorial
         if any(v % a_fact for row in dev.sparse_rows for v in row.values()):
             raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")

@@ -19,12 +19,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, takewhile
+from itertools import takewhile
 from math import comb, factorial, prod
 from typing import Optional
 
 from .augmentation import AugAlgebra, aug_dimension
-from .combinatorics import Multiset, multisets_exactly, multisets_up_to
+from .combinatorics import (
+    Multiset, multiset_codes, multiset_products, multisets_exactly, multisets_up_to,
+)
 from .divided_powers import GammaModule, schur_product
 from .intlinalg import (
     CokernelInvariants,
@@ -70,7 +72,9 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
     for _ in range(degree):
         last = table[-1]
         table.append([0] + [x * (last[x] + last[x - 1]) for x in range(1, degree + 1)])
-    by_support = _columns_by_support(rank, degree)
+    by_support: dict = {}  # support -> the (column, pairs) of each basis multiset
+    for j, X in enumerate(multisets_up_to(rank, degree)):
+        by_support.setdefault(X.support, []).append((j, X.pairs))
     rows = [
         {
             j: prod(table[a][x] for (_, a), (_, x) in zip(A.pairs, pairs))
@@ -79,15 +83,6 @@ def gamma_matrix(rank: int, degree: int) -> Matrix:
         for A in multisets_exactly(rank, degree)
     ]
     return Matrix._sparse(rows, aug_dimension(rank, degree))
-
-
-def _columns_by_support(rank: int, degree: int) -> dict:
-    """support -> [(j, pairs)] over the basis of B(rank, degree): the column
-    index and the (index, multiplicity) pairs of each basis multiset."""
-    by_support: dict = {}
-    for j, X in enumerate(multisets_up_to(rank, degree)):
-        by_support.setdefault(X.support, []).append((j, X.pairs))
-    return by_support
 
 
 def epsilon_matrix(rank: int, degree: int) -> Matrix:
@@ -161,21 +156,23 @@ def _scaling_rows(rank: int, degree: int) -> dict:
 
     The class of x has prod_i C(x_i, m_i) at the basis class of X, where m_i
     are X's multiplicities; for x >= 0 that is 0 unless supp X lies in supp x.
-    So the row of z visits only the columns whose support is a subset of supp z.
+    So the row of z reads the multisets over supp z alone, both products
+    from the product walk over supp z, its multisets mapped to columns once.
     """
-    by_support = _columns_by_support(rank, degree)
-    scale = 2**degree
+    base, scale, ms = degree + 1, 2**degree, range(degree + 1)
+    index = multiset_codes(rank, degree)[2]
+    columns: dict = {}
     rows = {}
     for Z in multisets_up_to(rank, degree - 1):
-        z = dict(Z.pairs)
-        row = {}
-        for size in range(len(z) + 1):
-            for support in combinations(Z.support, size):
-                for j, pairs in by_support.get(support, ()):
-                    doubled = prod(comb(2 * z[i], m) for i, m in pairs)
-                    if value := doubled - scale * prod(comb(z[i], m) for i, m in pairs):
-                        row[j] = value
-        rows[tuple(z.get(i, 0) for i in range(rank))] = row
+        S, z = Z.support, dict(Z.pairs)
+        if S not in columns:
+            local = multisets_up_to(len(S), degree)
+            columns[S] = [index[sum(m * base ** S[i] for i, m in X.pairs)] for X in local]
+        doubled = multiset_products([[comb(2 * x, m) for m in ms] for x in z.values()], degree)
+        single = multiset_products([[comb(x, m) for m in ms] for x in z.values()], degree)
+        rows[tuple(z.get(i, 0) for i in range(rank))] = {
+            j: v for j, d, s in zip(columns[S], doubled, single) if (v := d - scale * s)
+        }
     return rows
 
 

@@ -1,5 +1,8 @@
 """Brute-force definitions that several test modules check the library against."""
-from math import comb
+from itertools import product
+from math import comb, prod
+
+from functorlab.combinatorics import Multiset
 
 
 def stirling2(n: int, m: int) -> int:
@@ -19,3 +22,13 @@ def stirling_sum_identity(n: int, m: int) -> int:
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     return sum((-1) ** (m - r) * comb(m, r) * r**n for r in range(m + 1))
+
+
+def sub_multisets(X: Multiset) -> list:
+    """(A, w) over sub-multisets A of X, with the basis class of X equal to
+    the sum of w [A]: w = (-1)^(|X| - |A|) prod C(m_i, a_i)."""
+    out = []
+    for sub in product(*(range(m + 1) for _, m in X.pairs)):
+        w = (-1) ** (X.size - sum(sub)) * prod(comb(m, a) for (_, m), a in zip(X.pairs, sub))
+        out.append((Multiset(tuple((i, a) for (i, _), a in zip(X.pairs, sub) if a)), w))
+    return out

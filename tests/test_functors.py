@@ -1,6 +1,7 @@
 """Functor catalog, degree certificates, and the two-way dictionary between
 functors and modules over the truncated algebras."""
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from functorlab.augmentation import AugAlgebra, composition_tables
-from functorlab.combinatorics import Multiset
+from functorlab.combinatorics import Multiset, multisets_up_to
 from functorlab.deviations import alternating_sum
 from functorlab.divided_powers import GammaModule, gamma_of_hom, schur_product
 from functorlab.functors import (
@@ -436,9 +437,50 @@ class TestModuleExtraction:
             assert module.action[X] == brute_unit_word_deviation(spec, 2, X), X
 
     def test_cubic_action_is_the_unit_word_deviation(self):
-        deviations = functors._unit_word_deviations(Sym(3), 3, AugAlgebra(9, 3).basis)
+        deviations = extract_morita_module(Sym(3), 3).action
         for X in random.Random(5).sample(sorted(deviations, key=str), 40):
             assert deviations[X] == brute_unit_word_deviation(Sym(3), 3, X), X
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [(kind(n), n) for n in range(4) for kind in (Tensor, Sym, Ext, Div)]
+        + [(Const(2), n) for n in range(4)]
+        + [(DirectSum(Sym(1), Sym(3)), 3), (DirectSum(Const(1), Ext(2), Div(3)), 3), (Ext(4), 4)],
+        ids=lambda x: x.label() if isinstance(x, FunctorSpec) else str(x),
+    )
+    def test_difference_table_is_the_unit_word_deviation(self, spec, n):
+        # n = 0 has no units: the table is the arrow at the empty matrix
+        table = functors._difference_table(spec, n)
+        basis = multisets_up_to(n * n, n)
+        assert len(table) == len(basis)
+        for X, dev in zip(basis, table):
+            assert dev == brute_unit_word_deviation(spec, n, X), X
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [(Sym(2), 2), (Div(3), 3)],
+        ids=lambda x: x.label() if isinstance(x, FunctorSpec) else str(x),
+    )
+    def test_extractions_share_one_arrow_per_multiplicity_matrix(self, spec, n, monkeypatch):
+        degree_certificate(spec, n)  # the certificate's sampled arrows are not counted
+        functors._difference_table.cache_clear()
+        calls = Counter()
+        real = functors.arrow_map
+
+        def counted(functor, alpha):
+            calls[alpha] += 1
+            return real(functor, alpha)
+
+        monkeypatch.setattr(functors, "arrow_map", counted)
+        extract_morita_module(spec, n)
+        extract_gamma_structure(spec, n)
+        simplex = {
+            Matrix([[dict(X.pairs).get(i * n + j, 0) for j in range(n)] for i in range(n)])
+            for X in multisets_up_to(n * n, n)
+        }
+        assert {a: c for a, c in calls.items() if a in simplex} == dict.fromkeys(simplex, 1)
+        # the homogeneity check's scaled identities are the only other arrows
+        assert set(calls) - simplex == {Matrix.identity(n).scale(r) for r in (2, 3)}
 
     def test_top_exterior_acts_by_determinant(self):
         rng = random.Random(16)
@@ -626,14 +668,13 @@ class TestDividedStructure:
     def test_indivisible_deviation_is_rejected(self, monkeypatch):
         # a deviation at a repeated unit that a! does not divide cannot come
         # from a homogeneous functor
-        real = functors._unit_word_deviations
+        real = functors._difference_table
         monkeypatch.setattr(
             functors,
-            "_unit_word_deviations",
-            lambda spec, n, basis: {
-                X: dev + Matrix.identity(object_dim(spec, n))
-                for X, dev in real(spec, n, basis).items()
-            },
+            "_difference_table",
+            lambda spec, n: tuple(
+                dev + Matrix.identity(object_dim(spec, n)) for dev in real(spec, n)
+            ),
         )
         with pytest.raises(VerificationError, match="not divisible"):
             extract_gamma_structure(Sym(2), 2)
