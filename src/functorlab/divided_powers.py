@@ -13,11 +13,6 @@ functors tabulates it by Green's rule.  Both read one table per (side,
 degree): the matrix positions of each basis class's distinct unit words,
 the sorted word first.
 
-The product x_1 ... x_n of n points in Gamma^n, the deviation of the
-divided power map, is read off one product of linear forms: its
-coefficient on the basis class of A is A! times the coefficient of t^A in
-prod_k sum_i x_k[i] t_i, with no sum over the 2^n subsets.
-
 The basis, the elements (coefficient tuples in basis order) and their
 additive structure come from modules.MultisetSpace and
 modules.MultisetVector; this module adds the divided powers and the Schur
@@ -72,11 +67,10 @@ class GammaModule(MultisetSpace):
             [(base**i, v) for i, v in enumerate(_int_coords(x, self.rank)) if v] for x in xs
         ]
         (expansion,) = _word_products(forms, self.degree, _times_coded, repeat=False)
-        index = multiset_codes(self.rank, self.degree)[2]
-        offset = len(index) - len(self.basis)  # the size-degree multisets come last
+        columns = _monomial_columns(self.rank, self.degree)
         out = [0] * len(self.basis)
         for code, c in expansion.items():
-            t = index[code] - offset
+            t = columns[code]
             out[t] = c * self.basis[t].factorial
         return MultisetVector(self, tuple(out))
 
@@ -87,46 +81,38 @@ def _word_products(forms, length: int, times, repeat: bool = True) -> list[dict]
     increasing ones without `repeat`, in lexicographic order (the order of
     multisets_exactly, or of itertools.combinations).  `times(acc, form)`
     multiplies a product by one form; the empty product is {0: 1}.  The
-    words are expanded depth first, so words sharing a prefix share the
-    product of its forms."""
-    out = []
-
-    def expand(acc: dict, start: int, depth: int):
-        if depth == length:
-            out.append(acc)
-            return
-        for t in range(start, len(forms)):
-            expand(times(acc, forms[t]), t if repeat else t + 1, depth + 1)
-
-    expand({0: 1}, 0, 0)
-    return out
+    words grow one level at a time, from each prefix's product once, so
+    words sharing a prefix share the product of its forms."""
+    level = [({0: 1}, 0)]
+    for _ in range(length):
+        level = [
+            (times(acc, forms[t]), t if repeat else t + 1)
+            for acc, start in level
+            for t in range(start, len(forms))
+        ]
+    return [acc for acc, _ in level]
 
 
 def _times_coded(acc: dict, form) -> dict:
     """The product of a polynomial {monomial code: coefficient} and a linear
     form given as (code step of its variable, coefficient) pairs."""
     nxt: dict = {}
+    get = nxt.get
     for code, c in acc.items():
         for step, v in form:
-            nxt[code + step] = nxt.get(code + step, 0) + c * v
+            key = code + step
+            nxt[key] = get(key, 0) + c * v
     return nxt
 
 
-def _monomial_rows(forms, nvars: int, degree: int):
-    """(rows, width): per sorted word b over the sparse linear forms
-    {variable: coefficient}, the sparse row {monomial: coefficient} of the
-    product of forms b_1..b_n over the `width` monomials (both words in the
-    order of multisets_exactly).
-
-    A monomial is keyed by the multiset code of its variables, so
-    multiplying by variable j adds (degree+1)^j to the key."""
-    index = multiset_codes(nvars, degree)[2]
-    width = gamma_dimension(nvars, degree)
-    offset = len(index) - width  # the size-degree multisets come last
-    base = degree + 1
-    coded = [[(base**j, v) for j, v in form.items()] for form in forms]
-    products = _word_products(coded, degree, _times_coded)
-    return [{index[code] - offset: c for code, c in acc.items()} for acc in products], width
+@lru_cache(maxsize=None)
+def _monomial_columns(nvars: int, degree: int) -> dict:
+    """Column of each degree-`degree` monomial in nvars variables, in the
+    order of multisets_exactly, keyed by the multiset code of its variables:
+    the size-degree multisets come last in multiset_codes."""
+    codes = multiset_codes(nvars, degree)[0]
+    offset = len(codes) - gamma_dimension(nvars, degree)
+    return {c: t for t, c in enumerate(codes[offset:])}
 
 
 def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
@@ -140,7 +126,10 @@ def gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
     Sym^n(alpha), the transpose of Gamma^n(alpha^T) (Roby 1963), expands
     alpha's columns the same way.  Integral by construction.
     """
-    return Matrix._sparse(*_monomial_rows(alpha.sparse_rows, alpha.ncols, degree))
+    columns = _monomial_columns(alpha.ncols, degree)
+    coded = [[((degree + 1) ** j, v) for j, v in row.items()] for row in alpha.sparse_rows]
+    products = _word_products(coded, degree, _times_coded)
+    return Matrix._sparse([{columns[c]: v for c, v in acc.items()} for acc in products], len(columns))
 
 
 def _word_index(word, side: int) -> int:

@@ -5,21 +5,18 @@ and Div (the powers, sharing one base and one power check), Const and
 DirectSum.  Each class holds its JSON key, label, degree, object dimension
 `dim(q)` and arrow map `arrow(mat)`; the module-level functions object_dim
 and arrow_map dispatch to them after validating their input.  Sym, Div and
-Ext expand products of linear forms by one walk, _word_products of
-divided_powers: depth first over the words of forms, a prefix's product
-shared by every word that starts with it.  Div multiplies alpha's rows over
-sorted words and Sym alpha's columns, both keyed by monomial code
-(gamma_of_hom); Ext wedges alpha's rows over strictly increasing words,
-keyed by bitmask, so a minor is a coefficient and no determinant is taken.
+Ext expand products of linear forms by one level-wise word walk,
+_word_products of divided_powers: Div over alpha's rows and Sym over its
+columns, keyed by monomial code, and Ext wedges rows, keyed by bitmask.
 
 Degree-certified functors are traded for modules over the degree-truncated
 augmentation algebra of the n x n matrix module: the basis class of a
 multiset X acts by the deviation of the arrow map at X's word of matrix
 units, the Newton forward difference of the arrows at the multiplicity
 matrices of size <= n.  One difference table per (spec, n) and one
-certificate per (spec, n, seed) serve every extraction, so none evaluates
-or samples the functor again (n = 4 on one core of a 2-core Xeon: sym^4
-1.2 s, div^4 1.0 s, tensor^4 9.6 s, about 7 s of it the certificate).
+certificate per (spec, n, seed), a direct sum's from its parts', serve every
+extraction, so none evaluates or samples the functor again (n = 4, one
+core: sym^4 0.8 s, div^4 0.9 s, tensor^4 8 s, 6-7 s of it the certificate).
 Reconstruction reads the value on Z^q off the module's n + 1 cross effects,
 at a cost that does not grow with q.  Restriction/extension of scalars
 moves between that algebra and the divided power algebra of matrices, whose
@@ -37,15 +34,17 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .augmentation import AugAlgebra, aug_dimension, composition_tables
 from .combinatorics import (
-    binomial, multiset_codes, multisets_exactly, multisets_up_to, signed_subset_sums,
+    binomial, multiset_codes, multisets_exactly, multisets_up_to,
 )
 from .deviations import DeviationReport, scaling_law
 from .divided_powers import (
     GammaModule,
-    _monomial_rows,
+    _monomial_columns,
+    _times_coded,
     _word_products,
     gamma_of_hom,
     schur_product,
@@ -56,7 +55,6 @@ from .intlinalg import (
     Lattice,
     Matrix,
     _smith_diagonal,
-    _transpose,
     block_diag,
     cokernel_invariants,
     hstack,
@@ -119,9 +117,9 @@ class Tensor(_Power):
 
 
 class Sym(_Power):
-    """Monomials by sorted multiset word.  Sym^n(alpha) is the transpose of
-    Gamma^n(alpha^T): column A is the product of alpha's columns a_1..a_n
-    read as linear forms, the monomial expansion of gamma_of_hom."""
+    """Monomials by sorted multiset word.  Sym^n(alpha) = Gamma^n(alpha^T)^T:
+    column A, the product of alpha's columns a_1..a_n read as linear forms
+    (gamma_of_hom's expansion), is written into its monomials' rows."""
 
     key = "sym"
 
@@ -129,9 +127,17 @@ class Sym(_Power):
         return binomial(q + self.power - 1, self.power)
 
     def arrow(self, mat: Matrix) -> Matrix:
-        columns = _transpose(mat.sparse_rows, mat.ncols)
-        cols, height = _monomial_rows(columns, mat.nrows, self.power)
-        return Matrix._sparse(_transpose(cols, height), len(cols))
+        forms: list[list] = [[] for _ in range(mat.ncols)]  # alpha's columns, coded
+        for i, row in enumerate(mat.sparse_rows):
+            for j, v in row.items():
+                forms[j].append(((self.power + 1) ** i, v))
+        columns = _monomial_columns(mat.nrows, self.power)
+        rows: list[dict] = [{} for _ in columns]
+        products = _word_products(forms, self.power, _times_coded)
+        for a, acc in enumerate(products):
+            for code, c in acc.items():
+                rows[columns[code]][a] = c
+        return Matrix._sparse(rows, len(products))
 
 
 @lru_cache(maxsize=None)
@@ -292,38 +298,47 @@ def degree_certificate(spec: FunctorSpec, n: int, seed: int = 0) -> DeviationRep
 
 
 @lru_cache(maxsize=None)
+def _scaling(spec: FunctorSpec, n: int) -> DeviationReport:
+    """The scaling law at the identity of rank n + 1, which gives it at rank
+    n, as F(r I_n) = F(p) F(r I_(n+1)) F(i) for the projection p and
+    inclusion i (at rank n it can be vacuous); a sum's is its parts'."""
+    if isinstance(spec, DirectSum):
+        return min((_scaling(p, n) for p in spec.parts), key=lambda r: (r.passed, r.samples_used))
+    return scaling_cross_check(spec, n, Matrix.identity(n + 1))
+
+
+@lru_cache(maxsize=None)
 def _certificate(spec: FunctorSpec, n: int, seed: int) -> DeviationReport:
+    """A direct sum's report is its parts': the failing one's with the fewest
+    samples used (the scaling laws first), else their common passing one.
+    Exact: the sum's arrow is block diagonal, so a scaling-law comparison or
+    sampled deviation holds on it iff on every part, and no window point or
+    draw depends on the functor: the sum fails at its parts' earliest failure."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    # the law at the identity of rank n + 1 gives it at rank n, as
-    # F(r I_n) = F(p) F(r I_(n+1)) F(i) for the projection p and inclusion i;
-    # at rank n alone it can be vacuous (the functor may vanish on small ranks)
-    report = scaling_cross_check(spec, n, Matrix.identity(n + 1))
-    used = report.samples_used
+    report = _scaling(spec, n)
     if not report.passed:
-        return DeviationReport(n, used, False, report.witness)
-
+        return report
+    if isinstance(spec, DirectSum):
+        reports = (_certificate(part, n, seed) for part in spec.parts)
+        return min(reports, key=lambda r: (r.passed, r.samples_used))
+    used = report.samples_used
     rng = random.Random(seed)
-    shapes = [(m, m) for m in range(1, n + 2)] + [(2, 1), (1, 2)]
-    for qq, pp in shapes:
+    for qq, pp in [(m, m) for m in range(1, n + 2)] + [(2, 1), (1, 2)]:
         for _ in range(3):
             mats = [
-                Matrix([[rng.randint(-2, 2) for _ in range(pp)] for _ in range(qq)], pp)
+                tuple(tuple(rng.randint(-2, 2) for _ in range(pp)) for _ in range(qq))
                 for _ in range(n + 1)
             ]
-            dev = linear_combination(
-                (
-                    (sign, arrow_map(spec, s))
-                    for sign, s in signed_subset_sums(mats, Matrix.zeros(qq, pp))
-                ),
-                object_dim(spec, qq),
-                object_dim(spec, pp),
-            )
+            # the signed subset sums as int rows, doubled one matrix at a time
+            sums = [((-1) ** len(mats), [[0] * pp] * qq)]
+            for m in mats:
+                sums += [(-sign, [list(map(add, r, q)) for r, q in zip(s, m)]) for sign, s in sums]
+            arrows = ((sign, arrow_map(spec, Matrix(s, pp))) for sign, s in sums)
+            dev = linear_combination(arrows, object_dim(spec, qq), object_dim(spec, pp))
             used += 1
             if not dev.is_zero:
-                return DeviationReport(
-                    n, used, False, ("deviation", tuple(m.rows for m in mats))
-                )
+                return DeviationReport(n, used, False, ("deviation", tuple(mats)))
     return DeviationReport(n, used, True)
 
 
@@ -334,8 +349,9 @@ def _flat(mat: Matrix) -> tuple:
 class PresentedModule:
     """Module coker(presentation) over a multiset-indexed algebra: each basis
     multiset of the algebra acts by a square matrix on the generators.
-    Construction checks that the actions descend to the cokernel and that
-    `unit`, the unit of the algebra's product, acts as the identity."""
+    Construction checks that the actions descend to the cokernel (when there
+    are relations) and that `unit`, the unit of the algebra's product, acts
+    as the identity."""
 
     def __init__(self, n: int, algebra, presentation: Matrix, action: dict, unit):
         self.n = n
@@ -345,21 +361,14 @@ class PresentedModule:
         self.action = dict(action)
         if set(self.action) != set(algebra.basis):
             raise ValueError("action must cover exactly the algebra basis")
+        self._relations = Lattice.from_rows(self.generators, presentation.transpose().sparse_rows)
         for X, m in self.action.items():
             if m.shape != (self.generators, self.generators):
                 raise ValueError(f"action matrix for {X} has shape {m.shape}")
-        self._relations = Lattice.from_rows(
-            self.generators, presentation.transpose().sparse_rows
-        )
-        for X, m in self.action.items():
-            if not self.zero_action(m @ presentation):
-                raise VerificationError(
-                    f"action of {X} does not preserve the relations"
-                )
+            if presentation.ncols and not self.zero_action(m @ presentation):
+                raise VerificationError(f"action of {X} does not preserve the relations")
         if not self.identity_action(self.act(unit)):
-            raise VerificationError(
-                "the unit of the algebra does not act as the identity"
-            )
+            raise VerificationError("the unit of the algebra does not act as the identity")
 
     def act(self, elem) -> Matrix:
         if elem.space != self.algebra:
@@ -438,7 +447,10 @@ def _difference_table(spec: FunctorSpec, n: int) -> tuple:
     multiplicity matrix A and E_u the shift by unit u: one arrow per
     multiset, then T[A] -= T[A - u] in place by _difference_plan, whose top
     code first order leaves T[A - u] at the level below.  Entries are kept
-    flat, {row * dim + column: v}."""
+    flat, {row * dim + column: v}.  A direct sum's table is the block
+    diagonal of its parts' tables, as forward differences are linear."""
+    if isinstance(spec, DirectSum):
+        return tuple(map(block_diag, *(_difference_table(part, n) for part in spec.parts)))
     dim = object_dim(spec, n)
     table = []
     for A in multisets_up_to(n * n, n):
@@ -467,9 +479,7 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
     matrix units."""
     cert = degree_certificate(spec, n, seed=seed)
     if not cert.passed:
-        raise ValueError(
-            f"functor {spec.label()} fails the degree-{n} certificate: {cert.witness}"
-        )
+        raise ValueError(f"functor {spec.label()} fails the degree-{n} certificate: {cert.witness}")
     algebra = AugAlgebra(n * n, n)
     action = dict(zip(algebra.basis, _difference_table(spec, n)))
     return MoritaModule(n, algebra, Matrix.zeros(object_dim(spec, n), 0), action)
@@ -577,11 +587,12 @@ def extract_gamma_structure(spec: FunctorSpec, n: int) -> GammaModuleStruct:
     action = {}
     for A, dev in zip(space.basis, table[len(table) - len(space.basis) :]):
         a_fact = A.factorial
-        if any(v % a_fact for row in dev.sparse_rows for v in row.values()):
-            raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
-        action[A] = Matrix._sparse(
-            [{j: v // a_fact for j, v in row.items()} for row in dev.sparse_rows], dev.ncols
-        )
+        if a_fact > 1:
+            if any(v % a_fact for row in dev.sparse_rows for v in row.values()):
+                raise VerificationError(f"deviation at {A} is not divisible by {a_fact}")
+            rows = [{j: v // a_fact for j, v in row.items()} for row in dev.sparse_rows]
+            dev = Matrix._sparse(rows, dev.ncols)
+        action[A] = dev
     return GammaModuleStruct(n, Matrix.zeros(object_dim(spec, n), 0), action)
 
 

@@ -2,7 +2,10 @@
 from itertools import product
 from math import comb, prod
 
-from functorlab.combinatorics import Multiset
+from functorlab.combinatorics import Multiset, multiset_codes
+from functorlab.divided_powers import gamma_dimension
+from functorlab.functors import Div, Ext, Sym, _wedge, _wedge_columns
+from functorlab.intlinalg import Matrix
 
 
 def stirling2(n: int, m: int) -> int:
@@ -32,3 +35,53 @@ def sub_multisets(X: Multiset) -> list:
         w = (-1) ** (X.size - sum(sub)) * prod(comb(m, a) for (_, m), a in zip(X.pairs, sub))
         out.append((Multiset(tuple((i, a) for (i, _), a in zip(X.pairs, sub) if a)), w))
     return out
+
+
+def depth_first_word_products(forms, length: int, times, repeat: bool = True) -> list:
+    """The products of the forms over the sorted (or, without `repeat`,
+    strictly increasing) words of the given length, in lexicographic order,
+    by recursion: the depth-first walk the level-wise one replaced."""
+    out = []
+
+    def expand(acc: dict, start: int, depth: int):
+        if depth == length:
+            out.append(acc)
+            return
+        for t in range(start, len(forms)):
+            expand(times(acc, forms[t]), t if repeat else t + 1, depth + 1)
+
+    expand({0: 1}, 0, 0)
+    return out
+
+
+def _times_coded(acc: dict, form) -> dict:
+    nxt: dict = {}
+    for code, c in acc.items():
+        for step, v in form:
+            nxt[code + step] = nxt.get(code + step, 0) + c * v
+    return nxt
+
+
+def _gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
+    """Gamma^degree(alpha) by the depth-first walk, each monomial placed
+    through the index of every multiset code less the offset of the
+    size-degree tail."""
+    index = multiset_codes(alpha.ncols, degree)[2]
+    width = gamma_dimension(alpha.ncols, degree)
+    coded = [[((degree + 1) ** j, v) for j, v in row.items()] for row in alpha.sparse_rows]
+    products = depth_first_word_products(coded, degree, _times_coded)
+    offset = len(index) - width
+    return Matrix([{index[code] - offset: c for code, c in acc.items()} for acc in products], width)
+
+
+def transpose_route_arrow(spec, alpha: Matrix) -> Matrix:
+    """The arrow of a Sym, Div or Ext spec by the depth-first walk, with
+    Sym^n(alpha) = Gamma^n(alpha^T)^T through two transposes."""
+    if isinstance(spec, Sym):
+        return _gamma_of_hom(alpha.transpose(), spec.power).transpose()
+    if isinstance(spec, Div):
+        return _gamma_of_hom(alpha, spec.power)
+    assert isinstance(spec, Ext)
+    columns = _wedge_columns(alpha.ncols, spec.power)
+    products = depth_first_word_products(alpha.sparse_rows, spec.power, _wedge, repeat=False)
+    return Matrix([{columns[mask]: c for mask, c in acc.items()} for acc in products], len(columns))

@@ -11,7 +11,6 @@ from functorlab.augmentation import AugAlgebra
 from functorlab.combinatorics import Multiset
 from functorlab.divided_powers import (
     GammaModule,
-    _monomial_rows,
     _word_index,
     distinct_permutations,
     gamma_dimension,
@@ -57,7 +56,7 @@ def brute_gamma_of_hom(alpha: Matrix, degree: int) -> Matrix:
 def brute_monomial_rows(forms, nvars: int, degree: int):
     """The product of forms b_1..b_n for each sorted word b, expanded term by
     term with every monomial keyed by its sorted variable word.  Oracle for
-    the integer-coded, prefix-sharing expansion of _monomial_rows."""
+    the integer-coded, prefix-sharing expansion of gamma_of_hom."""
     monomials = {
         w: i for i, w in enumerate(combinations_with_replacement(range(nvars), degree))
     }
@@ -95,8 +94,9 @@ sparse_forms = st.integers(0, 5).flatmap(
 
 
 def monomial_matrix(forms, nvars: int, degree: int) -> Matrix:
-    """_monomial_rows on forms given as (variable, coefficient) lists."""
-    return Matrix(*_monomial_rows([dict(form) for form in forms], nvars, degree))
+    """gamma_of_hom of the matrix whose rows are the forms, given as
+    (variable, coefficient) lists."""
+    return gamma_of_hom(Matrix([dict(form) for form in forms], nvars), degree)
 
 
 class TestMonomialRows:
@@ -116,8 +116,7 @@ class TestMonomialRows:
 
     def test_repeated_calls_share_the_index_not_the_rows(self):
         forms = [[(0, 2), (1, -1)], [(1, 3)]]
-        first, width = _monomial_rows([dict(form) for form in forms], 2, 3)
-        first[0][0] = 99
+        monomial_matrix(forms, 2, 3).sparse_rows[0][0] = 99
         assert monomial_matrix(forms, 2, 3) == Matrix(*brute_monomial_rows(forms, 2, 3))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])

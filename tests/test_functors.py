@@ -2,12 +2,14 @@
 functors and modules over the truncated algebras."""
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import transpose_route_arrow
 
 from functorlab.augmentation import AugAlgebra, composition_tables
 from functorlab.combinatorics import Multiset, multisets_up_to
@@ -311,6 +313,22 @@ class TestArrowMap:
         assert got.shape == (object_dim(Sym(power), q), object_dim(Sym(power), p))
         assert_canonical(got)
 
+    @pytest.mark.parametrize("power", range(5))
+    def test_arrows_match_the_transpose_route(self, power):
+        rng = random.Random(200 + power)
+        for q, p in [(0, 0), (0, 3), (3, 0), (1, 4), (4, 1), (2, 3), (3, 2), (4, 4)]:
+            for _ in range(3):
+                rows = [[rng.randint(-3, 3) for _ in range(p)] for _ in range(q)]
+                if q and p:  # one zero row and one zero column
+                    rows[rng.randrange(q)] = [0] * p
+                    zero = rng.randrange(p)
+                    rows = [[v if j != zero else 0 for j, v in enumerate(r)] for r in rows]
+                alpha = Matrix(rows, p)
+                for spec in (Sym(power), Div(power), Ext(power)):
+                    got = arrow_map(spec, alpha)
+                    assert got == transpose_route_arrow(spec, alpha), (spec, q, p)
+                    assert got.shape == (object_dim(spec, q), object_dim(spec, p))
+
     def test_catalog_arrows_are_canonical(self):
         rng = random.Random(15)
         specs = CATALOG2 + [Tensor(3), Const(2), DirectSum(Const(1), Ext(2), Sym(3))]
@@ -416,6 +434,94 @@ class TestCertificateMemo:
         assert (info.hits, info.misses) == (2, 1)
 
 
+@dataclass(frozen=True)
+class BlockDiagonal(FunctorSpec):
+    """A direct sum as one black box: its arrow is the block diagonal of the
+    parts' arrows, so its certificate and table never go through the parts'."""
+
+    parts: tuple
+
+    def dim(self, q: int) -> int:
+        return sum(p.dim(q) for p in self.parts)
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        return block_diag(*(p.arrow(mat) for p in self.parts))
+
+
+@dataclass(frozen=True)
+class OffDiagonalQuartic(FunctorSpec):
+    """Not a functor: the 1 x 1 arrow holds the sum of the fourth powers of
+    the off-diagonal entries.  It is 0 at every r * I, so the scaling law
+    holds at every degree, and only a sampled deviation fails below 4."""
+
+    def label(self) -> str:
+        return "offdiag^4"
+
+    def dim(self, q: int) -> int:
+        return 1
+
+    def arrow(self, mat: Matrix) -> Matrix:
+        rows = mat.sparse_rows
+        return Matrix([[sum(v**4 for i, r in enumerate(rows) for j, v in r.items() if i != j)]])
+
+
+SUMS = [
+    (Const(1), Sym(2)),
+    (Const(0), Const(2), Ext(1)),
+    (DirectSum(Sym(1), Const(1)), DirectSum(Ext(2), Div(1))),
+    (Sym(2), Sym(3)),  # ("A", r) below degree 3
+    (Sym(1), OffDiagonalQuartic()),  # ("deviation", ...) below degree 4
+    (OffDiagonalQuartic(), Sym(3)),  # both: the scaling step comes first
+    (Ext(4), Sym(1)),  # Ext^4 vanishes on every rank sampled at n <= 2
+]
+
+
+class TestDirectSumsByParts:
+    """A direct sum is certified and tabulated from its parts; the black-box
+    route through the block-diagonal arrow must give the same results."""
+
+    @pytest.mark.parametrize("parts", SUMS, ids=lambda parts: DirectSum(*parts).label())
+    def test_certificate_equals_the_black_box_route(self, parts):
+        fresh = functors._certificate.__wrapped__
+        for n in range(4):
+            for seed in (0, 1, 9):
+                got = degree_certificate(DirectSum(*parts), n, seed)
+                assert got == fresh(BlockDiagonal(parts), n, seed), (n, seed)
+
+    def test_the_grid_meets_every_outcome(self):
+        reports = [degree_certificate(DirectSum(*parts), n) for parts in SUMS for n in range(4)]
+        kinds = {r.witness[0] if r.witness else None for r in reports}
+        assert kinds == {None, "A", "deviation"}
+        assert degree_certificate(DirectSum(Ext(4), Sym(1)), 2).passed
+
+    @pytest.mark.parametrize("parts", SUMS, ids=lambda parts: DirectSum(*parts).label())
+    def test_table_equals_the_black_box_route(self, parts):
+        for n in range(4):
+            got = functors._difference_table(DirectSum(*parts), n)
+            assert got == functors._difference_table.__wrapped__(BlockDiagonal(parts), n), n
+
+    def test_a_failing_scaling_law_samples_no_part(self):
+        functors._certificate.cache_clear()
+        assert degree_certificate(DirectSum(Tensor(2), Sym(3)), 2).witness[0] == "A"
+        assert functors._certificate.cache_info().currsize == 1
+
+    def test_cached_part_evaluates_no_arrow(self, monkeypatch):
+        functors._certificate.cache_clear()
+        functors._difference_table.cache_clear()
+        degree_certificate(Sym(2), 2, seed=6)
+        functors._difference_table(Sym(2), 2)
+        calls = Counter()
+        for kind in (Sym, Const):
+
+            def counted(self, mat, real=kind.arrow):
+                calls[type(self)] += 1
+                return real(self, mat)
+
+            monkeypatch.setattr(kind, "arrow", counted)
+        extract_morita_module(DirectSum(Const(1), Sym(2)), 2, seed=6)
+        assert calls[Sym] == 0 and calls[Const] > 0
+
+
 class TestModuleExtraction:
     def test_certificate_gate(self):
         with pytest.raises(ValueError):
@@ -507,6 +613,13 @@ class TestModuleExtraction:
         bad[Multiset.from_indices((0, 3))] = Matrix([[5]])
         with pytest.raises(VerificationError):
             MoritaModule(2, mod.algebra, mod.presentation, bad)
+
+    def test_descent_check_catches_an_action_off_the_relations(self):
+        # the relation kills e_0, but every class sends e_0 to e_1
+        alg = AugAlgebra(4, 2)
+        action = {X: Matrix([[0, 0], [1, 0]]) for X in alg.basis}
+        with pytest.raises(VerificationError, match="does not preserve the relations"):
+            MoritaModule(2, alg, Matrix([[1], [0]]), action)
 
     def test_action_must_cover_basis(self):
         mod = morita(Ext(2))
@@ -678,6 +791,14 @@ class TestDividedStructure:
         )
         with pytest.raises(VerificationError, match="not divisible"):
             extract_gamma_structure(Sym(2), 2)
+
+    def test_distinct_units_reuse_the_table(self):
+        # a! = 1 leaves the deviation as it is; the others are divided
+        table = functors._difference_table(Sym(3), 3)
+        struct = extract_gamma_structure(Sym(3), 3)
+        tail = table[len(table) - len(struct.algebra.basis) :]
+        for A, dev in zip(struct.algebra.basis, tail):
+            assert (struct.action[A] is dev) == (A.factorial == 1), A
 
     def test_cubic_extraction(self):
         rng = random.Random(18)
