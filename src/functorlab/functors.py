@@ -19,8 +19,10 @@ extraction, so none evaluates or samples the functor again (n = 4, one
 core: sym^4 0.8 s, div^4 0.9 s, tensor^4 8 s, 6-7 s of it the certificate).
 Reconstruction reads the value on Z^q off the module's n + 1 cross effects,
 at a cost that does not grow with q.  Restriction/extension of scalars
-moves between that algebra and the divided power algebra of matrices, whose
-Schur products Green's rule tabulates once per n.  A homogeneous functor's
+moves between that algebra and the divided power algebra Gamma^n of
+matrices.  Extension writes balanced relations for n + 4 or fewer ring
+generators [g] only, acting on Gamma^n as Gamma^n(x -> xg), and Green's rule
+tabulates the left Schur products once per n.  A homogeneous functor's
 divided-power structure is in closed form: the basis class of A acts by the
 same deviation at A's word, divided by a! = prod(a_i!).
 
@@ -373,11 +375,8 @@ class PresentedModule:
     def act(self, elem) -> Matrix:
         if elem.space != self.algebra:
             raise ValueError("element lives in the wrong algebra")
-        return linear_combination(
-            ((c, self.action[X]) for X, c in elem.coeffs.items()),
-            self.generators,
-            self.generators,
-        )
+        pairs = ((c, self.action[X]) for X, c in elem.coeffs.items())
+        return linear_combination(pairs, self.generators, self.generators)
 
     def zero_action(self, mat: Matrix) -> bool:
         """Whether the matrix sends every generator into the relation lattice."""
@@ -485,42 +484,6 @@ def extract_morita_module(spec: FunctorSpec, n: int, seed: int = 0) -> MoritaMod
     return MoritaModule(n, algebra, Matrix.zeros(object_dim(spec, n), 0), action)
 
 
-def _tensor_relation_rows(
-    gens: int, products, action: dict, basis, presentation: Matrix
-) -> list[dict]:
-    """Sparse rows {index: value} spanning the balanced-product relations
-    inside Z^(len(products)*gens), zero rows left out.
-
-    Generator (xi, j) sits at flat index xi*gens + j.  products[xi][y] holds
-    the nonzero (index, coefficient) pairs of the xi-th left basis element
-    times the y-th algebra basis class.  For each algebra basis class b and
-    each generator: (p.b) (x) m_j - p (x) (b.m_j).
-    """
-    rows = []
-    for y, Y in enumerate(basis):
-        act_cols = action[Y].transpose().sparse_rows
-        for xi in range(len(products)):
-            moved = products[xi][y]
-            if not moved:
-                rows += [{xi * gens + g: -v for g, v in col.items()} for col in act_cols if col]
-                continue
-            for j, col in enumerate(act_cols):
-                row = {}
-                for pi, c in moved:
-                    k = pi * gens + j
-                    row[k] = row.get(k, 0) + c
-                for g, v in col.items():
-                    k = xi * gens + g
-                    row[k] = row.get(k, 0) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    for col in presentation.transpose().sparse_rows:
-        if col:
-            rows += [{xi * gens + g: v for g, v in col.items()} for xi in range(len(products))]
-    return rows
-
-
 def reconstruct(module: MoritaModule, q: int) -> CokernelInvariants:
     """Invariants of G(Z^q) = P_q (x)_B M, with P_q the degree-n augmentation
     algebra of q x n matrices, a right module over B = B(n^2, n) by
@@ -605,21 +568,15 @@ def restrict_scalars(struct: GammaModuleStruct) -> MoritaModule:
     divided = [struct.action[A] for A in struct.algebra.basis]
     action = {}
     for X, col in zip(algebra.basis, gamma_cols):
-        action[X] = linear_combination(
-            ((v, divided[i]) for i, v in col.items()),
-            struct.generators,
-            struct.generators,
-        )
+        pairs = ((v, divided[i]) for i, v in col.items())
+        action[X] = linear_combination(pairs, struct.generators, struct.generators)
     return MoritaModule(n, algebra, struct.presentation, action)
 
 
 @lru_cache(maxsize=None)
 def _schur_tables(n: int):
-    """Schur products on Gamma^n of n x n matrices, which extend_scalars
-    needs for every module of degree n: (products, left), where
-    products[ai][xi] lists the nonzero (index, coefficient) pairs of basis
-    class A times the divided power image of the xi-th augmentation basis
-    class, and left[di][ai] those of D times A.
+    """Left Schur products on Gamma^n of n x n matrices, for extend_scalars:
+    left[di][ai] lists the nonzero (index, coefficient) pairs of D times A.
 
     Green's product rule (Polynomial Representations of GL_n, LNM 830,
     section 2.3): X! Y! e^[X] e^[Y] = sum_sigma W(sigma)! e^[W(sigma)], sigma
@@ -628,8 +585,8 @@ def _schur_tables(n: int):
     products uv.  It is the image under the multiplicative gamma, which sends
     delta_W to W! e^[W] at |W| = n, of the relation-sum rule: relations onto
     n positions of size <= n are bijections, so entry [X][Y] of
-    composition_tables(n, n, n, n) at |X| = n counts the sigma by W(sigma).
-    Weighting by W! / X! (and 1 / Y! for left) must divide exactly.
+    composition_tables(n, n, n, n) at |X| = |Y| = n counts the sigma by
+    W(sigma).  Weighting by W! / (X! Y!) must divide exactly.
     """
     basis = multisets_exactly(n * n, n)
     offset = aug_dimension(n * n, n) - len(basis)  # the size-n classes come last
@@ -640,30 +597,71 @@ def _schur_tables(n: int):
             raise VerificationError(f"Green's rule: {denom} does not divide {out}")
         return tuple((t, v // denom) for t, v in out)
 
-    rows = composition_tables(n, n, n, n)[offset:]
-    products = tuple(tuple(divided(e, X.factorial) for e in row) for X, row in zip(basis, rows))
-    left = tuple(
+    return tuple(
         tuple(divided(e, X.factorial * Y.factorial) for Y, e in zip(basis, row[offset:]))
-        for X, row in zip(basis, rows)
+        for X, row in zip(basis, composition_tables(n, n, n, n)[offset:])
     )
-    return products, left
+
+
+@lru_cache(maxsize=None)
+def _monoid_generators(n: int) -> tuple:
+    """(class in B(n^2, n), right action on Gamma^n as sparse rows) of
+    diag(d, 1, ..., 1) for d in {-1, 0, 2, ..., n}, of I + E_12 and the
+    transposition (1 2) from n = 2 on, and of the n-cycle from n = 3 on.
+    [g] acts by Gamma^n(x -> xg), on row-major coordinates n blocks g^T."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    mats = [[[d, *eye[0][1:]], *eye[1:]] for d in (-1, 0, *range(2, n + 1))] if n else []
+    if n >= 2:
+        mats += [[[1, 1, *eye[0][2:]], *eye[1:]], eye[1::-1] + eye[2:]]
+    if n >= 3:
+        mats.append(eye[1:] + eye[:1])
+    algebra = AugAlgebra(n * n, n)
+    out = []
+    for g in map(Matrix, mats):
+        right = gamma_of_hom(block_diag(*[g.transpose()] * n), n).transpose()
+        out.append((algebra.class_of(_flat(g)), right.sparse_rows))
+    return tuple(out)
 
 
 def extend_scalars(module: MoritaModule) -> GammaModuleStruct:
-    """Balanced product with the divided power algebra of matrices, seen as a
-    right module over the augmentation algebra through the divided power map;
-    the divided basis acts through left Schur multiplication."""
-    n = module.n
-    gens = module.generators
+    """Balanced product Gamma^n (x)_B M, Gamma^n the divided power algebra
+    of matrices as a right module over B = B(n^2, n) through gamma; the
+    divided basis acts by left Schur multiplication.
+
+    The relations are p (x) (relations of M) and p[g] (x) m - p (x) [g]m
+    over the basis p of Gamma^n, the generators m of M and the g of
+    _monoid_generators alone, which span all of the balanced relations:
+    - relations for ring generators give all: p b1b2 (x) m - p (x) b1b2 m
+      = [(p b1) b2 (x) m - p b1 (x) b2 m] + [p b1 (x) b2 m - p (x) b1(b2 m)],
+      sums are linear, and the unit's relation lies in those of M;
+    - the [g] generate B: B is spanned by the [s], s = U D V (Smith) with U,
+      V in GL_n(Z), which I + E_12, (1 2), the n-cycle and diag(-1, 1, ...)
+      generate as a monoid (I - E_12 is a diag(-1, 1, ...) conjugate of
+      I + E_12); D is a product of permutation conjugates of diag(d, 1, ...,
+      1), whose class is numerical of degree <= n in d, so an integer
+      combination of its values at d = 0..n;
+    - gamma([g]) = g^[n], and right multiplication by it agrees with
+      Gamma^n(x -> xg) on the pure powers x^[n], which span Gamma^n over Q,
+      so on all of the torsion-free Gamma^n.
+    """
+    n, gens = module.n, module.generators
     space = GammaModule(n * n, n)
-    gens_total = space.dimension() * gens
-    products, left = _schur_tables(n)
-    presentation = relation_hermite_form(gens_total, _tensor_relation_rows(
-        gens, products, module.action, module.algebra.basis, module.presentation
-    )).transpose()
+    gens_total = len(space.basis) * gens
+    rows = []  # generator (ai, j) at flat index ai * gens + j
+    for cls, right in _monoid_generators(n):
+        act_cols = module.act(cls).transpose().sparse_rows
+        for ai, moved in enumerate(right):
+            for j, col in enumerate(act_cols):
+                row = {ci * gens + j: c for ci, c in moved.items()}
+                for k, v in col.items():
+                    row[ai * gens + k] = row.get(ai * gens + k, 0) - v
+                rows.append(row)
+    for col in module.presentation.transpose().sparse_rows:
+        rows += [{ai * gens + k: v for k, v in col.items()} for ai in range(len(space.basis))]
+    presentation = relation_hermite_form(gens_total, rows).transpose()
 
     action = {}
-    for D, left_d in zip(space.basis, left):
+    for D, left_d in zip(space.basis, _schur_tables(n)):
         # left Schur multiplication by D, Kronecker with the identity on the
         # original generators
         rows_out: list[dict] = [{} for _ in range(gens_total)]

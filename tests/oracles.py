@@ -85,3 +85,39 @@ def transpose_route_arrow(spec, alpha: Matrix) -> Matrix:
     columns = _wedge_columns(alpha.ncols, spec.power)
     products = depth_first_word_products(alpha.sparse_rows, spec.power, _wedge, repeat=False)
     return Matrix([{columns[mask]: c for mask, c in acc.items()} for acc in products], len(columns))
+
+
+def _tensor_relation_rows(
+    gens: int, products, action: dict, basis, presentation: Matrix
+) -> list[dict]:
+    """Sparse rows {index: value} spanning the balanced-product relations
+    inside Z^(len(products)*gens), zero rows left out.
+
+    Generator (xi, j) sits at flat index xi*gens + j.  products[xi][y] holds
+    the nonzero (index, coefficient) pairs of the xi-th left basis element
+    times the y-th algebra basis class.  For each algebra basis class b and
+    each generator: (p.b) (x) m_j - p (x) (b.m_j).
+    """
+    rows = []
+    for y, Y in enumerate(basis):
+        act_cols = action[Y].transpose().sparse_rows
+        for xi in range(len(products)):
+            moved = products[xi][y]
+            if not moved:
+                rows += [{xi * gens + g: -v for g, v in col.items()} for col in act_cols if col]
+                continue
+            for j, col in enumerate(act_cols):
+                row = {}
+                for pi, c in moved:
+                    k = pi * gens + j
+                    row[k] = row.get(k, 0) + c
+                for g, v in col.items():
+                    k = xi * gens + g
+                    row[k] = row.get(k, 0) - v
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    rows.append(row)
+    for col in presentation.transpose().sparse_rows:
+        if col:
+            rows += [{xi * gens + g: v for g, v in col.items()} for xi in range(len(products))]
+    return rows

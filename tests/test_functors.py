@@ -9,7 +9,8 @@ from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import transpose_route_arrow
+import oracles
+from oracles import _tensor_relation_rows, transpose_route_arrow
 
 from functorlab.augmentation import AugAlgebra, composition_tables
 from functorlab.combinatorics import Multiset, multisets_up_to
@@ -38,8 +39,10 @@ from functorlab.functors import (
 import functorlab.functors as functors
 from functorlab.gamma_section import VerificationError, gamma_matrix
 from functorlab.intlinalg import (
+    Lattice,
     Matrix,
     block_diag,
+    cokernel_invariants,
     hermite_normal_form,
     rational_inverse,
     relation_hermite_form,
@@ -147,7 +150,7 @@ def brute_reconstruct(module, q: int):
     n = module.n
     products = composition_tables(q, n, n, n)
     width = len(products) * module.generators
-    rows = functors._tensor_relation_rows(
+    rows = _tensor_relation_rows(
         module.generators,
         products,
         module.action,
@@ -732,7 +735,8 @@ class TestReconstruction:
 
         module = morita(Sym(2))
         monkeypatch.setattr(functors, "composition_tables", refuse)
-        monkeypatch.setattr(functors, "_tensor_relation_rows", refuse)
+        monkeypatch.setattr(functors, "relation_hermite_form", refuse)
+        monkeypatch.setattr(oracles, "_tensor_relation_rows", refuse)
         inv = reconstruct(module, 10**30)
         assert inv.free_rank == object_dim(Sym(2), 10**30) and inv.torsion == ()
 
@@ -811,15 +815,42 @@ class TestDividedStructure:
             )
 
 
+@lru_cache(maxsize=None)
 def schur_product_tables(n: int):
-    """The tables of functors._schur_tables through schur_product, the
-    tensor-embedding route, one product per entry."""
+    """Schur products on Gamma^n of n x n matrices through schur_product, the
+    tensor-embedding route, one product per entry: (products, left), where
+    products[ai][xi] lists the nonzero (index, coefficient) pairs of basis
+    class A times the divided power image of the xi-th augmentation basis
+    class, and left[di][ai] those of D times A (functors._schur_tables)."""
     space = GammaModule(n * n, n)
     basis = [space.basis_element(A) for A in space.basis]
     images = [space.from_vector(col) for col in gamma_matrix(n * n, n).transpose().rows]
     products = tuple(tuple(tuple(schur_product(a, img).nonzero()) for img in images) for a in basis)
     left = tuple(tuple(tuple(schur_product(d, a).nonzero()) for a in basis) for d in basis)
     return products, left
+
+
+def brute_extend_scalars(module):
+    """The per-class route for extend_scalars: the balanced relations of every
+    basis class of B, whose divided power image acts on the right, and the
+    left action, both read off schur_product_tables.  Returns (presentation,
+    action)."""
+    n, gens = module.n, module.generators
+    products, left = schur_product_tables(n)
+    width = len(products) * gens
+    rows = _tensor_relation_rows(
+        gens, products, module.action, module.algebra.basis, module.presentation
+    )
+    presentation = relation_hermite_form(width, rows).transpose()
+    action = {}
+    for D, left_d in zip(GammaModule(n * n, n).basis, left):
+        entries: list[dict] = [{} for _ in range(width)]
+        for ai, pairs in enumerate(left_d):
+            for ci, v in pairs:
+                for g in range(gens):
+                    entries[ci * gens + g][ai * gens + g] = v
+        action[D] = Matrix(entries, width)
+    return presentation, action
 
 
 def _left_mul(left, u: dict, v: dict) -> dict:
@@ -837,24 +868,22 @@ class TestGreensRule:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_tables_equal_the_tensor_route(self, n):
-        assert functors._schur_tables(n) == schur_product_tables(n)
+        assert functors._schur_tables(n) == schur_product_tables(n)[1]
 
     def test_cubic_entries_on_sampled_pairs(self):
-        products, left = functors._schur_tables(3)
+        left = functors._schur_tables(3)
         space = GammaModule(9, 3)
         basis = [space.basis_element(A) for A in space.basis]
-        images = [space.from_vector(col) for col in gamma_matrix(9, 3).transpose().rows]
         rng = random.Random(27)
-        for table, rights in ((left, basis), (products, images)):
-            nonzero = [(i, j) for i, row in enumerate(table) for j, e in enumerate(row) if e]
-            pairs = rng.sample(nonzero, 20) + [
-                (rng.randrange(len(table)), rng.randrange(len(rights))) for _ in range(20)
-            ]
-            for i, j in pairs:
-                assert table[i][j] == tuple(schur_product(basis[i], rights[j]).nonzero()), (i, j)
+        nonzero = [(i, j) for i, row in enumerate(left) for j, e in enumerate(row) if e]
+        pairs = rng.sample(nonzero, 20) + [
+            (rng.randrange(len(left)), rng.randrange(len(basis))) for _ in range(20)
+        ]
+        for i, j in pairs:
+            assert left[i][j] == tuple(schur_product(basis[i], basis[j]).nonzero()), (i, j)
 
     def test_cubic_closed_form_has_unit_and_associates(self):
-        _, left = functors._schur_tables(3)
+        left = functors._schur_tables(3)
         space = GammaModule(9, 3)
         one = dict(space.divided_power(flat(Matrix.identity(3))).nonzero())
         for i in range(len(left)):
@@ -891,15 +920,81 @@ class TestScalarChange:
         inv = extend_scalars(zero_module()).group_invariants()
         assert inv.free_rank == 0 and inv.torsion == ()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(pytest.param(lambda s=s: morita(s), id=s.label()) for s in CATALOG2),
+            pytest.param(lambda: morita(DirectSum(Const(1), Sym(2))), id="const1+sym2"),
+            pytest.param(zero_module, id="zero"),
+            pytest.param(
+                lambda: MoritaModule(
+                    2, morita(Sym(2)).algebra, Matrix.identity(3).scale(6), morita(Sym(2)).action
+                ),
+                id="sym2-mod-6",
+            ),
+            *(
+                pytest.param(lambda s=s, n=n: extract_morita_module(s, n), id=f"{s.label()}-n{n}")
+                for s, n in [
+                    (Const(2), 0), (Sym(1), 1), (DirectSum(Const(1), Sym(1)), 1),
+                    (Sym(3), 3), (Ext(3), 3), (Div(3), 3),
+                ]
+            ),
+        ],
+    )
+    def test_extension_equals_the_per_class_route(self, make):
+        module = make()
+        extended = extend_scalars(module)
+        presentation, action = brute_extend_scalars(module)
+        assert extended.presentation == presentation
+        assert extended.action == action
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generator_classes_generate_the_algebra(self, n):
+        # close span{[I]} under left composition by the generator classes: it
+        # reaches B(n^2, n) itself, whose Hermite basis is the identity
+        alg = AugAlgebra(n * n, n)
+        classes = [cls for cls, _ in functors._monoid_generators(n)]
+        span = Lattice.from_rows(alg.dimension(), [alg.class_of(flat(Matrix.identity(n))).vector])
+        for _ in range(10):
+            elems = [alg.from_vector(row) for row in span.basis.rows]
+            grown = [alg.product_mul(g, e).vector for g in classes for e in elems]
+            span, old = Lattice.from_rows(alg.dimension(), span.basis.rows + tuple(grown)), span
+            if span == old:
+                break
+        assert span.basis == Matrix.identity(alg.dimension())
+
+    def test_at_most_n_plus_four_generators(self):
+        assert [len(functors._monoid_generators(n)) for n in range(5)] == [0, 2, 5, 7, 8]
+
+    def test_div3_torsion_through_both_routes(self, monkeypatch):
+        """Gamma^3 (x)_B M(div^3) = Z^10 + (Z/2)^9 through the generator
+        relations, whose right actions come from gamma_of_hom with no Schur
+        product and no composition table read (once the left table is
+        cached), and through the per-class relations over schur_product: the
+        torsion is not a defect of a Schur-product table."""
+        module = extract_morita_module(Div(3), 3)
+        functors._schur_tables(3)
+
+        def refuse(*args):
+            raise AssertionError("read a Schur-product table")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(functors, "composition_tables", refuse)
+            patch.setattr(functors, "schur_product", refuse)
+            extended = extend_scalars(module).group_invariants()
+        brute = cokernel_invariants(brute_extend_scalars(module)[0])
+        assert extended == brute
+        assert (extended.torsion, extended.free_rank) == ((2,) * 9, 10)
+
     def test_cubic_extension_presentation_of_sym3(self):
         """The presentation extend_scalars builds for sym^3 at n = 3, on its
-        own: the Hermite form of the balanced-product relations over Green's
-        tables (77,295 relations on 1,650 generators) has rank 1,640, and its
-        cokernel is Z^10 = Sym^3(Z^3), also when read off the relations by
+        own: the Hermite form of the per-class balanced-product relations of
+        the oracle (77,295 relations on 1,650 generators) has rank 1,640, and
+        its cokernel is Z^10 = Sym^3(Z^3), also when read off the relations by
         unit-pivot substitution."""
         module = extract_morita_module(Sym(3), 3)
-        products, _ = functors._schur_tables(3)
-        rows = functors._tensor_relation_rows(
+        products, _ = schur_product_tables(3)
+        rows = _tensor_relation_rows(
             module.generators,
             products,
             module.action,

@@ -563,11 +563,13 @@ def test_hermite_matches_sympy_on_small_matrices(case):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("kind", ["tensor", "sym", "ext", "div"])
 def test_hermite_matches_sympy_on_relation_matrices(kind, q):
-    """The tall, sparse balanced-product relations that `extend_scalars` and
-    the test oracle for `reconstruct` reduce."""
+    """The tall, sparse per-class balanced-product relations that the test
+    oracles for `reconstruct` and `extend_scalars` reduce."""
     pytest.importorskip("sympy")
+    from oracles import _tensor_relation_rows
+
     from functorlab.augmentation import composition_tables
-    from functorlab.functors import _tensor_relation_rows, extract_morita_module, spec_from_json
+    from functorlab.functors import extract_morita_module, spec_from_json
 
     module = extract_morita_module(spec_from_json({kind: 2}), 2)
     products = composition_tables(q, 2, 2, 2)
