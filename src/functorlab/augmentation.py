@@ -13,12 +13,8 @@ when the module is a matrix algebra, the composition product [s][t] = [st].
 The sum product has a closed form on the basis: the classes of X and Y
 multiply to the class of their union X + Y, or to zero when |X| + |Y| >
 degree, so it needs no table; on the codes the union is one addition.  The
-composition product has one table per (a, b, c, degree), for a x b by b x c
-matrices: entry [i][j] lists the nonzero coefficients of the product of two
-basis classes, a sum over the relations between the two words of matrix
-units (the relation-sum rule of composition_tables), whose product words
-are carried as codes.  It is built once per process and
-shared by every algebra and by functors._schur_tables.
+composition product reads composition_entries, one entry per pair of basis
+classes, each walked when first read: no whole table is built.
 
 Deviation classes are products.  As x -> [x] turns sums into sum products,
 [x + y] = [x][y], the deviation of x -> [x] at x_1..x_m is
@@ -58,12 +54,20 @@ def _class_vector(coords, degree: int) -> list[int]:
     return multiset_products([[binomial(x, m) for m in range(degree + 1)] for x in coords], degree)
 
 
+class _EntryRow(dict):
+    """Row i of composition_entries: j -> walk(j), walked when first read."""
+
+    def __init__(self, walk):
+        self.walk = walk
+
+    def __missing__(self, j):
+        return self.setdefault(j, self.walk(j))
+
+
 @lru_cache(maxsize=None)
-def composition_tables(a: int, b: int, c: int, degree: int):
-    """Table of [s][t] = [st] for a x b matrices s and b x c matrices t
-    (flattened row-major), truncated at degree: table[i][j] holds the nonzero
-    (index, coefficient) pairs, on the basis of B(ac), of the product of the
-    basis classes of the i-th multiset of B(ab) and the j-th of B(bc).
+def composition_entries(side: int, degree: int) -> tuple:
+    """[s][t] = [st] on side x side matrices (flattened row-major) at degree:
+    entries[i][j] lists the nonzero (index, coefficient) pairs of [X_i][X_j].
 
     The relation-sum rule: delta_X delta_Y = sum_R delta_{uv : (u, v) in R},
     R over the relations between the positions of X's word of matrix units
@@ -80,18 +84,18 @@ def composition_tables(a: int, b: int, c: int, degree: int):
     positions with the same product word are counted together.  A product
     word is carried as its code (combinatorics): a position of X with
     unit (r, s) adds the code of the chosen Y positions' columns t, the sum
-    of (degree+1)^t, shifted up r * c digits to row r of the product, so a
-    step is one multiply-add.
+    of (degree+1)^t, shifted up r * side digits to row r, so a step is one
+    multiply-add.
     """
-    base = degree + 1
-    out_index = multiset_codes(a * c, degree)[2]
+    base, basis = degree + 1, multisets_up_to(side * side, degree)
+    out_index = multiset_codes(side * side, degree)[2]
     right = []
-    for Y in multisets_up_to(b * c, degree):
+    for Y in basis:
         # per row s of Y's units: the nonempty sets of Y positions in row s,
         # as (size, mask, code of their columns), smallest first
         by_row: dict = {}
         for pos, v in enumerate(Y.indices()):
-            by_row.setdefault(v // c, []).append((pos, v % c))
+            by_row.setdefault(v // side, []).append((pos, v % side))
         options = {
             s: [(k, sum(1 << p for p, _ in sub), sum(base**t for _, t in sub))
                 for k in range(1, len(cells) + 1) for sub in combinations(cells, k)]
@@ -118,10 +122,8 @@ def composition_tables(a: int, b: int, c: int, degree: int):
         return tuple(sorted(onto))
 
     # per position of X's word, unit (r, s): (the shift to row r, s)
-    words = [
-        [(base ** (u // b * c), u % b) for u in X.indices()] for X in multisets_up_to(a * b, degree)
-    ]
-    return tuple(tuple(relation_sum(word, *Y) for Y in right) for word in words)
+    words = [[(base ** (u // side * side), u % side) for u in X.indices()] for X in basis]
+    return tuple(_EntryRow(lambda j, word=word: relation_sum(word, *right[j])) for word in words)
 
 
 class AugAlgebra(MultisetSpace):
@@ -171,19 +173,17 @@ class AugAlgebra(MultisetSpace):
 
     def product_mul(self, u: MultisetVector, v: MultisetVector) -> MultisetVector:
         """Bilinear extension of [s][t] = [s composed with t] (square rank only)."""
-        # the table is sparse: skip empty entries before touching coefficients,
-        # which may be Fractions
+        # skip empty entries before touching coefficients, which may be Fractions
         self._check_pair(u, v)
-        side = self.matrix_side
-        table = composition_tables(side, side, side, self.degree)
+        entries = composition_entries(self.matrix_side, self.degree)
         terms = v.nonzero()
         out = [0] * len(self.basis)
         for i, c in u.nonzero():
-            row = table[i]
+            row = entries[i]
             for j, d in terms:
-                if row[j]:
+                if e := row[j]:
                     cd = c * d
-                    for t, w in row[j]:
+                    for t, w in e:
                         out[t] += cd * w
         return self.from_vector(out)
 

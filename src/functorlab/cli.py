@@ -79,11 +79,11 @@ class UsageError(Exception):
 # (5, 10) 4.3 s; past it (4, 14) takes 14 s, (3, 20) 12 s and (2, 60) 68 s.
 # Below k = 3 it is conservative: (2, 35) takes 3.3 s and (1, 300) 4.6 s.
 #
-# The composition table of side x side matrices at degree n (aug-algebra,
-# schur, functor extract) weighs dim B(side^2, n)^2 (1 + 4^n / (16 side^2))
+# The side x side composition entries at degree n, all read by schur and, at
+# side 1, by aug-algebra, weigh dim B(side^2, n)^2 (1 + 4^n / (16 side^2))
 # relation walks of about 0.75 us (Python 3.11, 2-core Xeon): the walks per
 # entry grow about fourfold per degree and shrink with the share 1/side^2 of
-# composable unit pairs.  Within the limit (2, 6) builds in 2.3 s, (3, 4)
+# composable unit pairs.  Within the limit (2, 6) walks in 2.3 s, (3, 4)
 # 1.0 s, (8, 2) 2.9 s and (1, 10) 4.6 s; past it (9, 2) takes 8.5 s, (5, 3)
 # 9.6 s, (3, 5) 20 s, (2, 7) 26 s, (4, 4) 30 s.  `verify morita --q Q` adds
 # four reconstruction cells per q <= Q, about 1 ms each: Q = 4096 takes 4.6 s.
@@ -392,7 +392,7 @@ def _check_aug_dimension(k: int, n: int):
 def _check_composition_table(side: int, n: int):
     """Refuse a run whose side x side composition table at degree n is past the limit."""
     weight = aug_dimension(side * side, n) ** 2
-    scale = 16 * max(side, 1) ** 2  # the table of 0 x 0 matrices has one entry
+    scale = 16 * side**2
     # weight > n, so once it is within the limit 4^n is a small int
     if weight > MAX_TABLE_WEIGHT or weight * (scale + 4**n) > MAX_TABLE_WEIGHT * scale:
         table = f"the composition table of {side} x {side} matrices at degree {n}"
@@ -610,8 +610,8 @@ def cmd_functor(args) -> int:
         raise UsageError("reconstruct needs --q")
     n = args.n if args.n is not None else 2
     _check_aug_dimension(n * n, n)
-    if args.action == "extract":  # its multiplicativity check reads the n x n table
-        _check_composition_table(n, n)
+    if object_dim(spec, max(n + 1, 2)) ** 2 > MAX_ARROW_ENTRIES:  # the certificate's largest arrow
+        raise UsageError(f"the {spec.label()} arrow exceeds the size limit {MAX_ARROW_ENTRIES}")
 
     def query():
         module = extract_morita_module(spec, n, seed=args.seed)

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import add
 
-from .augmentation import AugAlgebra, aug_dimension, composition_tables
+from .augmentation import AugAlgebra, aug_dimension, composition_entries
 from .combinatorics import (
     binomial, multiset_codes, multisets_exactly, multisets_up_to,
 )
@@ -585,8 +585,8 @@ def _schur_tables(n: int):
     products uv.  It is the image under the multiplicative gamma, which sends
     delta_W to W! e^[W] at |W| = n, of the relation-sum rule: relations onto
     n positions of size <= n are bijections, so entry [X][Y] of
-    composition_tables(n, n, n, n) at |X| = |Y| = n counts the sigma by
-    W(sigma).  Weighting by W! / (X! Y!) must divide exactly.
+    composition_entries(n, n) at |X| = |Y| = n, the only ones read, counts
+    the sigma by W(sigma).  Weighting by W! / (X! Y!) must divide exactly.
     """
     basis = multisets_exactly(n * n, n)
     offset = aug_dimension(n * n, n) - len(basis)  # the size-n classes come last
@@ -598,8 +598,8 @@ def _schur_tables(n: int):
         return tuple((t, v // denom) for t, v in out)
 
     return tuple(
-        tuple(divided(e, X.factorial * Y.factorial) for Y, e in zip(basis, row[offset:]))
-        for X, row in zip(basis, composition_tables(n, n, n, n)[offset:])
+        tuple(divided(row[offset + y], X.factorial * Y.factorial) for y, Y in enumerate(basis))
+        for X, row in zip(basis, composition_entries(n, n)[offset:])
     )
 
 

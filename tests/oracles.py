@@ -1,8 +1,10 @@
 """Brute-force definitions that several test modules check the library against."""
+from functools import lru_cache
 from itertools import product
 from math import comb, prod
 
-from functorlab.combinatorics import Multiset, multiset_codes
+from functorlab.augmentation import composition_entries
+from functorlab.combinatorics import Multiset, multiset_codes, multisets_up_to
 from functorlab.divided_powers import gamma_dimension
 from functorlab.functors import Div, Ext, Sym, _wedge, _wedge_columns
 from functorlab.intlinalg import Matrix
@@ -35,6 +37,36 @@ def sub_multisets(X: Multiset) -> list:
         w = (-1) ** (X.size - sum(sub)) * prod(comb(m, a) for (_, m), a in zip(X.pairs, sub))
         out.append((Multiset(tuple((i, a) for (i, _), a in zip(X.pairs, sub) if a)), w))
     return out
+
+
+@lru_cache(maxsize=None)
+def composition_tables(a: int, b: int, c: int, degree: int) -> tuple:
+    """Table of [s][t] = [st] for a x b matrices s and b x c matrices t
+    (flattened row-major), truncated at degree: table[i][j] holds the nonzero
+    (index, coefficient) pairs, on the basis of B(ac), of the product of the
+    basis classes of the i-th multiset of B(ab) and the j-th of B(bc).
+
+    Read off the square composition entries of side m = max(a, b, c):
+    padding with zeros embeds r x s matrices in m x m ones, commutes with
+    the product, and sends the basis class of X to that of X's padded units.
+    Padding keeps the order of the units, so each entry stays sorted.
+    """
+    m = max(a, b, c)
+    entries = composition_entries(m, degree)
+    index = {X: i for i, X in enumerate(multisets_up_to(m * m, degree))}
+
+    def padded(rows: int, cols: int) -> list:
+        """Positions in B(m^2) of the padded basis classes of B(rows * cols)."""
+        return [
+            index[Multiset(tuple((u // cols * m + u % cols, k) for u, k in X.pairs))]
+            for X in multisets_up_to(rows * cols, degree)
+        ]
+
+    back = {t: i for i, t in enumerate(padded(a, c))}
+    right = padded(b, c)
+    return tuple(
+        tuple(tuple((back[t], v) for t, v in entries[i][j]) for j in right) for i in padded(a, b)
+    )
 
 
 def depth_first_word_products(forms, length: int, times, repeat: bool = True) -> list:

@@ -13,14 +13,13 @@ from functorlab.augmentation import (
     AugAlgebra,
     _class_vector,
     aug_dimension,
-    composition_tables,
     pushforward,
 )
 from functorlab.combinatorics import Multiset, binomial, multiset_binomial, multisets_up_to
 from functorlab.deviations import deviation, is_numerical_degree
 from functorlab.intlinalg import Matrix
 from functorlab.modules import FreeModule, SetMap
-from oracles import sub_multisets
+from oracles import composition_tables, sub_multisets
 
 
 class TestDimensions:
@@ -313,8 +312,9 @@ def _oracle_product_column(X, Y, a: int, b: int, c: int, degree: int) -> tuple:
 
 def brute_composition_tables(a: int, b: int, c: int, degree: int):
     """The composition tables by sub-multiset expansion, in the layout of
-    composition_tables: expanding both basis classes over sub-multisets
-    leaves classes [AB] of integer matrix products, each normalised once."""
+    oracles.composition_tables: expanding both basis classes over
+    sub-multisets leaves classes [AB] of integer matrix products, each
+    normalised once."""
     left_basis = multisets_up_to(a * b, degree)
     right_basis = multisets_up_to(b * c, degree)
     out_basis = multisets_up_to(a * c, degree)
@@ -353,7 +353,9 @@ def brute_composition_tables(a: int, b: int, c: int, degree: int):
 
 
 class TestRelationSumRule:
-    """composition_tables (relation sums) against the sub-multiset expansion."""
+    """The composition entries (relation sums), read in full through
+    oracles.composition_tables, against the sub-multiset expansion: square
+    shapes read them as they are, the others through zero padding."""
 
     @pytest.mark.parametrize(
         "shape",
@@ -415,6 +417,25 @@ class TestTablesAgainstOracles:
                     assert v, (X, Y)
                     col[t] = v
                 assert tuple(col) == _oracle_product_column(X, Y, q, n, n, n), (X, Y)
+
+    @pytest.mark.parametrize("side,n", [(1, 3), (2, 3), (3, 2)])
+    def test_product_mul_on_random_elements(self, side, n):
+        # product_mul reads entries on demand; the whole-table oracle reads all
+        alg = AugAlgebra(side * side, n)
+        table = brute_composition_tables(side, side, side, n)
+        rng = random.Random(side * 10 + n)
+        for _ in range(6):
+            u, v = [0] * len(table), [0] * len(table)
+            for vec in (u, v):
+                for _ in range(4):
+                    vec[rng.randrange(len(table))] += rng.randint(-3, 3)
+            expected = [0] * len(table)
+            for i, c in enumerate(u):
+                for j, d in enumerate(v):
+                    for t, w in table[i][j]:
+                        expected[t] += c * d * w
+            product = alg.product_mul(alg.from_vector(u), alg.from_vector(v))
+            assert product.vector == tuple(expected), (u, v)
 
 
 class TestPushforward:

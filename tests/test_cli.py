@@ -737,14 +737,15 @@ class TestContract:
             ["verify", "aug-algebra", "--max-k", "4", "--max-n", "40"],
             ["verify", "aug-algebra", "--max-k", "30", "--max-n", "6"],
             ["verify", "all", "--max-k", "9", "--max-n", "6"],
-            # functor extract past the table weight (n = 4) and the dimension
-            # limit, reconstruct past the dimension limit, and the morita sweep
+            # functor extract and reconstruct past the dimension limit or with
+            # a certificate arrow past the arrow limit, and the morita sweep
             # past its limit on --q
-            ["functor", "extract", "--spec", '{"sym": 2}', "--n", "4"],
             ["functor", "extract", "--spec", '{"sym": 2}', "--n", "5"],
             ["functor", "extract", "--spec", '{"sym": 2}', "--n", str(10**6)],
             ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", "5", "--q", "1"],
             ["functor", "reconstruct", "--spec", '{"sym": 2}', "--n", str(10**6), "--q", "1"],
+            ["functor", "extract", "--spec", '{"tensor": 10}', "--n", "3"],
+            ["functor", "reconstruct", "--spec", '{"tensor": 10}', "--n", "3", "--q", "1"],
             ["verify", "morita", "--q", "4097"],
             ["verify", "all", "--q", "4097"],
             ["verify", "morita", "--q", str(10**12)],
@@ -803,6 +804,17 @@ class TestContract:
             ranks = [c for c in data["cells"] if c["anchor"] == "reconstruction-rank"]
             assert len(ranks) == 400 and all(c["verdict"] == "pass" for c in ranks)
 
+    def test_extract_at_degree_four_runs(self, capsys):
+        # refused while its multiplicativity check built the whole 4 x 4
+        # composition table (30 s); the check now walks ten entries
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["functor", "extract", "--spec", '{"sym": 4}', "--n", "4"])
+        assert time.perf_counter() - start < 10
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["generators"], data["free_rank"], data["torsion"]) == (35, 35, [])
+        assert data["multiplicative"] is True
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
     def test_exact_integers_print_under_a_low_digit_limit(self, capsys):
         # the index at (4, 9) has 652 digits: under a 640-digit limit on
@@ -851,16 +863,13 @@ class TestContract:
         for side, n in [(2, 7), (3, 5), (4, 4), (5, 3), (9, 2), (1, 11)]:
             with pytest.raises(cli.UsageError, match="size limit"):
                 cli._check_composition_table(side, n)
-        # functor extract at n <= 3 stays under both limits, and functor
-        # reconstruct, which builds no table, under the dimension limit at
-        # n <= 4; the CI step `verify morita --q 30` and `--q 100` stay under
-        # the sweep's limit
-        for n in (0, 1, 2, 3):
+        # functor extract and reconstruct, which build no table, stay under
+        # the dimension limit at n <= 4, and their certificate arrows under
+        # the arrow limit up to tensor^4 at n = 4; the CI step `verify morita
+        # --q 30` and `--q 100` stay under the sweep's limit
+        for n in range(5):
             cli._check_aug_dimension(n * n, n)
-            cli._check_composition_table(n, n)
-        cli._check_aug_dimension(16, 4)
-        with pytest.raises(cli.UsageError, match="size limit"):
-            cli._check_composition_table(4, 4)
+            assert cli.object_dim(cli.Tensor(n), max(n + 1, 2)) ** 2 <= cli.MAX_ARROW_ENTRIES
         assert 100 <= cli.MAX_MORITA_Q < 10**12
 
     def test_aug_algebra_names_the_dimension_limit(self, capsys):

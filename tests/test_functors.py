@@ -10,9 +10,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 import oracles
-from oracles import _tensor_relation_rows, transpose_route_arrow
+from oracles import _tensor_relation_rows, composition_tables, transpose_route_arrow
 
-from functorlab.augmentation import AugAlgebra, composition_tables
+import functorlab.augmentation as augmentation
+from functorlab.augmentation import AugAlgebra
 from functorlab.combinatorics import Multiset, multisets_up_to
 from functorlab.deviations import alternating_sum
 from functorlab.divided_powers import GammaModule, gamma_of_hom, schur_product
@@ -602,6 +603,22 @@ class TestModuleExtraction:
         for spec in CATALOG2:
             assert morita(spec).check_multiplicativity(pairs=12, seed=3)
 
+    def test_multiplicativity_walks_one_entry_per_pair(self, monkeypatch):
+        # at n = 4 the whole composition table would take half a minute: the
+        # check walks only the entries of its pairs, on a fresh cache here
+        walks = []
+        missing = augmentation._EntryRow.__missing__
+
+        def counted(row, j):
+            walks.append(j)
+            return missing(row, j)
+
+        fresh = lru_cache(maxsize=None)(augmentation.composition_entries.__wrapped__)
+        monkeypatch.setattr(augmentation, "composition_entries", fresh)
+        monkeypatch.setattr(augmentation._EntryRow, "__missing__", counted)
+        assert extract_morita_module(Sym(2), 4).check_multiplicativity(pairs=10)
+        assert 1 <= len(walks) <= 10
+
     def test_wrong_algebra_rejected(self):
         mod = morita(Ext(2))
         other = AugAlgebra(4, 1)
@@ -734,7 +751,8 @@ class TestReconstruction:
             raise AssertionError("reconstruct built a balanced product")
 
         module = morita(Sym(2))
-        monkeypatch.setattr(functors, "composition_tables", refuse)
+        monkeypatch.setattr(augmentation, "composition_entries", refuse)
+        monkeypatch.setattr(functors, "composition_entries", refuse)
         monkeypatch.setattr(functors, "relation_hermite_form", refuse)
         monkeypatch.setattr(oracles, "_tensor_relation_rows", refuse)
         inv = reconstruct(module, 10**30)
@@ -979,7 +997,8 @@ class TestScalarChange:
             raise AssertionError("read a Schur-product table")
 
         with monkeypatch.context() as patch:
-            patch.setattr(functors, "composition_tables", refuse)
+            patch.setattr(augmentation, "composition_entries", refuse)
+            patch.setattr(functors, "composition_entries", refuse)
             patch.setattr(functors, "schur_product", refuse)
             extended = extend_scalars(module).group_invariants()
         brute = cokernel_invariants(brute_extend_scalars(module)[0])

@@ -566,9 +566,8 @@ def test_hermite_matches_sympy_on_relation_matrices(kind, q):
     """The tall, sparse per-class balanced-product relations that the test
     oracles for `reconstruct` and `extend_scalars` reduce."""
     pytest.importorskip("sympy")
-    from oracles import _tensor_relation_rows
+    from oracles import _tensor_relation_rows, composition_tables
 
-    from functorlab.augmentation import composition_tables
     from functorlab.functors import extract_morita_module, spec_from_json
 
     module = extract_morita_module(spec_from_json({kind: 2}), 2)
